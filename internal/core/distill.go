@@ -103,22 +103,27 @@ func DistillPolicy(cfg Config, opts DistillOptions) (*nn.MLP, float64) {
 		targets[i] = ref.actionWithDelta(states[i], ref.Delta)
 	}
 
+	// One minibatch is one row-major matrix through the batch-major nn path;
+	// the ragged last one reuses the same scratch at a smaller row count.
+	x := make([]float64, 0, opts.Batch*cfg.StateDim())
+	dOut := make([]float64, 0, opts.Batch)
 	var lastLoss float64
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		perm := rng.Perm(opts.Samples)
 		var loss float64
 		for b := 0; b < opts.Samples; b += opts.Batch {
-			end := b + opts.Batch
-			if end > opts.Samples {
-				end = opts.Samples
+			mb := perm[b:min(b+opts.Batch, opts.Samples)]
+			x, dOut = x[:0], dOut[:0]
+			for _, idx := range mb {
+				x = append(x, states[idx]...)
 			}
-			for _, idx := range perm[b:end] {
-				out := net.Forward(states[idx])
-				d := out[0] - targets[idx]
+			for i, out := range net.ForwardBatch(x, len(mb)) {
+				d := out - targets[mb[i]]
 				loss += 0.5 * d * d
-				net.Backward([]float64{d})
+				dOut = append(dOut, d)
 			}
-			opt.Step(net, float64(end-b))
+			net.BackwardBatch(dOut, true, false)
+			opt.Step(net, float64(len(mb)))
 		}
 		lastLoss = loss / float64(opts.Samples)
 	}

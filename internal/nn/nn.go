@@ -119,6 +119,15 @@ type MLP struct {
 	acts    [][]float64 // acts[0] = input copy, acts[i] = output of layer i-1
 	preacts [][]float64
 	grads   [][]float64 // backward scratch, same shapes as acts
+
+	// Batch-major scratch for ForwardBatch/BackwardBatch (batch.go), grown
+	// on first use: bacts[0] aliases the caller's input, bacts[i] is the
+	// [bn][Out] output of layer i-1, bgrads[i] the gradient at bacts[i], and
+	// tA/tB hold the transposed operands of the current layer's products.
+	bn     int
+	bacts  [][]float64
+	bgrads [][]float64
+	tA, tB []float64
 }
 
 // NewMLP builds an MLP with the given layer sizes; sizes[0] is the input
@@ -140,6 +149,7 @@ func NewMLP(rng *rand.Rand, hiddenAct, outAct Activation, sizes ...int) *MLP {
 }
 
 func (m *MLP) allocScratch() {
+	m.bacts, m.bgrads = nil, nil // batch scratch follows the layer count; regrown on use
 	m.acts = make([][]float64, len(m.Layers)+1)
 	m.preacts = make([][]float64, len(m.Layers))
 	m.grads = make([][]float64, len(m.Layers)+1)

@@ -8,6 +8,7 @@
 package rl
 
 import (
+	"fmt"
 	"math/rand"
 )
 
@@ -21,6 +22,25 @@ type Transition struct {
 	NextGlobal []float64
 	NextState  []float64
 	Done       bool
+}
+
+// checkWidths panics, naming the field and both sizes, when a vector of tr
+// does not have the width cfg promises. The trainer calls it where it packs
+// sampled transitions into batch matrices: unchecked, a short or long row
+// would silently shift every later sample's features.
+func (tr *Transition) checkWidths(cfg Config) {
+	for _, f := range []struct {
+		name string
+		v    []float64
+		want int
+	}{
+		{"Global", tr.Global, cfg.GlobalDim}, {"State", tr.State, cfg.StateDim}, {"Action", tr.Action, cfg.ActionDim},
+		{"NextGlobal", tr.NextGlobal, cfg.GlobalDim}, {"NextState", tr.NextState, cfg.StateDim},
+	} {
+		if len(f.v) != f.want {
+			panic(fmt.Sprintf("rl: transition %s has width %d, trainer Config says %d", f.name, len(f.v), f.want))
+		}
+	}
 }
 
 // ReplayBuffer is a fixed-capacity ring of transitions with uniform

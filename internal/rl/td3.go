@@ -62,15 +62,19 @@ type Trainer struct {
 	rng     *rng.Rand
 	updates int
 
-	// Reusable scratch: the trainer is single-threaded, so per-call and
-	// per-sample buffers are hoisted here to keep Update/Act allocation-free.
-	batch  []Transition
-	actBuf []float64
-	ciBuf  []float64
-	aNext  []float64
-	negBuf []float64
-	errBuf []float64 // 1-wide dLoss/dOutput for critic backward passes
-	oneBuf []float64 // constant [1] for dQ/dInput
+	// Reusable scratch: the trainer is single-threaded, so per-call buffers
+	// are hoisted here to keep Update/Act allocation-free. The batch
+	// matrices are row-major, one row per sampled transition, and grow on
+	// the first Update.
+	batch      []Transition
+	actBuf     []float64
+	ciBuf      []float64
+	states     []float64 // [n][state]: actor input
+	nextStates []float64 // [n][next state]: target-actor input
+	in         []float64 // [n][global, state, action]: critic input
+	inNext     []float64 // [n][next global, next state, smoothed target action]
+	err1, err2 []float64 // [n] dLoss/dQ for each critic
+	dAct       []float64 // [n][action] dLoss/dAction for the actor step
 
 	// Telemetry instruments; nil (no-op) unless Instrument was called.
 	mUpdates      *telemetry.Counter
@@ -117,11 +121,6 @@ func NewTrainer(cfg Config, seed int64) *Trainer {
 	t.critic1Target = t.Critic1.Clone()
 	t.critic2Target = t.Critic2.Clone()
 	t.actBuf = make([]float64, cfg.ActionDim)
-	t.aNext = make([]float64, cfg.ActionDim)
-	t.negBuf = make([]float64, cfg.ActionDim)
-	t.ciBuf = make([]float64, 0, criticIn)
-	t.errBuf = make([]float64, 1)
-	t.oneBuf = []float64{1}
 	return t
 }
 
@@ -135,86 +134,78 @@ func (t *Trainer) Act(state []float64, explore bool) []float64 {
 	copy(act, out)
 	if explore {
 		for i := range act {
-			act[i] += t.rng.NormFloat64() * t.Cfg.ExploreNoise
-			if act[i] > 1 {
-				act[i] = 1
-			}
-			if act[i] < -1 {
-				act[i] = -1
-			}
+			act[i] = clamp(act[i]+t.rng.NormFloat64()*t.Cfg.ExploreNoise, 1)
 		}
 	}
 	return act
 }
 
-// criticInput concatenates [global, state, action] into the trainer's
-// reusable buffer; the result is valid until the next call.
-func (t *Trainer) criticInput(global, state, action []float64) []float64 {
-	in := append(t.ciBuf[:0], global...)
-	in = append(in, state...)
-	in = append(in, action...)
-	t.ciBuf = in[:0]
-	return in
+// clamp limits v to [-lim, lim].
+func clamp(v, lim float64) float64 {
+	if v > lim {
+		return lim
+	}
+	if v < -lim {
+		return -lim
+	}
+	return v
 }
 
 // Update performs one training step on a batch sampled from rb: both
 // critics learn the clipped-double-Q temporal-difference target, and every
 // PolicyDelay steps the actor ascends Critic1's value with soft target
-// updates following.
+// updates following. The batch moves through the networks as whole matrices
+// (nn.ForwardBatch/BackwardBatch), bit-identical to stepping it one
+// transition at a time.
 func (t *Trainer) Update(rb *ReplayBuffer) {
 	if rb.Len() < t.Cfg.Batch {
 		return
 	}
 	t.batch = rb.Sample(t.rng.Rand, t.Cfg.Batch, t.batch)
-	batch := t.batch
+	batch, n := t.batch, len(t.batch)
+	gs, na := t.Cfg.GlobalDim+t.Cfg.StateDim, t.Cfg.ActionDim
+
+	t.states, t.nextStates, t.in, t.inNext = t.states[:0], t.nextStates[:0], t.in[:0], t.inNext[:0]
+	for i := range batch {
+		tr := &batch[i]
+		tr.checkWidths(t.Cfg) // a mis-sized row would shift every later one
+		t.states = append(t.states, tr.State...)
+		t.nextStates = append(t.nextStates, tr.NextState...)
+		t.in = append(append(append(t.in, tr.Global...), tr.State...), tr.Action...)
+	}
 
 	// --- critic update ---
-	t.Critic1.ZeroGrad()
-	t.Critic2.ZeroGrad()
-	var closs float64
-	for _, tr := range batch {
-		// Target action with smoothing noise.
-		aNext := t.aNext
-		copy(aNext, t.actorTarget.Forward(tr.NextState))
-		for i := range aNext {
-			noise := t.rng.NormFloat64() * t.Cfg.TargetNoise
-			if noise > t.Cfg.NoiseClip {
-				noise = t.Cfg.NoiseClip
-			}
-			if noise < -t.Cfg.NoiseClip {
-				noise = -t.Cfg.NoiseClip
-			}
-			aNext[i] += noise
-			if aNext[i] > 1 {
-				aNext[i] = 1
-			}
-			if aNext[i] < -1 {
-				aNext[i] = -1
-			}
+	// Target actions with smoothing noise, drawn in sample order.
+	aNext := t.actorTarget.ForwardBatch(t.nextStates, n)
+	for s, tr := range batch {
+		t.inNext = append(append(t.inNext, tr.NextGlobal...), tr.NextState...)
+		for _, a := range aNext[s*na : (s+1)*na] {
+			noise := clamp(t.rng.NormFloat64()*t.Cfg.TargetNoise, t.Cfg.NoiseClip)
+			t.inNext = append(t.inNext, clamp(a+noise, 1))
 		}
-		inNext := t.criticInput(tr.NextGlobal, tr.NextState, aNext)
-		q1n := t.critic1Target.Forward(inNext)[0]
-		q2n := t.critic2Target.Forward(inNext)[0]
-		qn := math.Min(q1n, q2n)
+	}
+	q1n := t.critic1Target.ForwardBatch(t.inNext, n)
+	q2n := t.critic2Target.ForwardBatch(t.inNext, n)
+	q1 := t.Critic1.ForwardBatch(t.in, n)
+	q2 := t.Critic2.ForwardBatch(t.in, n)
+	t.err1, t.err2 = t.err1[:0], t.err2[:0]
+	var closs float64
+	for s, tr := range batch {
 		target := tr.Reward
 		if !tr.Done {
-			target += t.Cfg.Gamma * qn
+			target += t.Cfg.Gamma * math.Min(q1n[s], q2n[s])
 		}
-
-		in := t.criticInput(tr.Global, tr.State, tr.Action)
-		q1 := t.Critic1.Forward(in)[0]
-		t.errBuf[0] = q1 - target
-		t.Critic1.Backward(t.errBuf)
-		q2 := t.Critic2.Forward(in)[0]
-		t.errBuf[0] = q2 - target
-		t.Critic2.Backward(t.errBuf)
-		d1, d2 := q1-target, q2-target
+		d1, d2 := q1[s]-target, q2[s]-target
+		t.err1, t.err2 = append(t.err1, d1), append(t.err2, d2)
 		closs += 0.5 * (d1*d1 + d2*d2)
 	}
-	n := float64(len(batch))
-	t.critic1Opt.Step(t.Critic1, n)
-	t.critic2Opt.Step(t.Critic2, n)
-	t.LastCriticLoss = closs / n
+	t.Critic1.ZeroGrad()
+	t.Critic2.ZeroGrad()
+	t.Critic1.BackwardBatch(t.err1, true, false)
+	t.Critic2.BackwardBatch(t.err2, true, false)
+	t.critic1Opt.Step(t.Critic1, float64(n))
+	t.critic2Opt.Step(t.Critic2, float64(n))
+	t.LastCriticLoss = closs / float64(n)
 	t.updates++
 	t.mUpdates.Inc()
 	t.mReplayLen.Set(float64(rb.Len()))
@@ -224,26 +215,32 @@ func (t *Trainer) Update(rb *ReplayBuffer) {
 	if t.updates%t.Cfg.PolicyDelay != 0 {
 		return
 	}
-	t.Actor.ZeroGrad()
-	var obj float64
-	for _, tr := range batch {
-		a := t.Actor.Forward(tr.State)
-		in := t.criticInput(tr.Global, tr.State, a)
-		q := t.Critic1.Forward(in)[0]
-		obj += q
-		// dQ/dInput → slice out dQ/dAction, ascend (so loss gradient is -1).
-		t.Critic1.ZeroGrad()
-		dIn := t.Critic1.Backward(t.oneBuf)
-		dA := dIn[len(tr.Global)+len(tr.State):]
-		neg := t.negBuf
-		for i := range dA {
-			neg[i] = -dA[i] // gradient ascent on Q
-		}
-		t.Actor.Backward(neg)
+	// Q(g, s, π(s)): the policy's actions replace the replayed ones in the
+	// critic input, which the critic step is finished with.
+	a := t.Actor.ForwardBatch(t.states, n)
+	for s := 0; s < n; s++ {
+		copy(t.in[s*(gs+na)+gs:(s+1)*(gs+na)], a[s*na:(s+1)*na])
 	}
-	t.Critic1.ZeroGrad() // discard critic grads accumulated for dQ/dA
-	t.actorOpt.Step(t.Actor, n)
-	t.LastActorObjective = obj / n
+	var obj float64
+	for _, q := range t.Critic1.ForwardBatch(t.in, n) {
+		obj += q
+	}
+	// dQ/dInput with the critic frozen (dQ/dQ = 1 reuses err1), then slice
+	// out dQ/dAction and negate it: gradient ascent on Q.
+	for s := range t.err1 {
+		t.err1[s] = 1
+	}
+	dIn := t.Critic1.BackwardBatch(t.err1, false, true)
+	t.dAct = t.dAct[:0]
+	for s := 0; s < n; s++ {
+		for _, d := range dIn[s*(gs+na)+gs : (s+1)*(gs+na)] {
+			t.dAct = append(t.dAct, -d)
+		}
+	}
+	t.Actor.ZeroGrad()
+	t.Actor.BackwardBatch(t.dAct, true, false)
+	t.actorOpt.Step(t.Actor, float64(n))
+	t.LastActorObjective = obj / float64(n)
 	t.mActorUpdates.Inc()
 
 	nn.SoftUpdate(t.actorTarget, t.Actor, t.Cfg.Tau)
@@ -253,5 +250,6 @@ func (t *Trainer) Update(rb *ReplayBuffer) {
 
 // QValue exposes Critic1's estimate for diagnostics and tests.
 func (t *Trainer) QValue(global, state, action []float64) float64 {
-	return t.Critic1.Forward(t.criticInput(global, state, action))[0]
+	t.ciBuf = append(append(append(t.ciBuf[:0], global...), state...), action...)
+	return t.Critic1.Forward(t.ciBuf)[0]
 }

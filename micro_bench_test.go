@@ -157,6 +157,11 @@ func BenchmarkTD3Update(b *testing.B) {
 			Reward: rng.Float64(), NextGlobal: mk(core.GlobalFeatureDim), NextState: mk(40),
 		})
 	}
+	// Two warm-up updates (the second steps the actor) size all batch scratch,
+	// so -benchmem reports the steady state rather than set-up amortised over
+	// a small b.N.
+	tr.Update(rb)
+	tr.Update(rb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Update(rb)

@@ -211,6 +211,12 @@ go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/cor
 # race pass so a regression is attributable at a glance (the full-tree
 # race run below also covers it, but buries the name).
 go test -race -run TestResumeDeterminismBitwise ./internal/env
+# The batch-major training path's bitwise contract, named: ForwardBatch/
+# BackwardBatch vs looped Forward/Backward, batched Update vs the per-sample
+# reference, the parent-captured golden weight digests, and the zero-alloc
+# pin (which holds under the detector too, so it needs no race_on/race_off
+# split).
+go test -race -run 'TestBatch|TestTD3Update' ./internal/nn ./internal/rl
 # Property-based invariant sweep under the race detector: 200+ seeded
 # random scenarios with the internal/check invariant checker attached.
 # Reproduce a failing seed with:

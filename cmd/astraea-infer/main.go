@@ -1,7 +1,7 @@
 // Command astraea-infer runs the shared batched inference service of §4 as
 // a standalone daemon: senders submit state vectors over a UDP or UNIX
-// datagram socket and receive actions, with requests accumulated into
-// batches (5 ms window by default) before the policy evaluates them.
+// datagram socket and receive actions; requests that arrive while the
+// policy is evaluating are answered together as the next batch.
 //
 // Examples:
 //
@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 )
@@ -30,8 +29,7 @@ func main() {
 	listen := flag.String("listen", "udp:127.0.0.1:9000", "network:address to serve on (udp:host:port or unixgram:/path)")
 	policyArg := flag.String("policy", "reference", `"reference", a path to JSON actor weights, or a quantized blob (astraea-quantize)`)
 	floatPath := flag.Bool("float", false, "serve JSON actor weights as float64 instead of compiling them to the quantized fixed-point form")
-	window := flag.Duration("window", 5*time.Millisecond, "batching window")
-	maxBatch := flag.Int("max-batch", 256, "flush threshold")
+	maxBatch := flag.Int("max-batch", 256, "most requests evaluated as one batch")
 	flag.Parse()
 
 	network, address, ok := strings.Cut(*listen, ":")
@@ -54,15 +52,14 @@ func main() {
 	}
 
 	svc := core.NewService(cfg, policy)
-	svc.BatchWindow = *window
 	svc.MaxBatch = *maxBatch
 	srv, err := core.ListenAndServe(svc, network, address)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astraea-infer:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("astraea-infer: serving on %s (%s), batch window %v, max batch %d\n",
-		srv.Addr(), network, *window, *maxBatch)
+	fmt.Printf("astraea-infer: serving on %s (%s), max batch %d\n",
+		srv.Addr(), network, *maxBatch)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

@@ -50,23 +50,22 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "alias for -telemetry (the endpoint includes pprof)")
 	shards := flag.Int("shards", 0, "policy shards, each with its own evaluator and cloned policy (default GOMAXPROCS, capped at 16)")
 	maxInflight := flag.Int("max-inflight", 64, "compatibility knob: feeds the per-shard queue-depth default")
-	queueDepth := flag.Int("queue-depth", 0, "per-shard admission queue depth (default 4×max-inflight; overflow is shed)")
+	queueDepth := flag.Int("queue-depth", 0, "requests in flight per shard (default 4×max-inflight; overflow is shed)")
 	deadline := flag.Duration("deadline", 20*time.Millisecond, "per-request budget before the fallback action is returned")
-	window := flag.Duration("window", 5*time.Millisecond, "batching window of the shared service")
-	maxBatch := flag.Int("max-batch", 256, "batch flush threshold")
+	maxBatch := flag.Int("max-batch", 256, "most requests a shard evaluates between two response flushes")
 	addrFile := flag.String("addr-file", "", "write the bound endpoints (one network:address per line) to this file")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a graceful drain may take before connections are cut")
 	flag.Parse()
 
 	if err := run(*listen, *policyArg, *floatPath, *reload, *telemetryAddr, *pprofAddr,
-		*shards, *maxInflight, *queueDepth, *deadline, *window, *maxBatch, *addrFile, *drainTimeout); err != nil {
+		*shards, *maxInflight, *queueDepth, *deadline, *maxBatch, *addrFile, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "astraea-serve:", err)
 		os.Exit(1)
 	}
 }
 
 func run(listen, policyArg string, floatPath bool, reload time.Duration, telemetryAddr, pprofAddr string,
-	shards, maxInflight, queueDepth int, deadline, window time.Duration, maxBatch int,
+	shards, maxInflight, queueDepth int, deadline time.Duration, maxBatch int,
 	addrFile string, drainTimeout time.Duration) error {
 
 	cfg := core.DefaultConfig()
@@ -90,7 +89,6 @@ func run(listen, policyArg string, floatPath bool, reload time.Duration, telemet
 	}
 
 	svc := core.NewService(cfg, policy)
-	svc.BatchWindow = window
 	svc.MaxBatch = maxBatch
 	srv := serve.NewServer(svc, cfg, serve.Options{
 		Shards:      shards,

@@ -104,8 +104,7 @@ func TestAgentDrainWindowsReduceThenRestore(t *testing.T) {
 
 func TestServedAgentMatchesDirectAgent(t *testing.T) {
 	cfg := DefaultConfig()
-	svc := NewService(cfg, nil)
-	svc.BatchWindow = 0 // synchronous inside the single-threaded simulator
+	svc := NewSyncService(cfg, nil) // synchronous inside the single-threaded simulator
 
 	direct := NewAgent(cfg, nil)
 	served := NewServedAgent(cfg, svc)

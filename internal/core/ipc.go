@@ -108,7 +108,7 @@ func DecodeResponse(buf []byte) (reqID uint64, action float64, err error) {
 // ServiceServer exposes a Service over a packet connection (UDP or
 // unixgram). Datagrams fan into a bounded worker pool: a reader goroutine
 // decodes and enqueues, and a fixed number of workers call Service.Infer
-// (blocking for the batch window) and send the reply. When the queue is
+// (blocking until the evaluator answers) and send the reply. When the queue is
 // full the datagram is dropped and counted — never an unbounded goroutine
 // per request, so a flood degrades to drops (datagram semantics) instead of
 // memory exhaustion.

@@ -64,7 +64,6 @@ func TestDecodeRequestRejectsMalformed(t *testing.T) {
 func TestServiceOverUDP(t *testing.T) {
 	cfg := DefaultConfig()
 	svc := NewService(cfg, constPolicy{0.5})
-	svc.BatchWindow = time.Millisecond
 	srv, err := ListenAndServe(svc, "udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +125,10 @@ func runConcurrentClients(t *testing.T, network, addr string, want float64, clie
 
 func TestServiceOverUDPConcurrentClients(t *testing.T) {
 	cfg := DefaultConfig()
-	svc := NewService(cfg, constPolicy{0.25})
-	svc.BatchWindow = 2 * time.Millisecond
+	// Batches form only while the evaluator is busy, so give it something to
+	// be busy with: during one 1 ms evaluation the other 15 clients' requests
+	// arrive and are pulled together.
+	svc := NewService(cfg, slowPolicy{delay: time.Millisecond, v: 0.25})
 	svc.MaxBatch = 64
 	srv, err := ListenAndServe(svc, "udp", "127.0.0.1:0")
 	if err != nil {
@@ -159,7 +160,6 @@ func TestServiceOverUnixgram(t *testing.T) {
 	sock := dir + "/astraea.sock"
 	cfg := DefaultConfig()
 	svc := NewService(cfg, constPolicy{-0.5})
-	svc.BatchWindow = time.Millisecond
 	srv, err := ListenAndServe(svc, "unixgram", sock)
 	if err != nil {
 		t.Skipf("unixgram unavailable: %v", err)
@@ -184,7 +184,6 @@ func TestServiceOverUnixgramConcurrentClients(t *testing.T) {
 	dir := t.TempDir()
 	sock := dir + "/astraea.sock"
 	svc := NewService(DefaultConfig(), constPolicy{0.75})
-	svc.BatchWindow = 2 * time.Millisecond
 	srv, err := ListenAndServe(svc, "unixgram", sock)
 	if err != nil {
 		t.Skipf("unixgram unavailable: %v", err)
@@ -197,7 +196,6 @@ func TestUnixgramClientSocketCleanup(t *testing.T) {
 	dir := t.TempDir()
 	sock := dir + "/astraea.sock"
 	svc := NewService(DefaultConfig(), constPolicy{0})
-	svc.BatchWindow = time.Millisecond
 	srv, err := ListenAndServe(svc, "unixgram", sock)
 	if err != nil {
 		t.Skipf("unixgram unavailable: %v", err)
@@ -297,7 +295,6 @@ func (p slowPolicy) Action([]float64) float64 {
 // checks the overflow is counted as drops rather than spawning goroutines.
 func TestServerShedsWhenPoolSaturated(t *testing.T) {
 	svc := NewService(DefaultConfig(), slowPolicy{delay: 20 * time.Millisecond})
-	svc.BatchWindow = time.Millisecond
 	srv, err := ListenAndServeWith(svc, "udp", "127.0.0.1:0", 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +326,6 @@ func TestServerShedsWhenPoolSaturated(t *testing.T) {
 func TestServerSurvivesMalformedDatagrams(t *testing.T) {
 	cfg := DefaultConfig()
 	svc := NewService(cfg, constPolicy{0.5})
-	svc.BatchWindow = time.Millisecond
 	srv, err := ListenAndServe(svc, "udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +371,6 @@ func TestServerSurvivesMalformedDatagrams(t *testing.T) {
 // client call must time out cleanly.
 func TestServerCloseWithRequestsInFlight(t *testing.T) {
 	svc := NewService(DefaultConfig(), slowPolicy{delay: 100 * time.Millisecond, v: 0.5})
-	svc.BatchWindow = time.Millisecond
 	srv, err := ListenAndServe(svc, "udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -8,74 +8,82 @@ import (
 )
 
 // Service is the Astraea inference service of §4: one shared policy serving
-// many senders, collecting requests over a short window and evaluating them
-// as a batch. The paper implements it in C++ over TensorFlow with UNIX/UDP
-// sockets; here the transport is an in-process channel, which preserves the
-// architectural property Fig. 16b measures — one shared service scales
-// sub-linearly with flow count, unlike per-flow inference servers.
+// many senders, evaluating concurrent requests as a batch. The paper
+// implements it in C++ over TensorFlow with UNIX/UDP sockets; here the
+// transport is an in-process queue, which preserves the architectural
+// property Fig. 16b measures — one shared service scales sub-linearly with
+// flow count, unlike per-flow inference servers.
 //
-// With BatchWindow == 0 the service degenerates to a synchronous mutex-
-// guarded evaluation, which is what the single-threaded simulator uses; the
+// Batching is work-conserving and has one mechanism: a dedicated evaluator
+// goroutine that, whenever it is idle, takes everything pending and answers
+// it, and parks only when nothing is pending. A lone request is therefore
+// answered at once, and batches form by themselves exactly while the
+// evaluator is busy — there is no window to wait out and no size trigger.
+//
+// NewSyncService selects the synchronous mode instead: every request is
+// evaluated on its submitter's goroutine under a mutex, which is what the
+// single-threaded simulator and the deterministic zero-alloc pins use. The
 // batching path is exercised by the scalability benchmarks, the tests, and
 // the network-facing server in internal/serve.
 //
 // Concurrency model: s.mu guards only queue bookkeeping (pending slice,
-// timer, counters). Policy evaluation happens on a dedicated evaluator
-// goroutine, never under s.mu and never on a submitter's goroutine, so new
-// arrivals are accepted while a batch forwards through the network, and a
-// caller of Submit can bound its own wait (see internal/serve deadlines)
-// without getting conscripted into evaluating someone else's batch.
-// Policies keep internal scratch state (nn.MLP is not goroutine-safe;
-// ReferencePolicy has a mode detector), so all Action calls — batched and
-// synchronous — are serialized by evalMu.
+// counters). Policy evaluation happens on the evaluator goroutine, never
+// under s.mu and never on a submitter's goroutine, so new arrivals are
+// accepted while a batch forwards through the network, and a caller of
+// Submit can bound its own wait (see internal/serve deadlines) without
+// getting conscripted into evaluating someone else's batch. Policies keep
+// internal scratch state (nn.MLP is not goroutine-safe; ReferencePolicy has
+// a mode detector), so all Action calls — batched and synchronous — are
+// serialized by evalMu.
+//
+// The pending queue is unbounded and submitting never blocks: the bound on
+// outstanding requests lives in the callers, all of which have one —
+// internal/serve counts the requests each shard's service has not handed
+// back and sheds past a multiple of QueueDepth, ServiceServer submits from
+// a fixed worker pool, and Infer parks its caller until the answer arrives.
 type Service struct {
-	// BatchWindow is how long the server waits to accumulate a batch
-	// (the paper uses 5 ms); MaxBatch flushes earlier when reached.
-	BatchWindow time.Duration
-	MaxBatch    int
+	// MaxBatch caps the requests evaluated between two AfterBatch calls:
+	// a pull larger than MaxBatch is answered in chunks of at most MaxBatch.
+	MaxBatch int
 
-	// AfterBatch, when non-nil, runs once after every evaluated batch
+	// AfterBatch, when non-nil, runs once after every evaluated chunk
 	// (including size-1 synchronous evaluations), on the goroutine that
 	// evaluated it and outside every service lock. internal/serve uses it
 	// to flush coalesced response writes. Set before the first Submit.
 	AfterBatch func()
 
-	mu         sync.Mutex
-	policy     Policy
-	pending    []inferReq
-	timer      *time.Timer
-	timerArmed bool
-	closed     bool
-	evalCh     chan evalBatch // lazily started; sends happen under mu
-	evalOn     bool
-
-	// freeMu guards the recycled batch slices. It is a separate lock
-	// because the evaluator returns slices here and must never contend for
-	// mu (flushLocked sends on evalCh while holding mu; an evaluator
-	// blocked on mu would deadlock that send).
-	freeMu      sync.Mutex
-	freeBatches [][]inferReq
+	mu          sync.Mutex
+	wake        *sync.Cond // on mu; the evaluator parks here when pending is empty
+	policy      Policy
+	pending     []inferReq
+	synchronous bool
+	closed      bool
+	evalOn      bool // the evaluator goroutine was started (lazily, by submit)
 
 	// evalMu serializes all policy.Action calls (stateful policies).
 	evalMu sync.Mutex
 	evalWG sync.WaitGroup
 
 	// Telemetry instruments; nil (no-op) unless Instrument was called.
-	mRequests  *telemetry.Counter
-	mBatches   *telemetry.Counter
-	mBatchSize *telemetry.Histogram
-	mQueueWait *telemetry.Histogram
+	m serviceMetrics
 
 	// Batches and Requests count service activity for tests/benchmarks.
-	// They are guarded by mu: read them through Stats whenever a batch
-	// flush may still be in flight (the timer goroutine writes them).
+	// They are guarded by mu: read them through Stats whenever the
+	// evaluator may still be running.
 	Batches  int64
 	Requests int64
 }
 
+type serviceMetrics struct {
+	requests  *telemetry.Counter
+	batches   *telemetry.Counter
+	batchSize *telemetry.Histogram
+	queueWait *telemetry.Histogram
+}
+
 // Stats returns the request and batch counts under the service lock. Plain
-// field reads are only safe once no concurrent Infer or timer flush can be
-// running; Stats is always safe.
+// field reads are only safe once no concurrent Infer or evaluator pull can
+// be running; Stats is always safe.
 func (s *Service) Stats() (requests, batches int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -111,28 +119,39 @@ func (r *inferReq) deliver(action float64) {
 	}
 }
 
-// evalBatch is one detached batch handed to the evaluator goroutine. The
-// policy pointer is captured at detach time, so a SetPolicy racing a flush
-// never splits a batch across two policies.
-type evalBatch struct {
-	batch     []inferReq
-	policy    Policy
-	queueWait *telemetry.Histogram
-	after     func()
-}
-
-// NewService wraps policy (nil selects the reference policy for cfg).
+// NewService wraps policy (nil selects the reference policy for cfg) in a
+// batching service.
 func NewService(cfg Config, policy Policy) *Service {
 	if policy == nil {
 		policy = NewReferencePolicy(cfg)
 	}
-	return &Service{policy: policy, BatchWindow: 5 * time.Millisecond, MaxBatch: 256}
+	return newService(policy, 256, false)
 }
 
-// SetPolicy atomically swaps the served policy. Batches already detached
-// keep the policy they were detached with, so a swap never drops, errors,
-// or splits an in-flight request — this is the primitive behind hot reload
-// in internal/serve.
+// NewSyncService is NewService in synchronous mode: no evaluator goroutine,
+// every request is evaluated on its submitter's goroutine before Submit
+// returns. Deterministic and single-goroutine, for the simulator and tests.
+func NewSyncService(cfg Config, policy Policy) *Service {
+	s := NewService(cfg, policy)
+	s.synchronous = true
+	return s
+}
+
+// Sibling returns a new service in s's mode and with s's MaxBatch, serving
+// policy: how a sharded server derives shards 1..n-1 from its template.
+func (s *Service) Sibling(policy Policy) *Service {
+	return newService(policy, s.MaxBatch, s.synchronous)
+}
+
+func newService(policy Policy, maxBatch int, synchronous bool) *Service {
+	s := &Service{policy: policy, MaxBatch: maxBatch, synchronous: synchronous}
+	s.wake = sync.NewCond(&s.mu)
+	return s
+}
+
+// SetPolicy atomically swaps the served policy. The evaluator captures the
+// policy once per pull, so a swap never drops, errors, or splits a pulled
+// batch — this is the primitive behind hot reload in internal/serve.
 func (s *Service) SetPolicy(p Policy) {
 	if p == nil {
 		return
@@ -142,8 +161,8 @@ func (s *Service) SetPolicy(p Policy) {
 	s.mu.Unlock()
 }
 
-// Policy returns the currently served policy (the one the next detached
-// batch will capture). The sharded server uses it to clone a template
+// Policy returns the currently served policy (the one the evaluator's next
+// pull will capture). The sharded server uses it to clone a template
 // service's policy into sibling shards.
 func (s *Service) Policy() Policy {
 	s.mu.Lock()
@@ -152,19 +171,21 @@ func (s *Service) Policy() Policy {
 }
 
 // Instrument registers the service's batching telemetry on reg: requests
-// served, batches flushed, the batch-size distribution (the quantity behind
-// Fig. 16b's sub-linear scaling), and how long requests waited for their
-// batch. Queue wait is wall-clock (the batching window is real time, not
-// simulated time).
+// served, batches evaluated, the batch-size distribution (the quantity
+// behind Fig. 16b's sub-linear scaling), and how long requests waited for
+// the evaluator. Queue wait is wall-clock (the evaluator runs in real time,
+// not simulated time).
 func (s *Service) Instrument(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mRequests = reg.Counter("core_infer_requests_total", "inference requests served")
-	s.mBatches = reg.Counter("core_infer_batches_total", "batches evaluated (size 1 on the synchronous path)")
-	s.mBatchSize = reg.Histogram("core_infer_batch_size", "requests coalesced per batch",
-		telemetry.ExponentialBuckets(1, 2, 11)) // 1..1024
-	s.mQueueWait = reg.Histogram("core_infer_queue_wait_seconds", "wall-clock wait from request arrival to batch flush",
-		telemetry.ExponentialBuckets(1e-5, 4, 10)) // 10 µs .. 2.6 s
+	s.m = serviceMetrics{
+		requests: reg.Counter("core_infer_requests_total", "inference requests served"),
+		batches:  reg.Counter("core_infer_batches_total", "batches evaluated (size 1 on the synchronous path)"),
+		batchSize: reg.Histogram("core_infer_batch_size", "requests coalesced per batch",
+			telemetry.ExponentialBuckets(1, 2, 11)), // 1..1024
+		queueWait: reg.Histogram("core_infer_queue_wait_seconds", "wall-clock wait from request arrival to its batch's evaluation",
+			telemetry.ExponentialBuckets(1e-5, 4, 10)), // 10 µs .. 2.6 s
+	}
 }
 
 // ShareInstruments attaches src's already-registered instruments to s, so
@@ -173,10 +194,10 @@ func (s *Service) Instrument(reg *telemetry.Registry) {
 // counters are atomic and safe to share).
 func (s *Service) ShareInstruments(src *Service) {
 	src.mu.Lock()
-	mReq, mBat, mSize, mWait := src.mRequests, src.mBatches, src.mBatchSize, src.mQueueWait
+	m := src.m
 	src.mu.Unlock()
 	s.mu.Lock()
-	s.mRequests, s.mBatches, s.mBatchSize, s.mQueueWait = mReq, mBat, mSize, mWait
+	s.m = m
 	s.mu.Unlock()
 }
 
@@ -187,10 +208,9 @@ func (s *Service) Infer(state []float64) float64 {
 
 // Submit enqueues one state for evaluation and returns the channel its
 // action will be delivered on (buffered: an abandoned result never blocks
-// the evaluator). Callers that must bound their wait — the deadline path in
-// internal/serve — select on the channel and simply walk away on timeout;
-// the request still evaluates with its batch, and the late answer is
-// discarded by the buffer.
+// the evaluator). Callers that must bound their wait select on the channel
+// and simply walk away on timeout; the request still evaluates with its
+// batch, and the late answer is discarded by the buffer.
 func (s *Service) Submit(state []float64) <-chan float64 {
 	resp := make(chan float64, 1)
 	s.submit(inferReq{state: state, resp: resp})
@@ -209,17 +229,16 @@ func (s *Service) SubmitTo(state []float64, comp Completion) {
 func (s *Service) submit(req inferReq) {
 	s.mu.Lock()
 	s.Requests++
-	s.mRequests.Inc()
-	if s.BatchWindow == 0 || s.closed {
+	s.m.requests.Inc()
+	if s.synchronous || s.closed {
 		// Synchronous path: evaluate on the caller's goroutine, but off
 		// s.mu so concurrent submitters queue on evalMu, not on the
 		// bookkeeping lock.
 		s.Batches++
-		s.mBatches.Inc()
-		s.mBatchSize.Observe(1)
-		p := s.policy
-		after := s.AfterBatch
+		m, p, after := s.m, s.policy, s.AfterBatch
 		s.mu.Unlock()
+		m.batches.Inc()
+		m.batchSize.Observe(1)
 		s.evalMu.Lock()
 		a := p.Action(req.state)
 		s.evalMu.Unlock()
@@ -229,131 +248,91 @@ func (s *Service) submit(req inferReq) {
 		}
 		return
 	}
-	if s.mQueueWait != nil {
+	if s.m.queueWait != nil {
 		req.enqueued = time.Now()
 	}
-	if s.pending == nil {
-		s.pending = s.getBatchBuf()
-	}
-	s.pending = append(s.pending, req)
-	if len(s.pending) >= s.MaxBatch {
-		s.flushLocked()
-	} else if !s.timerArmed {
-		s.timerArmed = true
-		if s.timer == nil {
-			s.timer = time.AfterFunc(s.BatchWindow, func() {
-				s.mu.Lock()
-				s.timerArmed = false
-				s.flushLocked()
-				s.mu.Unlock()
-			})
-		} else {
-			s.timer.Reset(s.BatchWindow)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// getBatchBuf returns a recycled batch slice (or a fresh one), so steady-
-// state batching does not allocate per batch.
-func (s *Service) getBatchBuf() []inferReq {
-	s.freeMu.Lock()
-	defer s.freeMu.Unlock()
-	if n := len(s.freeBatches); n > 0 {
-		b := s.freeBatches[n-1]
-		s.freeBatches = s.freeBatches[:n-1]
-		return b
-	}
-	return make([]inferReq, 0, 64)
-}
-
-// putBatchBuf clears and recycles a drained batch slice. Entries are zeroed
-// so recycled slices never pin request states or completions for the GC.
-func (s *Service) putBatchBuf(b []inferReq) {
-	clear(b)
-	s.freeMu.Lock()
-	if len(s.freeBatches) < 8 {
-		s.freeBatches = append(s.freeBatches, b[:0])
-	}
-	s.freeMu.Unlock()
-}
-
-// flushLocked detaches the pending batch and hands it to the evaluator
-// goroutine; callers hold mu. The channel send happens under mu: if the
-// evaluator is backlogged this blocks new arrivals, which is deliberate
-// backpressure — upstream admission control (internal/serve) turns it into
-// explicit shedding instead of an unbounded pending queue. The evaluator
-// never takes mu, so the send always makes progress.
-func (s *Service) flushLocked() {
-	if s.timerArmed {
-		s.timer.Stop()
-		s.timerArmed = false
-	}
-	if len(s.pending) == 0 {
-		return
-	}
-	batch := s.pending
-	s.pending = nil
-	s.Batches++
-	s.mBatches.Inc()
-	s.mBatchSize.Observe(float64(len(batch)))
 	if !s.evalOn {
 		s.evalOn = true
-		s.evalCh = make(chan evalBatch, 4)
 		s.evalWG.Add(1)
 		go s.evaluator()
 	}
-	s.evalCh <- evalBatch{batch: batch, policy: s.policy, queueWait: s.mQueueWait, after: s.AfterBatch}
+	// The evaluator can only be parked when pending is empty, so the
+	// empty→non-empty edge is the one submit that has to wake it.
+	if len(s.pending) == 0 {
+		s.wake.Signal()
+	}
+	s.pending = append(s.pending, req)
+	s.mu.Unlock()
 }
 
-// evaluator drains detached batches until Close closes the feed channel.
+// evaluator is the one batching mechanism: take everything pending, answer
+// it, repeat; park only when nothing is pending; exit once closed and
+// drained. Two slices ping-pong between the evaluator and the pending queue
+// (entries zeroed before reuse so they never pin request states or
+// completions for the GC), so steady-state batching allocates nothing.
 func (s *Service) evaluator() {
 	defer s.evalWG.Done()
-	for eb := range s.evalCh {
-		s.evaluate(eb)
+	var batch []inferReq
+	for {
+		s.mu.Lock()
+		for len(s.pending) == 0 {
+			if s.closed {
+				s.mu.Unlock()
+				return
+			}
+			s.wake.Wait()
+		}
+		batch, s.pending = s.pending, batch[:0]
+		chunk := s.MaxBatch
+		if chunk <= 0 {
+			chunk = len(batch)
+		}
+		s.Batches += int64((len(batch) + chunk - 1) / chunk)
+		// One policy per pull: a SetPolicy racing the evaluator never
+		// splits a pulled batch across two policies.
+		m, p, after := s.m, s.policy, s.AfterBatch
+		s.mu.Unlock()
+
+		for rest := batch; len(rest) > 0; {
+			n := min(len(rest), chunk)
+			s.evaluate(rest[:n], p, m)
+			if after != nil {
+				after()
+			}
+			rest = rest[n:]
+		}
+		clear(batch)
 	}
 }
 
-// evaluate answers every request of one batch. No lock except evalMu is
-// held, so arrivals keep flowing into the next batch during the forward
-// passes. The drained batch slice is recycled.
-func (s *Service) evaluate(eb evalBatch) {
+// evaluate answers every request of one chunk. No lock except evalMu is
+// held, so arrivals keep flowing into the next pull during the forward
+// passes.
+func (s *Service) evaluate(chunk []inferReq, p Policy, m serviceMetrics) {
+	m.batches.Inc()
+	m.batchSize.Observe(float64(len(chunk)))
 	now := time.Time{}
-	if eb.queueWait != nil {
+	if m.queueWait != nil {
 		now = time.Now()
 	}
 	s.evalMu.Lock()
-	for i := range eb.batch {
-		r := &eb.batch[i]
+	for i := range chunk {
+		r := &chunk[i]
 		if !r.enqueued.IsZero() {
-			eb.queueWait.Observe(now.Sub(r.enqueued).Seconds())
+			m.queueWait.Observe(now.Sub(r.enqueued).Seconds())
 		}
-		r.deliver(eb.policy.Action(r.state))
+		r.deliver(p.Action(r.state))
 	}
 	s.evalMu.Unlock()
-	if eb.after != nil {
-		eb.after()
-	}
-	s.putBatchBuf(eb.batch)
 }
 
-// Close flushes outstanding requests, waits for their answers to be
-// delivered, and makes further Infer calls synchronous. Safe to call more
+// Close waits for every outstanding request to be answered, stops the
+// evaluator, and makes further Infer calls synchronous. Safe to call more
 // than once.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	s.flushLocked()
-	if s.evalOn {
-		// No sender can follow us: Submit takes the synchronous path once
-		// closed is set, and any timer callback racing in will find an
-		// empty pending slice and return before the send.
-		close(s.evalCh)
-	}
+	s.wake.Signal()
 	s.mu.Unlock()
 	s.evalWG.Wait()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -10,9 +11,69 @@ type constPolicy struct{ v float64 }
 
 func (p constPolicy) Action([]float64) float64 { return p.v }
 
+// echoPolicy returns the first state feature, so every request can verify
+// it received its own answer.
+type echoPolicy struct{}
+
+func (echoPolicy) Action(s []float64) float64 { return s[0] }
+
+// gatePolicy makes the evaluator's state observable and controllable without
+// sleeps: every Action call announces itself on entered, then blocks until
+// the test sends on release. The answer is tag + state[0], so a test can tell
+// which policy instance evaluated which request.
+type gatePolicy struct {
+	tag     float64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGatePolicy(tag float64) *gatePolicy {
+	return &gatePolicy{tag: tag, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatePolicy) Action(s []float64) float64 {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.tag + s[0]
+}
+
+// hangBound only detects hangs; no test outcome depends on its length.
+const hangBound = 10 * time.Second
+
+// enter waits for the evaluator to be inside Action; open lets that call
+// return. A test that fails leaves the evaluator parked in the gate, so gate
+// tests close their service at the end instead of deferring it.
+func (g *gatePolicy) enter(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(hangBound):
+		t.Fatalf("policy %v: evaluator never called Action", g.tag)
+	}
+}
+
+func (g *gatePolicy) open() { g.release <- struct{}{} }
+
+// step lets exactly one Action call through.
+func (g *gatePolicy) step(t *testing.T) {
+	t.Helper()
+	g.enter(t)
+	g.open()
+}
+
+func await(t *testing.T, ch <-chan float64, what string) float64 {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(hangBound):
+		t.Fatalf("%s: no answer", what)
+		return 0
+	}
+}
+
 func TestServiceSynchronousMode(t *testing.T) {
-	svc := NewService(DefaultConfig(), constPolicy{0.5})
-	svc.BatchWindow = 0
+	svc := NewSyncService(DefaultConfig(), constPolicy{0.5})
 	if got := svc.Infer([]float64{1}); got != 0.5 {
 		t.Fatalf("Infer = %v", got)
 	}
@@ -21,80 +82,175 @@ func TestServiceSynchronousMode(t *testing.T) {
 	}
 }
 
-func TestServiceBatchesConcurrentRequests(t *testing.T) {
-	svc := NewService(DefaultConfig(), constPolicy{0.25})
-	svc.BatchWindow = 10 * time.Millisecond
-	svc.MaxBatch = 1000
-	const n = 64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := svc.Infer([]float64{1}); got != 0.25 {
-				t.Errorf("Infer = %v", got)
-			}
-		}()
+// TestServiceLoneRequestAnsweredAtOnce: an idle evaluator takes a single
+// request immediately — there is no window to wait out, so the only thing
+// between Submit and the answer is the policy itself.
+func TestServiceLoneRequestAnsweredAtOnce(t *testing.T) {
+	gate := newGatePolicy(0)
+	svc := NewService(DefaultConfig(), gate)
+	resp := svc.Submit([]float64{7})
+	gate.step(t) // the evaluator is already in Action for the lone request
+	if got := await(t, resp, "lone request"); got != 7 {
+		t.Fatalf("Infer = %v", got)
 	}
-	wg.Wait()
-	if svc.Requests != n {
-		t.Fatalf("requests %d", svc.Requests)
+	if requests, batches := svc.Stats(); requests != 1 || batches != 1 {
+		t.Fatalf("counters %d/%d, want 1/1", requests, batches)
 	}
-	// The point of batching: far fewer batches than requests.
-	if svc.Batches >= n/2 {
-		t.Fatalf("batches %d for %d requests — batching ineffective", svc.Batches, n)
-	}
-}
-
-func TestServiceMaxBatchFlushesEarly(t *testing.T) {
-	svc := NewService(DefaultConfig(), constPolicy{1})
-	svc.BatchWindow = time.Hour // never flush by timer
-	svc.MaxBatch = 4
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			svc.Infer([]float64{1})
-		}()
-	}
-	wg.Wait()
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("MaxBatch flush did not trigger")
-	}
-}
-
-func TestServiceClose(t *testing.T) {
-	svc := NewService(DefaultConfig(), constPolicy{0.75})
 	svc.Close()
-	// After Close, Infer degrades to synchronous and must not hang.
-	done := make(chan float64, 1)
-	go func() { done <- svc.Infer([]float64{1}) }()
-	select {
-	case v := <-done:
-		if v != 0.75 {
-			t.Fatalf("post-close Infer = %v", v)
+}
+
+// TestServicePullBatchesWhileBusy pins the batching rule: everything
+// submitted while the evaluator is busy comes back as one pull, evaluated in
+// chunks of at most MaxBatch with one AfterBatch per chunk.
+func TestServicePullBatchesWhileBusy(t *testing.T) {
+	const maxBatch, n = 4, 10 // one pull of 10 → chunks of 4, 4, 2
+	gate := newGatePolicy(0)
+	svc := NewService(DefaultConfig(), gate)
+	svc.MaxBatch = maxBatch
+	var afters atomic.Int64
+	svc.AfterBatch = func() { afters.Add(1) }
+
+	first := svc.Submit([]float64{0})
+	gate.enter(t) // evaluator is inside Action for the first request: busy
+	resps := make([]<-chan float64, n)
+	for i := range resps {
+		resps[i] = svc.Submit([]float64{float64(i + 1)})
+	}
+	if _, batches := svc.Stats(); batches != 1 {
+		t.Fatalf("batches %d while the evaluator is blocked, want 1", batches)
+	}
+	gate.open()
+	await(t, first, "first request")
+
+	// The evaluator now pulls all n at once. Chunk boundaries are visible
+	// through AfterBatch: it must have run exactly once per finished chunk
+	// each time a new chunk's first Action begins.
+	for i := 0; i < n; i++ {
+		gate.enter(t)
+		if want := int64(1 + i/maxBatch); afters.Load() != want {
+			t.Fatalf("request %d began after %d AfterBatch calls, want %d", i, afters.Load(), want)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Infer hung after Close")
+		gate.open()
+		if got := await(t, resps[i], "queued request"); got != float64(i+1) {
+			t.Fatalf("request %d got %v: answers out of submission order", i, got)
+		}
+	}
+	svc.Close()
+	if requests, batches := svc.Stats(); requests != n+1 || batches != 4 {
+		t.Fatalf("counters %d/%d, want %d/4 (1 + chunks of 4, 4, 2)", requests, batches, n+1)
+	}
+	if afters.Load() != 4 {
+		t.Fatalf("AfterBatch ran %d times, want 4", afters.Load())
 	}
 }
 
-// echoPolicy returns the first state feature, so every request can verify
-// it received its own answer.
-type echoPolicy struct{}
+// TestServiceSetPolicyNeverSplitsAPull: the policy is captured once per
+// pull, so a swap while a pulled batch is mid-evaluation (even between its
+// MaxBatch chunks) applies only from the next pull.
+func TestServiceSetPolicyNeverSplitsAPull(t *testing.T) {
+	old, next := newGatePolicy(100), newGatePolicy(200)
+	svc := NewService(DefaultConfig(), old)
+	svc.MaxBatch = 2
 
-func (echoPolicy) Action(s []float64) float64 { return s[0] }
+	first := svc.Submit([]float64{0})
+	old.enter(t)
+	var pulled [5]<-chan float64 // one pull, three chunks
+	for i := range pulled {
+		pulled[i] = svc.Submit([]float64{float64(i + 1)})
+	}
+	old.open()
+	await(t, first, "first request")
+
+	old.step(t) // pulled[0] is being answered by the old policy…
+	await(t, pulled[0], "pulled request 0")
+	old.enter(t)
+	svc.SetPolicy(next) // …and the swap lands mid-pull, mid-chunk
+	late := svc.Submit([]float64{9})
+	old.open()
+	for i := 1; i < len(pulled); i++ {
+		if i > 1 {
+			old.step(t)
+		}
+		if got := await(t, pulled[i], "pulled request"); got != 100+float64(i+1) {
+			t.Fatalf("pulled request %d answered %v: the swap split the batch", i, got)
+		}
+	}
+	next.step(t)
+	if got := await(t, late, "post-swap request"); got != 209 {
+		t.Fatalf("request submitted after the swap answered %v, want the new policy's 209", got)
+	}
+	svc.Close()
+}
+
+// TestServiceSetPolicy checks the swap itself and that it applies to later
+// requests.
+func TestServiceSetPolicy(t *testing.T) {
+	svc := NewSyncService(DefaultConfig(), constPolicy{0.25})
+	if got := svc.Infer([]float64{1}); got != 0.25 {
+		t.Fatalf("pre-swap Infer = %v", got)
+	}
+	svc.SetPolicy(constPolicy{-0.75})
+	if got := svc.Infer([]float64{1}); got != -0.75 {
+		t.Fatalf("post-swap Infer = %v", got)
+	}
+	svc.SetPolicy(nil) // ignored, not a panic
+	if got := svc.Infer([]float64{1}); got != -0.75 {
+		t.Fatalf("nil swap changed policy: %v", got)
+	}
+}
+
+// TestServiceClose: Close answers everything still queued behind a busy
+// evaluator before it returns, and afterwards Infer is synchronous — it
+// completes on the caller's goroutine with no evaluator left to run it.
+func TestServiceClose(t *testing.T) {
+	gate := newGatePolicy(0)
+	svc := NewService(DefaultConfig(), gate)
+	first := svc.Submit([]float64{1})
+	gate.enter(t)
+	queued := svc.Submit([]float64{2})
+
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	gate.open()
+	gate.step(t)
+	select {
+	case <-closed:
+	case <-time.After(hangBound):
+		t.Fatal("Close did not return after the queue drained")
+	}
+	// Close has returned, so both answers are already buffered.
+	for i, ch := range []<-chan float64{first, queued} {
+		select {
+		case got := <-ch:
+			if got != float64(i+1) {
+				t.Fatalf("request %d answered %v", i, got)
+			}
+		default:
+			t.Fatalf("request %d unanswered when Close returned", i)
+		}
+	}
+
+	svc.SetPolicy(constPolicy{0.75})
+	if got := svc.Infer([]float64{1}); got != 0.75 {
+		t.Fatalf("post-close Infer = %v", got)
+	}
+	if requests, batches := svc.Stats(); requests != 3 || batches != 3 {
+		t.Fatalf("counters %d/%d, want 3/3", requests, batches)
+	}
+	svc.Close() // idempotent
+}
 
 // TestServiceNoLostOrDuplicatedResponses is the correctness proof for
 // evaluating batches off the service lock: many concurrent submitters with
 // unique payloads must each receive exactly their own response, exactly
-// once, across timer flushes, MaxBatch flushes, and a mid-run policy swap.
-// Run under -race this also proves the bookkeeping/evaluator split is sound.
+// once, across pulls of every size, MaxBatch chunking, and mid-run policy
+// swaps. Run under -race this also proves the bookkeeping/evaluator split
+// is sound.
 func TestServiceNoLostOrDuplicatedResponses(t *testing.T) {
 	svc := NewService(DefaultConfig(), echoPolicy{})
-	svc.BatchWindow = 500 * time.Microsecond
 	svc.MaxBatch = 8
 	defer svc.Close()
 
@@ -131,30 +287,11 @@ func TestServiceNoLostOrDuplicatedResponses(t *testing.T) {
 	}
 }
 
-// TestServiceSetPolicy checks the swap itself and that it applies to later
-// requests.
-func TestServiceSetPolicy(t *testing.T) {
-	svc := NewService(DefaultConfig(), constPolicy{0.25})
-	svc.BatchWindow = 0
-	if got := svc.Infer([]float64{1}); got != 0.25 {
-		t.Fatalf("pre-swap Infer = %v", got)
-	}
-	svc.SetPolicy(constPolicy{-0.75})
-	if got := svc.Infer([]float64{1}); got != -0.75 {
-		t.Fatalf("post-swap Infer = %v", got)
-	}
-	svc.SetPolicy(nil) // ignored, not a panic
-	if got := svc.Infer([]float64{1}); got != -0.75 {
-		t.Fatalf("nil swap changed policy: %v", got)
-	}
-}
-
-// TestServiceSubmitAbandoned proves a caller can walk away from a Submit
-// (the deadline path in internal/serve): the batch still evaluates and the
-// service does not block delivering to the abandoned channel.
+// TestServiceSubmitAbandoned proves a caller can walk away from a Submit:
+// the request still evaluates and the service does not block delivering to
+// the abandoned channel.
 func TestServiceSubmitAbandoned(t *testing.T) {
 	svc := NewService(DefaultConfig(), constPolicy{0.5})
-	svc.BatchWindow = time.Millisecond
 	_ = svc.Submit([]float64{1}) // abandoned: never received
 	got := svc.Infer([]float64{2})
 	if got != 0.5 {
@@ -169,8 +306,7 @@ func TestServiceSubmitAbandoned(t *testing.T) {
 
 func TestServiceDefaultPolicy(t *testing.T) {
 	cfg := DefaultConfig()
-	svc := NewService(cfg, nil)
-	svc.BatchWindow = 0
+	svc := NewSyncService(cfg, nil)
 	// nil policy selects the reference policy; a no-signal state probes up.
 	if got := svc.Infer(make([]float64, cfg.StateDim())); got != 1 {
 		t.Fatalf("default-policy Infer = %v, want 1", got)

@@ -113,7 +113,6 @@ func timePerFlowServers(cfg core.Config, n int, state []float64, rng *rand.Rand)
 // histograms land in the experiment registry — the Fig. 16b observability.
 func timeBatchService(o Opts, cfg core.Config, policy core.Policy, n int, state []float64) time.Duration {
 	svc := core.NewService(cfg, policy)
-	svc.BatchWindow = 500 * time.Microsecond
 	svc.MaxBatch = n
 	if o.Telemetry != nil {
 		svc.Instrument(o.Telemetry)

@@ -62,7 +62,6 @@ func startFleet(t *testing.T, clients int) *pilotFleet {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	svc := core.NewService(cfg, core.NewReferencePolicy(cfg))
-	svc.BatchWindow = time.Millisecond
 	f := &pilotFleet{
 		reg:  telemetry.NewRegistry(),
 		stop: make(chan struct{}),

@@ -56,8 +56,7 @@ func TestDistilledPolicyClosedLoop(t *testing.T) {
 // inference service (the §4 deployment architecture) inside the simulator.
 func TestServedPolicyClosedLoop(t *testing.T) {
 	cfg := core.DefaultConfig()
-	svc := core.NewService(cfg, nil)
-	svc.BatchWindow = 0 // synchronous inside the single-threaded simulator
+	svc := core.NewSyncService(cfg, nil) // synchronous inside the single-threaded simulator
 
 	mk := func() *core.Agent { return core.NewServedAgent(cfg, svc) }
 	res := MustRun(Scenario{

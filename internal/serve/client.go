@@ -27,11 +27,11 @@ type Client struct {
 	wmu  sync.Mutex // serializes request frames
 	wbuf []byte     // reusable request frame buffer (guarded by wmu)
 
-	chPool sync.Pool // of chan clientResult, cap 1
+	callPool sync.Pool // of *clientCall
 
 	mu      sync.Mutex
 	next    uint64
-	calls   map[uint64]chan clientResult
+	calls   map[uint64]*clientCall
 	dead    error // sticky read-loop exit cause
 	started bool
 }
@@ -39,6 +39,14 @@ type Client struct {
 type clientResult struct {
 	res Result
 	err error
+}
+
+// clientCall is the per-call state Infer would otherwise allocate: the
+// result channel (cap 1) and the timer bounding the wait. Calls are pooled,
+// so a steady-state Infer allocates nothing.
+type clientCall struct {
+	ch    chan clientResult
+	timer *time.Timer // nil until a call with a Timeout first uses it
 }
 
 // Dial connects to a serve.Server stream endpoint.
@@ -53,21 +61,27 @@ func Dial(network, address string) (*Client, error) {
 		return nil, fmt.Errorf("serve: dial %s %s: %w", network, address, err)
 	}
 	return &Client{conn: conn, Timeout: core.DefaultInferTimeout,
-		calls: make(map[uint64]chan clientResult)}, nil
+		calls: make(map[uint64]*clientCall)}, nil
 }
 
-func (c *Client) getCh() chan clientResult {
-	if v := c.chPool.Get(); v != nil {
-		return v.(chan clientResult)
+func (c *Client) getCall() *clientCall {
+	if v := c.callPool.Get(); v != nil {
+		return v.(*clientCall)
 	}
-	return make(chan clientResult, 1)
+	return &clientCall{ch: make(chan clientResult, 1)}
 }
 
-// putCh recycles a result channel. Callers must guarantee the channel is
-// empty and unreachable: the call entry was deleted from c.calls under mu
-// (the read loop only sends while holding mu), and any buffered value was
-// drained.
-func (c *Client) putCh(ch chan clientResult) { c.chPool.Put(ch) }
+// putCall recycles a call. Callers must guarantee its channel is empty and
+// unreachable: the entry was deleted from c.calls under mu (the read loop
+// only sends while holding mu), and any buffered value was drained. The
+// timer may still hold a tick from this use; the next use tells it apart
+// from its own by the clock (see await).
+func (c *Client) putCall(call *clientCall) {
+	if call.timer != nil {
+		call.timer.Stop()
+	}
+	c.callPool.Put(call)
+}
 
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 16<<10)
@@ -77,8 +91,8 @@ func (c *Client) readLoop() {
 		if err != nil {
 			c.mu.Lock()
 			c.dead = core.ErrClientClosed
-			for id, ch := range c.calls {
-				ch <- clientResult{err: core.ErrClientClosed}
+			for id, call := range c.calls {
+				call.ch <- clientResult{err: core.ErrClientClosed}
 				delete(c.calls, id)
 			}
 			c.mu.Unlock()
@@ -89,8 +103,8 @@ func (c *Client) readLoop() {
 			continue // malformed response payload: skip, stream stays framed
 		}
 		c.mu.Lock()
-		if ch, ok := c.calls[reqID]; ok {
-			ch <- clientResult{res: res}
+		if call, ok := c.calls[reqID]; ok {
+			call.ch <- clientResult{res: res}
 			delete(c.calls, reqID)
 		}
 		c.mu.Unlock()
@@ -112,11 +126,11 @@ func (c *Client) InferFlow(flow uint64, state []float64) (Result, error) {
 }
 
 func (c *Client) infer(state []float64, flow uint64, tagged bool) (Result, error) {
-	ch := c.getCh()
+	call := c.getCall()
 	c.mu.Lock()
 	if c.dead != nil {
 		c.mu.Unlock()
-		c.putCh(ch)
+		c.putCall(call)
 		return Result{}, c.dead
 	}
 	if !c.started {
@@ -125,7 +139,7 @@ func (c *Client) infer(state []float64, flow uint64, tagged bool) (Result, error
 	}
 	c.next++
 	id := c.next
-	c.calls[id] = ch
+	c.calls[id] = call
 	c.mu.Unlock()
 
 	c.wmu.Lock()
@@ -133,41 +147,57 @@ func (c *Client) infer(state []float64, flow uint64, tagged bool) (Result, error
 	_, err := c.conn.Write(c.wbuf)
 	c.wmu.Unlock()
 	if err != nil {
-		c.dropCall(id, ch)
+		c.dropCall(id, call)
 		return Result{}, fmt.Errorf("serve: send request: %w", err)
 	}
 
-	var timeout <-chan time.Time
-	if c.Timeout > 0 {
-		t := time.NewTimer(c.Timeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case r := <-ch:
-		c.putCh(ch)
-		return r.res, r.err
-	case <-timeout:
-		if r, ok := c.dropCall(id, ch); ok {
-			// Response raced the timer; the buffer kept it.
-			return r.res, r.err
-		}
+	r, ok := call.await(c.Timeout)
+	if ok {
+		c.putCall(call)
+	} else if r, ok = c.dropCall(id, call); !ok { // ok: the response raced the timer into the buffer
 		return Result{}, fmt.Errorf("serve: request %d after %v: %w", id, c.Timeout, core.ErrInferTimeout)
+	}
+	return r.res, r.err
+}
+
+// await waits for the call's result, at most d (0 waits forever); ok is
+// false on timeout. The timer is the call's own, reused across uses.
+func (call *clientCall) await(d time.Duration) (r clientResult, ok bool) {
+	if d <= 0 {
+		return <-call.ch, true
+	}
+	expires := time.Now().Add(d)
+	if call.timer == nil {
+		call.timer = time.NewTimer(d)
+	} else {
+		call.timer.Reset(d)
+	}
+	for {
+		select {
+		case r = <-call.ch:
+			return r, true
+		case <-call.timer.C:
+			// A tick before expires was fired by the timer's previous use
+			// and never read; this use's own tick is still to come.
+			if !time.Now().Before(expires) {
+				return clientResult{}, false
+			}
+		}
 	}
 }
 
-// dropCall unregisters a pending call and reclaims its channel, returning
-// any result that landed before the entry was removed.
-func (c *Client) dropCall(id uint64, ch chan clientResult) (clientResult, bool) {
+// dropCall unregisters a pending call and recycles it, returning any result
+// that landed before the entry was removed.
+func (c *Client) dropCall(id uint64, call *clientCall) (clientResult, bool) {
 	c.mu.Lock()
 	delete(c.calls, id)
 	c.mu.Unlock()
 	select {
-	case r := <-ch:
-		c.putCh(ch)
+	case r := <-call.ch:
+		c.putCall(call)
 		return r, true
 	default:
-		c.putCh(ch)
+		c.putCall(call)
 		return clientResult{}, false
 	}
 }

@@ -10,8 +10,8 @@ import "repro/internal/core"
 // instead of either concrete type.
 //
 // Contract: SetPolicy installs p on every shard without dropping, erroring,
-// or splitting an in-flight request (batches already detached keep the
-// policy they were detached with) and returns the new value of a single
+// or splitting an in-flight request (a batch an evaluator has already pulled
+// keeps the policy it was pulled with) and returns the new value of a single
 // globally monotonic version counter; PolicyVersion reads that counter.
 // Implementations must make the swap observable as one atomic event: a
 // response stream never sees the version counter move backwards.

@@ -178,7 +178,7 @@ func TestReloadFailureObservable(t *testing.T) {
 func TestShardedServiceAsPolicyHost(t *testing.T) {
 	cfg := core.DefaultConfig()
 	svc := core.NewService(cfg, core.NewReferencePolicy(cfg))
-	ss := NewShardedService(svc, cfg, 4)
+	ss := NewShardedService(svc, 4)
 	defer ss.Close()
 
 	var host PolicyHost = ss

@@ -33,7 +33,6 @@ func TestReloadQuantizesByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := core.NewService(cfg, boot)
-	svc.BatchWindow = time.Millisecond
 	srv := NewServer(svc, cfg, Options{Deadline: time.Second})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -93,7 +92,6 @@ func TestHotReloadQuantizedBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := core.NewService(cfg, boot)
-	svc.BatchWindow = time.Millisecond
 	srv := NewServer(svc, cfg, Options{Deadline: time.Second})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -44,7 +44,6 @@ func newReloadableServer(t *testing.T, path string, reg *telemetry.Registry) (*S
 		t.Fatal(err)
 	}
 	svc := core.NewService(cfg, policy)
-	svc.BatchWindow = time.Millisecond
 	srv := NewServer(svc, cfg, Options{Deadline: time.Second})
 	if reg != nil {
 		srv.Instrument(reg)

@@ -34,7 +34,6 @@ func newTestServer(t *testing.T, policy core.Policy, opts Options, reg *telemetr
 	t.Helper()
 	cfg := core.DefaultConfig()
 	svc := core.NewService(cfg, policy)
-	svc.BatchWindow = time.Millisecond
 	srv := NewServer(svc, cfg, opts)
 	if reg != nil {
 		srv.Instrument(reg)
@@ -68,7 +67,6 @@ func TestServeRoundTripTCP(t *testing.T) {
 func TestServeRoundTripUnix(t *testing.T) {
 	cfg := core.DefaultConfig()
 	svc := core.NewService(cfg, constPolicy{-0.25})
-	svc.BatchWindow = time.Millisecond
 	srv := NewServer(svc, cfg, Options{})
 	defer srv.Close()
 	sock := t.TempDir() + "/serve.sock"
@@ -95,7 +93,6 @@ func TestServeRoundTripUnix(t *testing.T) {
 func TestServeDatagramTransport(t *testing.T) {
 	cfg := core.DefaultConfig()
 	svc := core.NewService(cfg, constPolicy{0.75})
-	svc.BatchWindow = time.Millisecond
 	srv := NewServer(svc, cfg, Options{})
 	defer srv.Close()
 	addr, err := srv.Listen("udp", "127.0.0.1:0")

@@ -19,15 +19,16 @@ import (
 // Options configures a Server. The zero value selects production defaults.
 type Options struct {
 	// Shards is how many policy shards to run: per-shard core.Service
-	// instances, each with its own evaluator goroutine, private batch
+	// instances, each with its own evaluator goroutine, private pending
 	// queue, and cloned policy. Admission hashes the request's flow ID
 	// (per-connection identity when untagged) to a shard, so one flow's
 	// requests stay ordered on one evaluator. Default GOMAXPROCS, capped
 	// at 16.
 	Shards int
-	// QueueDepth bounds the in-flight requests per shard; a request
-	// arriving with its shard full is shed with a fallback answer.
-	// Default 4×MaxInflight for compatibility, else 1024.
+	// QueueDepth bounds the in-flight requests per shard — admitted and
+	// not yet answered; a request arriving with its shard full is shed
+	// with a fallback answer. Default 4×MaxInflight for compatibility,
+	// else 1024.
 	QueueDepth int
 	// MaxInflight is retained for compatibility with the pre-sharding
 	// worker pool; it only feeds the QueueDepth default now.
@@ -92,9 +93,12 @@ type servedReq struct {
 // policy's action here. A request the sweeper already answered (deadline
 // miss) is left alone — never delivered twice.
 func (r *servedReq) Complete(action float64) {
+	ld := &r.srv.load[r.shard]
 	if r.answered.CompareAndSwap(false, true) {
+		ld.inflight.Add(-1)
 		r.srv.reply(r, action, 0, true)
 	}
+	ld.queued.Add(-1)
 	r.release()
 }
 
@@ -124,10 +128,40 @@ type streamConn struct {
 const flushThreshold = 16 << 10
 
 // sweepGranularity is the deadline sweeper's re-check period while parked
-// on an unanswered request: it bounds how long an answered request can
-// occupy a shard's in-flight slot, and the worst-case lateness of a
-// deadline fallback.
+// on an unanswered request. It only keeps the sweep queue short: an answered
+// request is recycled within about this long instead of at its deadline. It
+// adds nothing to a deadline fallback's lateness — the sweeper's last sleep
+// ends at the deadline itself, so a fallback is late by how late the runtime
+// fires that timer (well under a millisecond at the median and a few
+// milliseconds at worst with the other shards saturated; pinned by
+// TestAdmissionDeadlineFallbackOnTimeUnderSaturation).
 const sweepGranularity = time.Millisecond
+
+// shardLoad is one shard's admission accounting. Both counts are taken at
+// admission; a request over either bound is shed.
+type shardLoad struct {
+	// inflight counts requests admitted and not yet answered; whoever wins
+	// the answered CAS (the evaluator's Complete or the deadline sweeper)
+	// returns the slot. This is the QueueDepth bound: it is what a closed
+	// loop of N senders can hold, N at most, however far the sweeper or the
+	// evaluator lags.
+	inflight atomic.Int32
+	// queued counts requests handed to the shard's core.Service and not yet
+	// handed back, answered ones included. Bounded at backlogFactor×
+	// QueueDepth, it is the backstop that keeps a policy slower than the
+	// offered load (or hung) from growing core.Service's pending queue,
+	// which has no bound of its own, by a fresh QueueDepth of
+	// deadline-answered requests every Deadline.
+	queued atomic.Int32
+}
+
+// backlogFactor leaves 3×QueueDepth of room behind the in-flight requests:
+// for the shard queue, requests the sweeper answered that the evaluator has
+// not reached; for the sweep queue (sized by the same factor), requests the
+// evaluator answered that the sweeper has not reached — tens of milliseconds
+// of lag at any rate QueueDepth sustains. Past it the shard queue sheds and
+// the sweep queue blocks the transport reader until the sweeper catches up.
+const backlogFactor = 4
 
 // dirtySet tracks the connections a shard's evaluator has coalesced
 // responses into since its last batch flush. Two slices ping-pong so the
@@ -154,6 +188,7 @@ type Server struct {
 	opts     Options
 
 	sweeps  []chan *servedReq
+	load    []shardLoad
 	dirty   []dirtySet
 	sweepWG sync.WaitGroup
 	ioWG    sync.WaitGroup
@@ -197,12 +232,13 @@ func NewServer(svc *core.Service, cfg core.Config, opts Options) *Server {
 		opts:     opts.withDefaults(),
 		conns:    make(map[*streamConn]struct{}),
 	}
-	s.sharded = NewShardedService(svc, cfg, s.opts.Shards)
+	s.sharded = NewShardedService(svc, s.opts.Shards)
 	n := s.sharded.NumShards()
 	s.sweeps = make([]chan *servedReq, n)
+	s.load = make([]shardLoad, n)
 	s.dirty = make([]dirtySet, n)
 	for i := 0; i < n; i++ {
-		s.sweeps[i] = make(chan *servedReq, s.opts.QueueDepth)
+		s.sweeps[i] = make(chan *servedReq, backlogFactor*s.opts.QueueDepth)
 		idx := i
 		s.sharded.Shard(i).AfterBatch = func() { s.flushShard(idx) }
 		s.sweepWG.Add(1)
@@ -236,8 +272,8 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		telemetry.ExponentialBuckets(1e-5, 4, 12)) // 10 µs .. 42 s
 	reg.GaugeFunc("serve_queue_depth", "requests in flight across shard queues", func() float64 {
 		total := 0
-		for _, c := range s.sweeps {
-			total += len(c)
+		for i := range s.load {
+			total += int(s.load[i].inflight.Load())
 		}
 		return float64(total)
 	})
@@ -247,7 +283,7 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 // SetPolicy swaps the served policy on every shard (cloned per shard so no
 // two evaluators share scratch state); the underlying ShardedService bumps
 // the single global version counter — one atomic event for the whole fleet.
-// In-flight batches keep the policy they were detached with, so no request
+// In-flight batches keep the policy they were pulled with, so no request
 // is dropped or errored by a swap; responses are stamped with the counter
 // value at write time, so the version a connection observes is monotonic.
 func (s *Server) SetPolicy(p core.Policy) uint32 {
@@ -421,9 +457,9 @@ func (s *Server) putReq(r *servedReq) {
 // is the request's flow-ID trailer when present, else the connection's seed
 // (stream) or the sender address (datagram) — so untagged senders get
 // per-connection ordering and tagged flows get cross-connection ordering.
-// A request whose shard queue is full is shed with an immediate fallback
-// answer on the transport goroutine: the fallback law is pure, so this is
-// cheap and needs no coordination.
+// A request whose shard already has QueueDepth requests in flight is shed
+// with an immediate fallback answer on the transport goroutine: the fallback
+// law is pure, so this is cheap and needs no coordination.
 func (s *Server) handlePayload(payload []byte, sc *streamConn, pc net.PacketConn, from net.Addr) {
 	r := s.getReq()
 	reqID, state, err := core.DecodeRequestInto(payload, r.state[:0])
@@ -449,18 +485,31 @@ func (s *Server) handlePayload(payload []byte, sc *streamConn, pc net.PacketConn
 	}
 	idx := s.sharded.ShardIndex(key)
 	r.shard = idx
-	r.answered.Store(false)
-	r.refs.Store(2)
-	select {
-	case s.sweeps[idx] <- r:
-	default:
+	if !s.admit(&s.load[idx]) {
 		s.mShed.Inc()
 		s.mFallback.Inc()
 		s.reply(r, s.fallback.FallbackAction(r.state), FlagFallback|FlagShed, false)
 		s.putReq(r)
 		return
 	}
+	r.answered.Store(false)
+	r.refs.Store(2)
+	s.sweeps[idx] <- r
 	s.sharded.Shard(idx).SubmitTo(r.state, r)
+}
+
+// admit takes one in-flight and one queued slot, or neither.
+func (s *Server) admit(ld *shardLoad) bool {
+	if int(ld.inflight.Add(1)) > s.opts.QueueDepth {
+		ld.inflight.Add(-1)
+		return false
+	}
+	if int(ld.queued.Add(1)) > backlogFactor*s.opts.QueueDepth {
+		ld.queued.Add(-1)
+		ld.inflight.Add(-1)
+		return false
+	}
+	return true
 }
 
 // addrKey hashes a datagram sender address (FNV-1a over the concrete
@@ -493,8 +542,8 @@ func addrKey(a net.Addr) uint64 {
 // sweeper is one shard's deadline watchdog: it walks admitted requests in
 // arrival (hence deadline) order and answers any the evaluator has not
 // delivered by its deadline with the fallback action. It re-checks at
-// sweepGranularity while parked, so an answered request frees its in-flight
-// slot promptly instead of holding it until the deadline.
+// sweepGranularity while parked, so an answered request leaves the sweep
+// queue promptly instead of sitting in it until the deadline.
 func (s *Server) sweeper(idx int) {
 	defer s.sweepWG.Done()
 	for r := range s.sweeps[idx] {
@@ -502,6 +551,7 @@ func (s *Server) sweeper(idx int) {
 			d := time.Until(r.deadline)
 			if d <= 0 {
 				if r.answered.CompareAndSwap(false, true) {
+					s.load[idx].inflight.Add(-1)
 					s.mDeadline.Inc()
 					s.mFallback.Inc()
 					s.reply(r, s.fallback.FallbackAction(r.state), FlagFallback|FlagDeadline, false)

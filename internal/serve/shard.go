@@ -8,7 +8,7 @@ import (
 )
 
 // ShardedService owns N per-shard core.Service instances, each with its own
-// evaluator goroutine and private batch queue. Admission hashes a flow key
+// evaluator goroutine and private pending queue. Admission hashes a flow key
 // to a shard, so all requests for one flow are evaluated in order on one
 // evaluator while independent flows spread across cores. One instance per
 // shard also removes the policy-scratch serialization bottleneck: policies
@@ -28,7 +28,7 @@ type ShardedService struct {
 // NewShardedService builds n shards around template: template itself is
 // shard 0 and shards 1..n-1 are new services with the template's batching
 // parameters and an independent clone of its policy. n < 1 is treated as 1.
-func NewShardedService(template *core.Service, cfg core.Config, n int) *ShardedService {
+func NewShardedService(template *core.Service, n int) *ShardedService {
 	if n < 1 {
 		n = 1
 	}
@@ -36,10 +36,7 @@ func NewShardedService(template *core.Service, cfg core.Config, n int) *ShardedS
 	ss.version.Store(1)
 	ss.shards[0] = template
 	for i := 1; i < n; i++ {
-		svc := core.NewService(cfg, core.ClonePolicy(template.Policy()))
-		svc.BatchWindow = template.BatchWindow
-		svc.MaxBatch = template.MaxBatch
-		ss.shards[i] = svc
+		ss.shards[i] = template.Sibling(core.ClonePolicy(template.Policy()))
 	}
 	return ss
 }
@@ -72,9 +69,9 @@ func mix64(x uint64) uint64 {
 
 // SetPolicy swaps the policy on every shard, cloning per shard so no two
 // evaluators share scratch state, then bumps and returns the global version
-// counter. Batches already detached keep the policy they were detached with
-// (the core.Service guarantee), so no in-flight request is dropped or split
-// by the swap.
+// counter. A batch an evaluator has already pulled keeps the policy it was
+// pulled with (the core.Service guarantee), so no in-flight request is
+// dropped or split by the swap.
 func (ss *ShardedService) SetPolicy(p core.Policy) uint32 {
 	ss.shards[0].SetPolicy(p)
 	for _, svc := range ss.shards[1:] {
@@ -107,7 +104,7 @@ func (ss *ShardedService) Stats() (requests, batches int64) {
 	return requests, batches
 }
 
-// Close flushes and closes every shard. Each shard's Close waits for its
+// Close drains and closes every shard. Each shard's Close waits for its
 // evaluator to drain, so on return every submitted request has completed.
 func (ss *ShardedService) Close() {
 	for _, svc := range ss.shards {

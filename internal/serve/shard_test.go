@@ -23,7 +23,7 @@ func (echoPolicy) Action(state []float64) float64 {
 
 func TestShardIndexDeterministicAndSpread(t *testing.T) {
 	cfg := core.DefaultConfig()
-	ss := NewShardedService(core.NewService(cfg, constPolicy{0}), cfg, 4)
+	ss := NewShardedService(core.NewService(cfg, constPolicy{0}), 4)
 	defer ss.Close()
 
 	counts := make([]int, ss.NumShards())
@@ -45,7 +45,7 @@ func TestShardIndexDeterministicAndSpread(t *testing.T) {
 func TestShardedServicePoliciesAreIndependent(t *testing.T) {
 	cfg := core.DefaultConfig()
 	ref := core.NewReferencePolicy(cfg)
-	ss := NewShardedService(core.NewService(cfg, ref), cfg, 3)
+	ss := NewShardedService(core.NewService(cfg, ref), 3)
 	defer ss.Close()
 
 	seen := map[core.Policy]bool{}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -153,8 +154,7 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 // arena, flush — at zero allocations per request in steady state.
 func TestStreamHotPathZeroAlloc(t *testing.T) {
 	cfg := core.DefaultConfig()
-	svc := core.NewService(cfg, constPolicy{0.5})
-	svc.BatchWindow = 0 // synchronous path: deterministic, single-goroutine
+	svc := core.NewSyncService(cfg, constPolicy{0.5}) // synchronous path: deterministic, single-goroutine
 	srv := NewServer(svc, cfg, Options{Shards: 1, QueueDepth: 8192, Deadline: time.Minute})
 	defer srv.Close()
 
@@ -174,8 +174,15 @@ func TestStreamHotPathZeroAlloc(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// AllocsPerRun measures on a single P, where the sweeper runs only when
+	// this goroutine yields. Hand it each request before issuing the next, so
+	// every iteration finds its predecessor's request object back in the pool
+	// however many distinct objects the warm-up happened to create.
 	if n := testing.AllocsPerRun(500, func() {
 		srv.handlePayload(payload, sc, nil, nil)
+		for len(srv.sweeps[0]) > 0 {
+			runtime.Gosched()
+		}
 	}); n != 0 {
 		t.Errorf("stream hot path: %v allocs/op, want 0", n)
 	}
@@ -185,8 +192,7 @@ func TestStreamHotPathZeroAlloc(t *testing.T) {
 // for the full server-side request path on the synchronous evaluator.
 func BenchmarkStreamServePath(b *testing.B) {
 	cfg := core.DefaultConfig()
-	svc := core.NewService(cfg, constPolicy{0.5})
-	svc.BatchWindow = 0
+	svc := core.NewSyncService(cfg, constPolicy{0.5})
 	srv := NewServer(svc, cfg, Options{Shards: 1, QueueDepth: 1 << 16, Deadline: time.Minute})
 	defer srv.Close()
 

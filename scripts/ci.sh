@@ -38,6 +38,13 @@ for _ in $(seq 1 100); do [ -s "$SMOKE/addr" ] && break; sleep 0.1; done
 [ -s "$SMOKE/addr" ] || { echo "ci: astraea-serve never bound"; cat "$SMOKE/serve.log"; exit 1; }
 "$SMOKE/astraea-loadgen" -addr "$(head -1 "$SMOKE/addr")" \
     -rate 2000 -duration 1s -flows -out "$SMOKE/load.json"
+# At this rate the evaluators are mostly idle, so a request is answered as
+# it arrives: the median is the round trip (~0.7 ms against the race-built
+# server). Anything that makes requests wait for company again — the old
+# 5 ms batching window sat at p50 ≈ 4 ms here — fails this bound.
+P50=$(sed -n 's/^ *"p50_ms": *\([0-9.eE+-]*\),*$/\1/p' "$SMOKE/load.json")
+awk -v p50="$P50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 3) }' ||
+    { echo "ci: serve smoke p50_ms=$P50 at 2000 req/s, want < 3"; cat "$SMOKE/load.json"; exit 1; }
 "$SMOKE/astraea-loadgen" -addr "$(head -1 "$SMOKE/addr")" \
     -knee -duration 300ms -outstanding 8 -flows -out "$SMOKE/knee.json"
 kill -INT "$SERVE_PID"
@@ -217,6 +224,11 @@ go test -race -run TestResumeDeterminismBitwise ./internal/env
 # pin (which holds under the detector too, so it needs no race_on/race_off
 # split).
 go test -race -run 'TestBatch|TestTD3Update' ./internal/nn ./internal/rl
+# The batching core and the admission accounting around it, named: the
+# deterministic pull-semantics tests (gate policy, no sleeps) and the
+# slot-leak / queue-bound / fallback-lateness regressions all turn on
+# cross-goroutine hand-offs the detector should watch.
+go test -race -run 'TestService|TestAdmission' ./internal/core ./internal/serve
 # Property-based invariant sweep under the race detector: 200+ seeded
 # random scenarios with the internal/check invariant checker attached.
 # Reproduce a failing seed with:

@@ -71,9 +71,11 @@ func TestIncast500FlowInvariants(t *testing.T) {
 // incastAllocBudget caps heap allocations for one checked 500-flow incast.
 // The pre-fix tree needed 2.08M (per-packet map entries in the transport
 // window, queue reallocation under bursts, BBR blind-burst amplification);
-// the fixed tree needs ~80k. The 250k budget leaves headroom for harness
-// noise while sitting 8× below the regression.
-const incastAllocBudget = 250_000
+// the fixed tree needed ~80k, of which ~38k were event-queue storage and
+// method values for RTO/pacing timers re-armed by cancel-and-push. With
+// timers re-keyed in place the run needs ~42k; the 60k budget trips if that
+// churn returns.
+const incastAllocBudget = 60_000
 
 func TestIncastAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -87,6 +89,7 @@ func TestIncastAllocBudget(t *testing.T) {
 			t.Fatalf("violations: %v", vs)
 		}
 	})
+	t.Logf("checked 500-flow incast: %.0f allocations (budget %d)", allocs, incastAllocBudget)
 	if allocs > incastAllocBudget {
 		t.Fatalf("checked 500-flow incast allocated %.0f objects, budget %d — an O(packets) allocation is back",
 			allocs, incastAllocBudget)

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/netem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -167,6 +169,36 @@ func TestAstraeaThreeFlowFairness(t *testing.T) {
 		if math.Abs(avg-100e6/3) > 8e6 {
 			t.Errorf("flow %d at %.1f Mbps in 3-flow phase, want ≈33.3", i, avg/1e6)
 		}
+	}
+}
+
+// TestEventQueueDepth pins the event queue to live events on the Fig. 6
+// scenario (bench workload sim_fig6, cut to 12 s so all three flows
+// overlap). Each ack re-arms its flow's RTO; when a re-arm left the old
+// timer in the heap until popped, the queue climbed to ~1,950 entries for
+// three flows. Rescheduling in place holds it near 260.
+func TestEventQueueDepth(t *testing.T) {
+	var maxPending, sum, n int
+	sc := Scenario{
+		Seed: 1, RateBps: 100e6, BaseRTT: 0.030, QueueBDP: 1, Duration: 12,
+		Flows: []FlowSpec{
+			{Scheme: "astraea", Start: 0},
+			{Scheme: "astraea", Start: 5},
+			{Scheme: "astraea", Start: 10},
+		},
+		Probe: func(s *sim.Simulator, _ *netem.Dumbbell) {
+			s.AfterEvent = func() {
+				p := s.Pending()
+				maxPending = max(maxPending, p)
+				sum += p
+				n++
+			}
+		},
+	}
+	MustRun(sc)
+	t.Logf("pending events: max %d, mean %.0f over %d events", maxPending, float64(sum)/float64(n), n)
+	if maxPending > 512 {
+		t.Fatalf("event queue reached %d pending events with 3 flows, want ≤ 512: cancelled timers are accumulating", maxPending)
 	}
 }
 

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -27,12 +26,12 @@ type event struct {
 	at  float64
 	seq uint64
 	fn  func()
+	sim *Simulator
 
 	// gen increments every time the event is recycled; Timer handles carry
-	// the generation they were issued for, making stale cancels no-ops.
-	gen       uint64
-	cancelled bool
-	index     int
+	// the generation they were issued for, making stale handles no-ops.
+	gen   uint64
+	index int // slot in sim.events while queued
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -44,55 +43,32 @@ type Timer struct {
 	gen uint64
 }
 
-// Cancel prevents the event's callback from running. Cancelling an already
-// fired (or never scheduled) timer is a no-op.
+// Pending reports whether the timer's event is still queued: scheduled,
+// not yet fired and not cancelled.
+func (t Timer) Pending() bool { return t.e != nil && t.e.gen == t.gen }
+
+// Cancel removes the event from the queue so its callback never runs.
+// Cancelling an already fired, cancelled or never scheduled timer is a
+// no-op.
 func (t Timer) Cancel() {
-	if t.e != nil && t.e.gen == t.gen {
-		t.e.cancelled = true
+	if !t.Pending() {
+		return
 	}
-}
-
-// Cancelled reports whether the event was cancelled before firing. It
-// reports false once the event has fired or been recycled.
-func (t Timer) Cancelled() bool {
-	return t.e != nil && t.e.gen == t.gen && t.e.cancelled
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	s := t.e.sim
+	s.remove(t.e.index)
+	s.release(t.e)
+	s.mCancelled.Inc()
 }
 
 // Simulator is a single-threaded discrete-event simulator with a virtual
 // clock measured in seconds.
 type Simulator struct {
-	now    float64
-	seq    uint64
-	events eventHeap
+	now float64
+	seq uint64
+	// events is a binary min-heap on (at, seq) holding only live events:
+	// Cancel removes its event at once, so the queue never carries dead
+	// timers and its depth is the number of callbacks still to run.
+	events []*event
 	free   []*event
 	rng    *rand.Rand
 
@@ -120,15 +96,15 @@ func New(seed int64) *Simulator {
 }
 
 // Instrument registers the simulator's event-loop counters on reg: events
-// dispatched, free-list hits/misses on schedule, and cancelled events
-// reaped. Counting costs one nil-check branch per operation when disabled
-// and one atomic add when enabled; it never changes event order or timing,
-// so instrumented and uninstrumented runs are byte-identical.
+// dispatched, free-list hits/misses on schedule, and live events cancelled.
+// Counting costs one nil-check branch per operation when disabled and one
+// atomic add when enabled; it never changes event order or timing, so
+// instrumented and uninstrumented runs are byte-identical.
 func (s *Simulator) Instrument(reg *telemetry.Registry) {
 	s.mDispatched = reg.Counter("sim_events_dispatched_total", "events executed by the event loop")
 	s.mFreeHit = reg.Counter("sim_event_freelist_hits_total", "event schedules served from the free list")
 	s.mFreeMiss = reg.Counter("sim_event_freelist_misses_total", "event schedules that allocated a new event")
-	s.mCancelled = reg.Counter("sim_timer_cancellations_total", "cancelled events reaped before firing")
+	s.mCancelled = reg.Counter("sim_timer_cancellations_total", "Timer.Cancel calls that removed a live event from the queue")
 }
 
 // Now returns the current virtual time in seconds.
@@ -139,25 +115,32 @@ func (s *Simulator) Now() float64 { return s.now }
 // runs are reproducible from the scenario seed.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a logic error in the caller.
-func (s *Simulator) At(t float64, fn func()) Timer {
+// checkTime panics when t lies in the past: scheduling there always
+// indicates a logic error in the caller.
+func (s *Simulator) checkTime(t float64) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %.9f before now %.9f", t, s.now))
 	}
+}
+
+// At schedules fn to run at absolute time t. Scheduling in the past panics.
+func (s *Simulator) At(t float64, fn func()) Timer {
+	s.checkTime(t)
 	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.seq, e.fn = t, s.seq, fn
 		s.mFreeHit.Inc()
 	} else {
-		e = &event{at: t, seq: s.seq, fn: fn}
+		e = &event{sim: s}
 		s.mFreeMiss.Inc()
 	}
+	e.at, e.seq, e.fn = t, s.seq, fn
 	s.seq++
-	heap.Push(&s.events, e)
+	e.index = len(s.events)
+	s.events = append(s.events, e)
+	s.up(e.index)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -169,72 +152,76 @@ func (s *Simulator) After(d float64, fn func()) Timer {
 	return s.At(s.now+d, fn)
 }
 
-// release returns a popped event to the free list. Bumping the generation
+// Reschedule re-arms *t to run fn at absolute time at. It is exactly
+//
+//	t.Cancel()
+//	*t = s.At(at, fn)
+//
+// including the ordering: the event takes the next sequence number, so it
+// fires after every event already scheduled for the same instant, and other
+// copies of the old handle go stale. When t is still pending the queued
+// event is re-keyed in place instead of being removed and pushed again.
+func (s *Simulator) Reschedule(t *Timer, at float64, fn func()) {
+	e := t.e
+	if !t.Pending() || e.sim != s {
+		t.Cancel()
+		*t = s.At(at, fn)
+		return
+	}
+	s.checkTime(at)
+	e.gen++
+	e.at, e.seq, e.fn = at, s.seq, fn
+	s.seq++
+	s.fix(e.index)
+	*t = Timer{e: e, gen: e.gen}
+}
+
+// release returns a dequeued event to the free list. Bumping the generation
 // first invalidates every outstanding Timer handle to it, so the storage can
 // be handed out again immediately (even to events scheduled by the callback
 // that is about to run).
 func (s *Simulator) release(e *event) {
 	e.gen++
 	e.fn = nil
-	e.cancelled = false
 	s.free = append(s.free, e)
 }
 
 // Step executes the next pending event. It returns false when the queue is
 // empty.
 func (s *Simulator) Step() bool {
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.cancelled {
-			s.mCancelled.Inc()
-			s.release(e)
-			continue
-		}
-		s.now = e.at
-		s.Processed++
-		s.mDispatched.Inc()
-		fn := e.fn
-		s.release(e)
-		fn()
-		if s.AfterEvent != nil {
-			s.AfterEvent()
-		}
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	s.dispatch(s.remove(0))
+	return true
 }
 
 // Run executes events until the clock passes until (exclusive) or the queue
 // drains. The clock is left at until if the horizon was reached.
 func (s *Simulator) Run(until float64) {
-	for len(s.events) > 0 {
-		next := s.events[0]
-		if next.cancelled {
-			s.mCancelled.Inc()
-			s.release(heap.Pop(&s.events).(*event))
-			continue
-		}
-		if next.at > until {
-			break
-		}
-		heap.Pop(&s.events)
-		s.now = next.at
-		s.Processed++
-		s.mDispatched.Inc()
-		fn := next.fn
-		s.release(next)
-		fn()
-		if s.AfterEvent != nil {
-			s.AfterEvent()
-		}
+	for len(s.events) > 0 && s.events[0].at <= until {
+		s.dispatch(s.remove(0))
 	}
 	if s.now < until {
 		s.now = until
 	}
 }
 
-// Pending returns the number of events waiting in the queue, including
-// cancelled ones that have not been reaped yet.
+// dispatch advances the clock to a dequeued event and runs its callback.
+func (s *Simulator) dispatch(e *event) {
+	s.now = e.at
+	s.Processed++
+	s.mDispatched.Inc()
+	fn := e.fn
+	s.release(e)
+	fn()
+	if s.AfterEvent != nil {
+		s.AfterEvent()
+	}
+}
+
+// Pending returns the number of events waiting in the queue. Every queued
+// event is live: cancelled ones are removed when cancelled.
 func (s *Simulator) Pending() int { return len(s.events) }
 
 // Ticker invokes fn every interval seconds starting at start, until the
@@ -255,4 +242,75 @@ func (s *Simulator) Ticker(start, interval float64, fn func()) (stop func()) {
 	}
 	schedule(start)
 	return func() { stopped = true }
+}
+
+// less orders events by time, ties by scheduling order.
+func less(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// remove takes the event in heap slot i out of the queue and returns it.
+func (s *Simulator) remove(i int) *event {
+	h := s.events
+	n := len(h) - 1
+	e := h[i]
+	h[i] = h[n]
+	h[i].index = i
+	h[n] = nil
+	s.events = h[:n]
+	if i < n {
+		s.fix(i)
+	}
+	return e
+}
+
+// fix restores the heap property after the key in slot i changed.
+func (s *Simulator) fix(i int) {
+	if !s.down(i) {
+		s.up(i)
+	}
+}
+
+// up sifts the event in slot i toward the root.
+func (s *Simulator) up(i int) {
+	h := s.events
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !less(e, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down sifts the event in slot i toward the leaves and reports whether it
+// moved.
+func (s *Simulator) down(i int) bool {
+	h := s.events
+	n := len(h)
+	e := h[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && less(h[r], h[c]) {
+			c = r
+		}
+		if !less(h[c], e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
+	return i > start
 }

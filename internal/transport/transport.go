@@ -191,11 +191,14 @@ type Flow struct {
 	mtpTimer     sim.Timer
 	maxTput      float64
 
-	// deliverFn/ackFn hold the receiver/sender callbacks bound once at
-	// construction; passing f.deliverToReceiver directly would allocate a
-	// method-value closure per packet.
+	// deliverFn/ackFn and the three timer callbacks are method values bound
+	// once at construction; passing f.deliverToReceiver (or f.onRTO) directly
+	// would allocate a closure per packet (or per re-arm).
 	deliverFn func(*netem.Packet)
 	ackFn     func(*netem.Packet)
+	sendFn    func()
+	rtoFn     func()
+	mtpFn     func()
 
 	// metrics is never nil (noopMetrics when uninstrumented), so hot paths
 	// pay only the counters' internal nil checks.
@@ -239,6 +242,9 @@ func NewFlow(s *sim.Simulator, cfg FlowConfig) *Flow {
 	}
 	f.deliverFn = f.deliverToReceiver
 	f.ackFn = f.onAckArrival
+	f.sendFn = f.trySend
+	f.rtoFn = f.onRTO
+	f.mtpFn = f.fireMTP
 	f.metrics = cfg.Metrics
 	if f.metrics == nil {
 		f.metrics = noopMetrics
@@ -333,8 +339,7 @@ func (f *Flow) MaxTputBps() float64 { return f.maxTput }
 // ScheduleMTP arms (or re-arms) the monitor period timer to fire d seconds
 // from now. CC schemes call this from Init and typically again from OnMTP.
 func (f *Flow) ScheduleMTP(d float64) {
-	f.mtpTimer.Cancel()
-	f.mtpTimer = f.Sim.After(d, f.fireMTP)
+	f.Sim.Reschedule(&f.mtpTimer, f.Sim.Now()+max(d, 0), f.mtpFn)
 }
 
 func (f *Flow) fireMTP() {
@@ -405,8 +410,7 @@ func (f *Flow) trySend() {
 			}
 		}
 		if f.pacingBps > 0 && now < f.nextSend-1e-12 {
-			f.sendTimer.Cancel()
-			f.sendTimer = f.Sim.At(f.nextSend, f.trySend)
+			f.Sim.Reschedule(&f.sendTimer, f.nextSend, f.sendFn)
 			return
 		}
 		f.sendPacket()
@@ -605,11 +609,11 @@ func (f *Flow) rto() float64 {
 }
 
 func (f *Flow) armRTO() {
-	f.rtoTimer.Cancel()
 	if !f.active {
+		f.rtoTimer.Cancel()
 		return
 	}
-	f.rtoTimer = f.Sim.After(f.rto(), f.onRTO)
+	f.Sim.Reschedule(&f.rtoTimer, f.Sim.Now()+f.rto(), f.rtoFn)
 }
 
 func (f *Flow) onRTO() {

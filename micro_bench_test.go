@@ -36,6 +36,32 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 	s.Run(1e18)
 }
 
+// BenchmarkSimulatorReschedule is BenchmarkSimulatorEvents with 4,096
+// events pending and one timer re-armed per dispatched event, the way every
+// ack pushes its flow's RTO back: the delta against BenchmarkSimulatorEvents
+// is the cost of an in-place re-key in a deep queue.
+func BenchmarkSimulatorReschedule(b *testing.B) {
+	b.ReportAllocs()
+	s := sim.New(1)
+	for i := 0; i < 4094; i++ {
+		s.At(1e12+float64(i), func() {})
+	}
+	var rto sim.Timer
+	noop := func() {}
+	var tick func()
+	n := 0
+	tick = func() {
+		n++
+		s.Reschedule(&rto, s.Now()+0.2, noop)
+		if n < b.N {
+			s.After(0.001, tick)
+		}
+	}
+	s.After(0, tick)
+	b.ResetTimer()
+	s.Run(1e9)
+}
+
 func BenchmarkLinkPacketForwarding(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New(1)

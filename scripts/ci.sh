@@ -242,6 +242,11 @@ go test -race -run 'TestStrategyPropertySweep|TestStrategyEqualSharesPreferred|T
 # scale workload the O(flows) fix pass targets, and the dirty-flow plumbing
 # it relies on must also be clean under the detector.
 go test -race -run 'TestIncast500FlowInvariants|TestIncrementalChecker' ./internal/check
+# The event queue's contract, named: Cancel removes eagerly, Reschedule is
+# exactly Cancel + At (differential, including re-arms from inside firing
+# callbacks), heap indices and order survive random removals, and the Fig. 6
+# queue depth stays at live events only.
+go test -race -run 'TestReschedule|TestCancel|TestHeap|TestEventQueueDepth' ./internal/sim ./internal/runner
 # Quantized-equivalence sweep under the race detector, named so a fixed-
 # point regression (divergent actions, moved fairness/throughput, or a
 # kernel race) is attributable at a glance.

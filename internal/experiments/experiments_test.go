@@ -149,17 +149,24 @@ func relErr(got, want float64) float64 {
 	return d / want
 }
 
+// TestFigure16BatchServiceWins asserts §5.4's claim on the cost it is
+// about: at 500+ flows one decision round through the shared batch service
+// takes less process CPU than through per-flow servers. Wall time is not
+// asserted — on a small box the per-flow goroutines spread over every core
+// while the batch service evaluates on one.
 func TestFigure16BatchServiceWins(t *testing.T) {
 	if raceDetectorEnabled {
-		t.Skip("wall-clock contrast is not meaningful under the race detector")
+		t.Skip("CPU contrast is not meaningful under the race detector")
 	}
-	tables := ExpFigure16(Opts{})
-	tb := tables[1]
-	// At 500+ flows the batch service must beat per-flow servers.
-	last := len(tb.Rows) - 1
-	speedup := cellF(t, tb, last, "speedup")
-	if speedup < 1 {
-		t.Fatalf("batch service slower than per-flow servers at scale: %vx", speedup)
+	tb := ExpFigure16(Opts{})[1]
+	for r := range tb.Rows {
+		if cellF(t, tb, r, "flows") < 500 {
+			continue
+		}
+		if ratio := cellF(t, tb, r, "cpu_ratio"); ratio < 1 {
+			t.Errorf("%s flows: batch service used more CPU than per-flow servers (%.2fx; per-flow %s, batch %s)",
+				tb.Rows[r][0], ratio, cell(t, tb, r, "per_flow_cpu"), cell(t, tb, r, "batch_cpu"))
+		}
 	}
 }
 

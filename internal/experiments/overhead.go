@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -59,45 +61,96 @@ func ExpFigure16(o Opts) []*Table {
 	)
 	ta.Note = "paper: Astraea's C++ service cuts CPU 30% vs Orca; the quantized rows are this repo's deployment-form saving on top (part (b) contrasts the serving architectures)"
 
-	// Part (b): serving architectures under concurrency.
+	// Part (b): serving architectures under concurrency. Wall time depends
+	// on how many cores the per-flow goroutines spread over; process CPU
+	// time is the cost §5.4 is about.
 	tb := &Table{
-		ID:      "fig16b",
-		Title:   "Scalability: total serving time for one decision round per flow",
-		Columns: []string{"flows", "per_flow_servers", "batch_service", "speedup"},
+		ID:    "fig16b",
+		Title: "Scalability: serving time and process CPU for one decision round per flow",
+		Columns: []string{"flows", "per_flow_servers", "batch_service", "speedup",
+			"per_flow_cpu", "batch_cpu", "cpu_ratio"},
+	}
+	ratio := func(a, b time.Duration) string {
+		if b <= 0 {
+			return "-"
+		}
+		return f2(float64(a) / float64(b))
 	}
 	for _, n := range []int{10, 50, 100, 500, 1000} {
-		perFlow := timePerFlowServers(cfg, n, state, rng)
-		batch := timeBatchService(o, cfg, policy, n, state)
-		t := "-"
-		if batch > 0 {
-			t = f2(float64(perFlow) / float64(batch))
+		servers := newPerFlowServers(cfg, n, rng)
+		// Three rounds per arm, alternating, each arm keeping its least wall
+		// and least CPU time: a round of a few milliseconds on a shared box
+		// is easily stretched, never shortened, by other work.
+		var perFlow, batch roundCost
+		for rep := 0; rep < 3; rep++ {
+			perFlow = perFlow.best(timeRound(func() { perFlowRound(servers, state) }))
+			batch = batch.best(timeBatchService(o, cfg, policy, n, state))
 		}
 		tb.Rows = append(tb.Rows, []string{
-			fmt.Sprint(n), perFlow.String(), batch.String(), t,
+			fmt.Sprint(n), perFlow.wall.String(), batch.wall.String(), ratio(perFlow.wall, batch.wall),
+			perFlow.cpu.String(), batch.cpu.String(), ratio(perFlow.cpu, batch.cpu),
 		})
 	}
-	tb.Note = "paper: Orca's per-flow servers scale linearly and exhaust an 80-core box before 1000 flows; the batch service scales sub-linearly"
+	tb.Note = "paper: Orca's per-flow servers scale linearly and exhaust an 80-core box before 1000 flows; the batch service scales sub-linearly. " +
+		"CPU is getrusage user+system over the round only (model clones are built before it); each cell is the best of 3 alternating rounds"
 	return []*Table{ta, tb}
 }
 
-// timePerFlowServers emulates the per-flow-server architecture: every flow
-// owns a mutex-guarded model instance; a decision round evaluates each
-// model, paying per-instance synchronization and cold caches.
-func timePerFlowServers(cfg core.Config, n int, state []float64, rng *rand.Rand) time.Duration {
-	type server struct {
-		mu  sync.Mutex
-		net *nn.MLP
+// roundCost is what one decision round cost: wall-clock time, and process
+// CPU time (user + system, summed over every thread).
+type roundCost struct{ wall, cpu time.Duration }
+
+// best keeps the lesser wall and the lesser CPU time of c and o; the zero
+// roundCost is no measurement yet.
+func (c roundCost) best(o roundCost) roundCost {
+	if c == (roundCost{}) {
+		return o
 	}
-	servers := make([]*server, n)
+	return roundCost{min(c.wall, o.wall), min(c.cpu, o.cpu)}
+}
+
+// processCPU returns the CPU time the process has used so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// timeRound measures round. A collection first keeps garbage from set-up
+// (or from the other arm) from being swept on the round's clock.
+func timeRound(round func()) roundCost {
+	runtime.GC()
+	cpu0, start := processCPU(), time.Now()
+	round()
+	return roundCost{wall: time.Since(start), cpu: processCPU() - cpu0}
+}
+
+// perFlowServer is one flow's private inference server: a mutex-guarded
+// model instance of its own.
+type perFlowServer struct {
+	mu  sync.Mutex
+	net *nn.MLP
+}
+
+func newPerFlowServers(cfg core.Config, n int, rng *rand.Rand) []*perFlowServer {
 	base := nn.NewMLP(rng, nn.ReLU, nn.Tanh, cfg.StateDim(), 256, 128, 64, 1)
+	servers := make([]*perFlowServer, n)
 	for i := range servers {
-		servers[i] = &server{net: base.Clone()}
+		servers[i] = &perFlowServer{net: base.Clone()}
 	}
-	start := time.Now()
+	return servers
+}
+
+// perFlowRound emulates the per-flow-server architecture: a decision round
+// evaluates every flow's own model concurrently, paying per-instance
+// synchronization and cold caches.
+func perFlowRound(servers []*perFlowServer, state []float64) {
 	var wg sync.WaitGroup
 	for _, sv := range servers {
 		wg.Add(1)
-		go func(sv *server) {
+		go func(sv *perFlowServer) {
 			defer wg.Done()
 			sv.mu.Lock()
 			sv.net.Forward(state)
@@ -105,28 +158,34 @@ func timePerFlowServers(cfg core.Config, n int, state []float64, rng *rand.Rand)
 		}(sv)
 	}
 	wg.Wait()
-	return time.Since(start)
 }
 
 // timeBatchService routes the same decision round through one shared batch
-// service. With telemetry attached, the service's batch-size and queue-wait
-// histograms land in the experiment registry — the Fig. 16b observability.
-func timeBatchService(o Opts, cfg core.Config, policy core.Policy, n int, state []float64) time.Duration {
+// service. Every flow's request is submitted with callback completion, the
+// path internal/serve takes: a flow is a request to the service, not a
+// thread parked on an answer, just as the per-flow arm charges no flow for
+// waiting on its server. With telemetry attached, the service's batch-size
+// and queue-wait histograms land in the experiment registry — the Fig. 16b
+// observability.
+func timeBatchService(o Opts, cfg core.Config, policy core.Policy, n int, state []float64) roundCost {
 	svc := core.NewService(cfg, policy)
 	svc.MaxBatch = n
 	if o.Telemetry != nil {
 		svc.Instrument(o.Telemetry)
 	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			svc.Infer(state)
-		}()
-	}
-	wg.Wait()
-	svc.Close()
-	return time.Since(start)
+	return timeRound(func() {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		done := roundDone{&wg}
+		for i := 0; i < n; i++ {
+			svc.SubmitTo(state, done)
+		}
+		wg.Wait()
+		svc.Close()
+	})
 }
+
+// roundDone counts a decision round's answers down.
+type roundDone struct{ wg *sync.WaitGroup }
+
+func (d roundDone) Complete(float64) { d.wg.Done() }

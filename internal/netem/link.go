@@ -83,9 +83,16 @@ type Link struct {
 	qHead    int
 	qLen     int
 	qBytes   int
-	busy     bool
 	stats    LinkStats
 	maxQSeen int
+
+	// inService is the packet being serialized; nil when the link is idle.
+	inService *Packet
+	// txDone is finishTx bound once, so scheduling a serialization
+	// allocates nothing.
+	txDone func()
+	// prop carries serialized packets across the propagation delay.
+	prop *sim.Line[*Packet]
 
 	// OnQueueSample, when set, is invoked at each dequeue with the current
 	// queue occupancy in bytes (for experiments that watch the bottleneck).
@@ -94,7 +101,6 @@ type Link struct {
 
 type queued struct {
 	p        *Packet
-	next     func(*Packet)
 	enqueued float64
 }
 
@@ -116,7 +122,10 @@ func NewLink(s *sim.Simulator, name string, cfg LinkConfig) *Link {
 	if red, ok := cfg.Discipline.(*RED); ok && red.Rand == nil {
 		red.Rand = s.Rand().Float64
 	}
-	return &Link{Sim: s, Name: name, cfg: cfg, rateBps: cfg.RateBps}
+	l := &Link{Sim: s, Name: name, cfg: cfg, rateBps: cfg.RateBps}
+	l.txDone = l.finishTx
+	l.prop = sim.NewLine(s, (*Packet).advance)
+	return l
 }
 
 // SetRateBps changes the service rate; in-flight serialization finishes at
@@ -163,8 +172,7 @@ func (l *Link) pushQueue(item queued) {
 }
 
 // popQueue removes and returns the oldest waiting packet, zeroing its slot
-// so the ring retains no packet or callback pointers after the burst
-// drains.
+// so the ring retains no packet pointers after the burst drains.
 func (l *Link) popQueue() queued {
 	item := l.queue[l.qHead]
 	l.queue[l.qHead] = queued{}
@@ -176,13 +184,13 @@ func (l *Link) popQueue() queued {
 // InService reports whether a packet is currently being serialized onto the
 // wire. Together with QueueLen and Stats it closes the link's conservation
 // identity: Arrived == Delivered + drops + QueueLen + InService.
-func (l *Link) InService() bool { return l.busy }
+func (l *Link) InService() bool { return l.inService != nil }
 
 // MaxQueueBytes returns the high-water mark of queue occupancy.
 func (l *Link) MaxQueueBytes() int { return l.maxQSeen }
 
 // Send implements Hop.
-func (l *Link) Send(p *Packet, next func(*Packet)) {
+func (l *Link) Send(p *Packet) {
 	l.stats.Arrived++
 	if l.cfg.LossProb > 0 && l.Sim.Rand().Float64() < l.cfg.LossProb {
 		l.stats.RandomDrops++
@@ -203,23 +211,27 @@ func (l *Link) Send(p *Packet, next func(*Packet)) {
 	if m := l.Metrics; m != nil {
 		m.Enqueued.Inc()
 	}
-	l.pushQueue(queued{p, next, l.Sim.Now()})
+	l.pushQueue(queued{p, l.Sim.Now()})
 	l.qBytes += p.Size
 	if l.qBytes > l.maxQSeen {
 		l.maxQSeen = l.qBytes
 	}
-	if !l.busy {
+	if l.inService == nil {
 		l.serveNext()
 	}
 }
 
+// serveNext starts serializing the oldest waiting packet, or marks the link
+// idle when none is waiting. A packet the AQM drops at dequeue still holds
+// the in-service slot while its drop callback runs, so a re-entrant Send
+// queues behind it exactly as it would behind a packet on the wire.
 func (l *Link) serveNext() {
 	if l.qLen == 0 {
-		l.busy = false
+		l.inService = nil
 		return
 	}
-	l.busy = true
 	item := l.popQueue()
+	l.inService = item.p
 	l.qBytes -= item.p.Size
 	if l.OnQueueSample != nil {
 		l.OnQueueSample(l.Sim.Now(), l.qBytes)
@@ -237,17 +249,27 @@ func (l *Link) serveNext() {
 	if math.IsInf(txTime, 0) || math.IsNaN(txTime) {
 		txTime = 0
 	}
-	l.Sim.After(txTime, func() {
-		l.stats.Delivered++
-		l.stats.BytesOut += int64(item.p.Size)
-		if m := l.Metrics; m != nil {
-			m.Delivered.Inc()
-		}
-		// Propagation happens off the serialization path: the link is free
-		// to serve the next packet while this one flies.
-		l.Sim.After(l.cfg.Delay, func() { item.next(item.p) })
-		l.serveNext()
-	})
+	l.Sim.After(txTime, l.txDone)
+}
+
+// finishTx runs when the in-service packet is fully on the wire.
+func (l *Link) finishTx() {
+	p := l.inService
+	l.stats.Delivered++
+	l.stats.BytesOut += int64(p.Size)
+	if m := l.Metrics; m != nil {
+		m.Delivered.Inc()
+	}
+	// Propagation happens off the serialization path: the link is free to
+	// serve the next packet while this one flies.
+	l.prop.Push(arrival(l.Sim, l.cfg.Delay), p)
+	l.serveNext()
+}
+
+// arrival is when a packet entering a constant delay d now comes out; a
+// negative delay counts as zero, as it does for sim.After.
+func arrival(s *sim.Simulator, d float64) float64 {
+	return s.Now() + max(d, 0)
 }
 
 // DelayHop adds pure propagation delay with no queuing or rate limit. Used
@@ -255,21 +277,27 @@ func (l *Link) serveNext() {
 type DelayHop struct {
 	Sim   *sim.Simulator
 	Delay float64
+
+	line *sim.Line[*Packet] // created on first Send
 }
 
 // Send implements Hop.
-func (d *DelayHop) Send(p *Packet, next func(*Packet)) {
-	d.Sim.After(d.Delay, func() { next(p) })
+func (d *DelayHop) Send(p *Packet) {
+	if d.line == nil {
+		d.line = sim.NewLine(d.Sim, (*Packet).advance)
+	}
+	d.line.Push(arrival(d.Sim, d.Delay), p)
 }
 
 // JitterHop adds random uniform delay in [0, Max), emulating scheduling
-// noise on wide-area paths.
+// noise on wide-area paths. Random delays reorder packets, so it schedules
+// each one as its own event rather than through a delay line.
 type JitterHop struct {
 	Sim *sim.Simulator
 	Max float64
 }
 
 // Send implements Hop.
-func (j *JitterHop) Send(p *Packet, next func(*Packet)) {
-	j.Sim.After(j.Sim.Rand().Float64()*j.Max, func() { next(p) })
+func (j *JitterHop) Send(p *Packet) {
+	j.Sim.After(j.Sim.Rand().Float64()*j.Max, p.advance)
 }

@@ -36,9 +36,9 @@ type Packet struct {
 }
 
 // Hop is one element of a path: anything that can accept a packet and
-// eventually hand it to next (or drop it).
+// eventually pass it on to the path's next hop (p.advance) or drop it.
 type Hop interface {
-	Send(p *Packet, next func(*Packet))
+	Send(p *Packet)
 }
 
 var packetPool = sync.Pool{New: func() any { poolAllocs.Add(1); return new(Packet) }}
@@ -87,7 +87,7 @@ func (p *Packet) advance() {
 	}
 	h := p.hops[p.hopIdx]
 	p.hopIdx++
-	h.Send(p, func(q *Packet) { q.advance() })
+	h.Send(p)
 }
 
 // Drop terminates the packet's journey and recycles the packet. Hops call

@@ -63,11 +63,10 @@ func NewDumbbell(s *sim.Simulator, cfg DumbbellConfig) *Dumbbell {
 	return &Dumbbell{Sim: s, Bottleneck: link, cfg: cfg}
 }
 
-// FlowPath returns the path for one flow with extraDelay seconds added
-// one-way (so the flow's base RTT is cfg.BaseRTT + 2*extraDelay... no:
-// extraDelay is added once on forward and once on reverse, i.e. RTT grows by
-// 2*extraDelay when both are set). For paper experiments we add the extra
-// delay on the forward side only, growing the RTT by extraDelay.
+// FlowPath returns the path for one flow whose base RTT is cfg.BaseRTT +
+// extraDelay: the extra delay is a DelayHop on the forward side only, ahead
+// of the shared bottleneck. The reverse side is a DelayHop of its own
+// carrying the other half of cfg.BaseRTT.
 func (d *Dumbbell) FlowPath(extraDelay float64) *Path {
 	fwd := []Hop{}
 	if extraDelay > 0 {

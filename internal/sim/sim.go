@@ -21,7 +21,8 @@ import (
 // event is a scheduled callback. Events with equal times fire in the order
 // they were scheduled. Fired and cancelled events are recycled through the
 // simulator's free list, so per-event heap allocation is amortized away on
-// the hot path; callers hold Timer handles, never raw events.
+// the hot path; callers hold Timer handles, never raw events. The exception
+// is a Line's own event, which is pinned to its line for life.
 type event struct {
 	at  float64
 	seq uint64
@@ -32,6 +33,11 @@ type event struct {
 	// the generation they were issued for, making stale handles no-ops.
 	gen   uint64
 	index int // slot in sim.events while queued
+
+	// pinned marks the one event a Line owns: it is re-queued for the
+	// line's next item instead of being recycled, so it never reaches the
+	// free list and no Timer is ever issued for it.
+	pinned bool
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -67,10 +73,13 @@ type Simulator struct {
 	seq uint64
 	// events is a binary min-heap on (at, seq) holding only live events:
 	// Cancel removes its event at once, so the queue never carries dead
-	// timers and its depth is the number of callbacks still to run.
+	// timers. A delay line keeps only its head here (see Line).
 	events []*event
 	free   []*event
 	rng    *rand.Rand
+	// backlog counts delay-line items queued behind their line's head,
+	// which are callbacks still to run but not heap entries.
+	backlog int
 
 	// Telemetry instruments; nil (no-op) unless Instrument was called.
 	mDispatched *telemetry.Counter
@@ -138,9 +147,7 @@ func (s *Simulator) At(t float64, fn func()) Timer {
 	}
 	e.at, e.seq, e.fn = t, s.seq, fn
 	s.seq++
-	e.index = len(s.events)
-	s.events = append(s.events, e)
-	s.up(e.index)
+	s.push(e)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -213,16 +220,19 @@ func (s *Simulator) dispatch(e *event) {
 	s.Processed++
 	s.mDispatched.Inc()
 	fn := e.fn
-	s.release(e)
+	if !e.pinned {
+		s.release(e)
+	}
 	fn()
 	if s.AfterEvent != nil {
 		s.AfterEvent()
 	}
 }
 
-// Pending returns the number of events waiting in the queue. Every queued
-// event is live: cancelled ones are removed when cancelled.
-func (s *Simulator) Pending() int { return len(s.events) }
+// Pending returns the number of callbacks still to run: heap entries plus
+// delay-line items waiting behind their line's head. Every queued event is
+// live: cancelled ones are removed when cancelled.
+func (s *Simulator) Pending() int { return len(s.events) + s.backlog }
 
 // Ticker invokes fn every interval seconds starting at start, until the
 // returned stop function is called.
@@ -247,6 +257,13 @@ func (s *Simulator) Ticker(start, interval float64, fn func()) (stop func()) {
 // less orders events by time, ties by scheduling order.
 func less(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// push inserts e, whose key is already set, into the heap.
+func (s *Simulator) push(e *event) {
+	e.index = len(s.events)
+	s.events = append(s.events, e)
+	s.up(e.index)
 }
 
 // remove takes the event in heap slot i out of the queue and returns it.

@@ -76,17 +76,25 @@ func BenchmarkLinkPacketForwarding(b *testing.B) {
 	s.Run(s.Now() + 10)
 }
 
-// BenchmarkFlowSecond measures wall time per simulated second of one Cubic
-// flow saturating 100 Mbps (≈8.3k packets of events).
-func BenchmarkFlowSecond(b *testing.B) {
-	b.ReportAllocs()
+// warmCubicFlow builds one Cubic flow saturating a 100 Mbps, 30 ms
+// dumbbell and runs it past slow start; each further simulated second is
+// ≈8.3k packets of events.
+func warmCubicFlow() *sim.Simulator {
 	s := sim.New(1)
 	d := netem.NewDumbbell(s, netem.DumbbellConfig{
 		RateBps: 100e6, BaseRTT: 0.030, QueueBytes: netem.BDPBytes(100e6, 0.030),
 	})
 	f := transport.NewFlow(s, transport.FlowConfig{ID: 0, Path: d.FlowPath(0), CC: cc.MustNew("cubic")})
 	f.Start()
-	s.Run(2) // warm past slow start
+	s.Run(2)
+	return s
+}
+
+// BenchmarkFlowSecond measures wall time per simulated second of
+// warmCubicFlow's flow.
+func BenchmarkFlowSecond(b *testing.B) {
+	b.ReportAllocs()
+	s := warmCubicFlow()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(s.Now() + 1)

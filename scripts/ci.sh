@@ -244,9 +244,10 @@ go test -race -run 'TestStrategyPropertySweep|TestStrategyEqualSharesPreferred|T
 go test -race -run 'TestIncast500FlowInvariants|TestIncrementalChecker' ./internal/check
 # The event queue's contract, named: Cancel removes eagerly, Reschedule is
 # exactly Cancel + At (differential, including re-arms from inside firing
-# callbacks), heap indices and order survive random removals, and the Fig. 6
-# queue depth stays at live events only.
-go test -race -run 'TestReschedule|TestCancel|TestHeap|TestEventQueueDepth' ./internal/sim ./internal/runner
+# callbacks), heap indices and order survive random removals, the Fig. 6
+# queue depth stays at live events only, and delay lines dispatch exactly as
+# one At per item would (differential, in sim and through netem's hops).
+go test -race -run 'TestReschedule|TestCancel|TestHeap|TestEventQueueDepth|TestLine' ./internal/sim ./internal/netem ./internal/runner
 # Quantized-equivalence sweep under the race detector, named so a fixed-
 # point regression (divergent actions, moved fairness/throughput, or a
 # kernel race) is attributable at a glance.

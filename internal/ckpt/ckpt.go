@@ -306,7 +306,7 @@ func (d *Decoder) length(elemSize int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n > maxLen || (elemSize > 0 && n > (len(d.buf)-d.off)/elemSize) {
+	if n < 0 || int64(n) > maxLen || (elemSize > 0 && n > (len(d.buf)-d.off)/elemSize) {
 		d.fail(fmt.Errorf("ckpt: implausible length %d at offset %d", n, d.off))
 		return 0
 	}

@@ -5,10 +5,12 @@
 // — so that LoadLearner in a fresh process continues the exact training
 // trajectory: N episodes, a checkpoint, a restart, and N more episodes
 // produce actor weights bitwise-identical to an uninterrupted 2N-episode
-// run. That guarantee holds for the serial Learner; ParallelLearner's
-// completion order is scheduling-dependent, so its checkpoints (same
-// on-disk format, see parallel.go) resume the trajectory statistically,
-// not bitwise.
+// run. That guarantee holds for the serial Learner. ParallelLearner applies
+// episodes in dispatch order, so an uninterrupted parallel run is
+// deterministic for a fixed worker count, but the episodes in flight at a
+// checkpoint were dispatched against earlier actors and are not captured:
+// its checkpoints (same on-disk format, see parallel.go) resume the
+// trajectory statistically, not bitwise.
 
 package env
 

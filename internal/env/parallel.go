@@ -45,8 +45,15 @@ type ParallelLearner struct {
 	mCkptSecs *telemetry.Gauge
 	mCkptByte *telemetry.Counter
 
-	// Episodes counts completed episodes (completion order); RewardHistory
-	// records each episode's average reward for convergence inspection.
+	// handOver, when set, is called on a worker once an episode has
+	// finished, with its dispatch index (counted from 0 in each Train call)
+	// and the function that hands its outcome to the learner, which it must
+	// call once: tests use it to force a completion order.
+	handOver func(idx int, send func())
+
+	// Episodes counts applied episodes; RewardHistory records each
+	// episode's average reward, in dispatch order, for convergence
+	// inspection.
 	Episodes      int
 	RewardHistory []float64
 }
@@ -98,14 +105,19 @@ func NewParallelLearnerRL(cfg core.Config, dist TrainingDistribution, rlCfg rl.C
 }
 
 type episodeOutcome struct {
+	idx         int // dispatch index within the Train call
 	result      EpisodeResult
 	transitions []rl.Transition
 }
 
 // Train runs the requested number of episodes across the workers and
-// returns the per-episode reward history (completion order).
+// returns the per-episode reward history. Outcomes are applied in dispatch
+// order whatever order the workers finish in, so for a fixed worker count
+// the replay contents, the update sequence, the reward history and the
+// networks are a function of the seed alone.
 func (p *ParallelLearner) Train(episodes int) []float64 {
 	type job struct {
+		idx  int
 		cfg  EpisodeConfig
 		seed int64
 		// policy is a snapshot of the actor at dispatch time; each worker
@@ -126,37 +138,49 @@ func (p *ParallelLearner) Train(episodes int) []float64 {
 				res := RunEpisode(j.cfg, p.Cfg, j.policy, j.seed, nil,
 					&Exploration{Stddev: 0.1},
 					func(i int, tr rl.Transition) { buf = append(buf, tr) })
-				outcomes <- episodeOutcome{result: res, transitions: buf}
+				send := func() { outcomes <- episodeOutcome{idx: j.idx, result: res, transitions: buf} }
+				if p.handOver != nil {
+					p.handOver(j.idx, send)
+				} else {
+					send()
+				}
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(outcomes)
-	}()
 
+	dispatched := 0
 	dispatch := func() job {
 		cfg := p.Dist.Sample(p.rng.Rand)
 		if p.rng.Float64() < 0.5 {
 			cfg.PoissonArrivals(p.rng.Rand, 2.0)
 		}
-		return job{
-			cfg: cfg, seed: p.rng.Int63(),
+		j := job{
+			idx: dispatched, cfg: cfg, seed: p.rng.Int63(),
 			policy: &core.MLPPolicy{Net: p.Trainer.Actor.Clone()},
 		}
+		dispatched++
+		return j
 	}
 
-	// Prime one job per worker, then refill as outcomes come back. A
-	// learner that was stopped (and not reset) dispatches nothing.
-	outstanding := 0
-	dispatched := 0
-	for ; dispatched < p.Workers && dispatched < episodes && !p.stopped.Load(); dispatched++ {
+	// Prime one job per worker, then dispatch one more each time an outcome
+	// is applied. A learner that was stopped (and not reset) dispatches
+	// nothing. At most Workers episodes are outstanding, so an early
+	// finisher waits in held at its dispatch index mod Workers until every
+	// episode dispatched before it has been applied. When an episode's
+	// updates outlast a rollout, the next episode due has almost always
+	// finished by the time it is wanted.
+	for dispatched < p.Workers && dispatched < episodes && !p.stopped.Load() {
 		jobs <- dispatch()
-		outstanding++
 	}
-	for outstanding > 0 {
-		out := <-outcomes
-		outstanding--
+	held := make([]*episodeOutcome, p.Workers)
+	for applied := 0; applied < dispatched; applied++ {
+		slot := applied % p.Workers
+		for held[slot] == nil {
+			out := <-outcomes
+			held[out.idx%p.Workers] = &out
+		}
+		out := held[slot]
+		held[slot] = nil
 		p.Episodes++
 		p.RewardHistory = append(p.RewardHistory, out.result.AvgReward)
 		p.mEpisodes.Inc()
@@ -178,8 +202,6 @@ func (p *ParallelLearner) Train(episodes int) []float64 {
 		}
 		if dispatched < episodes && !p.stopped.Load() {
 			jobs <- dispatch()
-			dispatched++
-			outstanding++
 		}
 	}
 	close(jobs)
@@ -207,8 +229,9 @@ func (p *ParallelLearner) SnapshotActor() *core.MLPPolicy {
 // SaveCheckpoint writes the learner's state to path atomically, in the same
 // on-disk format as Learner.SaveCheckpoint — either learner kind can resume
 // from it. Unlike the serial learner's guarantee, a resumed parallel run
-// continues the trajectory statistically, not bitwise: episode completion
-// order is scheduling-dependent. Must be called from the owning goroutine
+// continues the trajectory statistically, not bitwise: the episodes still
+// in flight when the checkpoint is written were dispatched against earlier
+// actors and are not part of it. Must be called from the owning goroutine
 // (outside Train, or inside AfterEpisode).
 func (p *ParallelLearner) SaveCheckpoint(path string) error {
 	start := time.Now()

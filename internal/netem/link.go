@@ -14,7 +14,7 @@ type LinkConfig struct {
 	// Delay is the one-way propagation delay in seconds.
 	Delay float64
 	// QueueBytes is the droptail buffer limit. Zero means effectively
-	// unbounded (2^60 bytes).
+	// unbounded (2^60 bytes; 2^28 where int is 32 bits).
 	QueueBytes int
 	// LossProb drops each arriving packet independently with this
 	// probability, emulating non-congestive (random) loss.
@@ -107,7 +107,7 @@ type queued struct {
 // NewLink builds a link driven by s.
 func NewLink(s *sim.Simulator, name string, cfg LinkConfig) *Link {
 	if cfg.QueueBytes <= 0 {
-		cfg.QueueBytes = 1 << 60
+		cfg.QueueBytes = math.MaxInt>>3 + 1
 	}
 	if cfg.Discipline == nil {
 		cfg.Discipline = DropTail{}

@@ -5,16 +5,18 @@ import "fmt"
 // Batch-major evaluation: a minibatch of n samples is one row-major
 // [n][width] matrix per layer, and each Dense layer is three matrix
 // products — forward Y = act(b + X·Wᵀ), weight gradient gW += Δᵀ·X, input
-// gradient dX = Δ·W. All three run on one kernel, mulNT, whose operands both
-// have the summed index contiguous; gW and dX get there by transposing an
-// operand first, which costs O(n·(In+Out)) against the product's O(n·In·Out).
+// gradient dX = Δ·W. All three run on one kernel, mulNN (c += a·b), whose b
+// operand is laid out with the summed index as its rows: the forward pass
+// transposes W into scratch for it, gW takes the Δᵀ that gB needs anyway
+// and reads X in place, and dX reads W in place. The transposes cost
+// O(n·Out + In·Out) against the products' O(n·In·Out).
 //
 // Summation-order contract: every individual sum is taken in exactly the
 // order the per-sample Forward/Backward take it — over inputs i ascending
 // from the bias for a forward output, over samples s ascending from the
 // accumulator's current value for gW and gB, over outputs o ascending from
-// zero for dX — with no term skipped and no fused multiply-add. The kernel
-// only interleaves sums that never mix, so ForwardBatch/BackwardBatch are
+// zero for dX — with no term skipped and no fused multiply-add. The kernels
+// only interleave sums that never mix, so ForwardBatch/BackwardBatch are
 // bitwise identical to looping Forward/Backward over the rows.
 
 // ForwardBatch runs the n samples packed row-major in x ([n][InDim])
@@ -38,7 +40,8 @@ func (m *MLP) ForwardBatch(x []float64, n int) []float64 {
 		for s := 0; s < n; s++ {
 			copy(y[s*l.Out:(s+1)*l.Out], l.B)
 		}
-		mulNT(y, m.bacts[i], l.W, n, l.Out, l.In)
+		m.trans = transpose(m.trans, l.W, l.Out, l.In)
+		mulNN(y, m.bacts[i], m.trans, n, l.Out, l.In, &m.bT)
 		switch l.Act {
 		case Linear:
 		case ReLU: // apply, inlined: the call is past the compiler's budget
@@ -80,16 +83,15 @@ func (m *MLP) BackwardBatch(dOut []float64, accumulate, needInput bool) []float6
 			delta[k] = grad[k] * l.Act.derivFromOut(y)
 		}
 		if accumulate {
-			m.tA = transpose(m.tA, delta, n, l.Out)
-			m.tB = transpose(m.tB, m.bacts[li], n, l.In)
+			m.trans = transpose(m.trans, delta, n, l.Out)
 			for o := range l.gB {
 				g := l.gB[o]
-				for _, d := range m.tA[o*n : (o+1)*n] {
+				for _, d := range m.trans[o*n : (o+1)*n] {
 					g += d
 				}
 				l.gB[o] = g
 			}
-			mulNT(l.gW, m.tA, m.tB, l.Out, l.In, n)
+			mulNN(l.gW, m.trans, m.bacts[li], l.Out, l.In, n, &m.bT)
 		}
 		if li == 0 && !needInput {
 			return nil
@@ -97,8 +99,7 @@ func (m *MLP) BackwardBatch(dOut []float64, accumulate, needInput bool) []float6
 		grad = sized(m.bgrads[li], n*l.In)
 		m.bgrads[li] = grad
 		clear(grad)
-		m.tA = transpose(m.tA, l.W, l.Out, l.In)
-		mulNT(grad, delta, m.tA, n, l.In, l.Out)
+		mulNN(grad, delta, l.W, n, l.In, l.Out, &m.bT)
 	}
 	return grad
 }
@@ -123,6 +124,47 @@ func transpose(dst, src []float64, rows, cols int) []float64 {
 		}
 	}
 	return dst
+}
+
+// useAVX2 selects mulNN's kernel: the AVX2 tile where the CPU has it
+// (haveAVX2, read once per process), the portable path otherwise. Only
+// tests change it, to run both paths on one machine.
+var useAVX2 = haveAVX2
+
+// mulNN adds a·b to c: c[r][q] += Σ_j a[r][j]·b[j][q], for a m×k, b k×p and
+// c m×p, all row-major. Each sum starts from c[r][q] and adds its k
+// products one at a time in ascending j, each product rounded before the
+// add, so both paths give the same bits. The AVX2 path runs whole 4×8
+// tiles in assembly and the rest here; the portable path transposes b into
+// bT (scratch, grown as needed) and runs mulNT.
+func mulNN(c, a, b []float64, m, p, k int, bT *[]float64) {
+	if !useAVX2 {
+		*bT = transpose(*bT, b, k, p)
+		mulNT(c, a, *bT, m, p, k)
+		return
+	}
+	m4, p8 := m-m%4, p-p%8
+	if m4 > 0 && p8 > 0 && k > 0 {
+		mulNNTiles(c, a, b, m4, p8, k, p)
+	}
+	// What the tiles leave — the last p mod 8 columns of the tiled rows and
+	// all of the last m mod 4 rows — one row at a time, j-major: each sum
+	// still takes its terms in ascending j, and b is read a row at a time.
+	for r := 0; r < m; r++ {
+		q0 := p8
+		if r >= m4 {
+			q0 = 0
+		}
+		if q0 == p {
+			continue
+		}
+		cr := c[r*p+q0 : (r+1)*p]
+		for j, u := range a[r*k : (r+1)*k] {
+			for q, v := range b[j*p+q0 : (j+1)*p] {
+				cr[q] += u * v
+			}
+		}
+	}
 }
 
 // mulNT adds a·bᵀ to c: c[r][q] += Σ_j a[r][j]·b[q][j], for a m×k, b p×k and

@@ -122,12 +122,13 @@ type MLP struct {
 
 	// Batch-major scratch for ForwardBatch/BackwardBatch (batch.go), grown
 	// on first use: bacts[0] aliases the caller's input, bacts[i] is the
-	// [bn][Out] output of layer i-1, bgrads[i] the gradient at bacts[i], and
-	// tA/tB hold the transposed operands of the current layer's products.
-	bn     int
-	bacts  [][]float64
-	bgrads [][]float64
-	tA, tB []float64
+	// [bn][Out] output of layer i-1, bgrads[i] the gradient at bacts[i],
+	// trans holds the current layer's transposed operand (Wᵀ forward, Δᵀ
+	// backward), and bT is mulNN's portable-path scratch.
+	bn        int
+	bacts     [][]float64
+	bgrads    [][]float64
+	trans, bT []float64
 }
 
 // NewMLP builds an MLP with the given layer sizes; sizes[0] is the input

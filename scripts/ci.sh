@@ -7,7 +7,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go build ./...
+# go vet's asmdecl pass checks the amd64 assembly (internal/nn/*_amd64.s)
+# against its Go declarations: argument names, offsets and frame sizes.
 go vet ./...
+# The portable side of the build split: arm64 has no assembly here and 386
+# has 32-bit ints, so a missing fallback or a 64-bit-only constant fails
+# here rather than on someone else's machine.
+GOARCH=arm64 go vet ./internal/nn
+GOARCH=386 go build ./...
 # The examples are documentation that compiles; build and vet them like
 # first-class code, then actually run the quickstart as a smoke test so the
 # front-door experience can never silently rot.
@@ -218,12 +225,13 @@ go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/cor
 # race pass so a regression is attributable at a glance (the full-tree
 # race run below also covers it, but buries the name).
 go test -race -run TestResumeDeterminismBitwise ./internal/env
-# The batch-major training path's bitwise contract, named: ForwardBatch/
-# BackwardBatch vs looped Forward/Backward, batched Update vs the per-sample
-# reference, the parent-captured golden weight digests, and the zero-alloc
-# pin (which holds under the detector too, so it needs no race_on/race_off
-# split).
-go test -race -run 'TestBatch|TestTD3Update' ./internal/nn ./internal/rl
+# The batch-major training path's bitwise contract, named: the mulNN kernel
+# against a plain triple loop with guard words, ForwardBatch/BackwardBatch
+# vs looped Forward/Backward (both on the AVX2 and the portable path),
+# batched Update vs the per-sample reference, the parent-captured golden
+# weight digests, and the zero-alloc pin (which holds under the detector
+# too, so it needs no race_on/race_off split).
+go test -race -run 'TestMulNN|TestBatch|TestTD3Update' ./internal/nn ./internal/rl
 # The batching core and the admission accounting around it, named: the
 # deterministic pull-semantics tests (gate policy, no sleeps) and the
 # slot-leak / queue-bound / fallback-lateness regressions all turn on

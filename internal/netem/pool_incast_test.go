@@ -13,6 +13,9 @@ import (
 // pointers reachable in abandoned backing arrays, which made recycling
 // ineffective exactly under burst load.
 func TestPacketPoolRecyclesUnderBurst(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector makes sync.Pool drop recycled packets")
+	}
 	burst := func() {
 		s := sim.New(9)
 		l := NewLink(s, "agg", LinkConfig{RateBps: 1e9, Delay: 0.0001, QueueBytes: 1 << 30})

@@ -169,38 +169,67 @@ func weightDigest(t *Trainer) uint64 {
 // TestTD3UpdateMatchesReference runs the batched Update and the per-sample
 // reference side by side from the same seed and requires every weight of
 // all six networks, and both diagnostics, to be bit-equal after each step.
+// The odd shape also runs at PolicyDelay 1 and 3, where Update's helper
+// must predict actor steps on every update and on every third. Every run
+// is made with the helper's half forked and inline, whichever the shape
+// would pick on its own.
 func TestTD3UpdateMatchesReference(t *testing.T) {
+	type run struct {
+		name string
+		cfg  Config
+	}
+	var runs []run
 	for _, sh := range td3Shapes {
+		runs = append(runs, run{sh.name, sh.cfg})
+	}
+	for _, delay := range []int{1, 3} {
+		cfg := td3Shapes[0].cfg
+		cfg.PolicyDelay = delay
+		runs = append(runs, run{fmt.Sprintf("%s_delay%d", td3Shapes[0].name, delay), cfg})
+	}
+	for _, sh := range runs {
 		t.Run(sh.name, func(t *testing.T) {
-			rb := filledReplay(sh.cfg, 21, 600)
-			got, want := NewTrainer(sh.cfg, 5), NewTrainer(sh.cfg, 5)
-			for step := 1; step <= td3Steps; step++ {
-				got.Update(rb)
-				referenceUpdate(want, rb)
-				if a, b := math.Float64bits(got.LastCriticLoss), math.Float64bits(want.LastCriticLoss); a != b {
-					t.Fatalf("step %d: LastCriticLoss %v, reference %v", step, got.LastCriticLoss, want.LastCriticLoss)
+			for _, mode := range []string{"fork", "inline"} {
+				t.Run(mode, func(t *testing.T) {
+					rb := filledReplay(sh.cfg, 21, 600)
+					got, want := NewTrainer(sh.cfg, 5), NewTrainer(sh.cfg, 5)
+					got.fork = mode == "fork"
+					matchReference(t, got, want, rb)
+				})
+			}
+		})
+	}
+}
+
+// matchReference steps got with Update and want with referenceUpdate,
+// failing at the first step where a diagnostic or any weight differs.
+func matchReference(t *testing.T, got, want *Trainer, rb *ReplayBuffer) {
+	t.Helper()
+	for step := 1; step <= td3Steps; step++ {
+		got.Update(rb)
+		referenceUpdate(want, rb)
+		if a, b := math.Float64bits(got.LastCriticLoss), math.Float64bits(want.LastCriticLoss); a != b {
+			t.Fatalf("step %d: LastCriticLoss %v, reference %v", step, got.LastCriticLoss, want.LastCriticLoss)
+		}
+		if a, b := math.Float64bits(got.LastActorObjective), math.Float64bits(want.LastActorObjective); a != b {
+			t.Fatalf("step %d: LastActorObjective %v, reference %v", step, got.LastActorObjective, want.LastActorObjective)
+		}
+		wantNets := want.networks()
+		for name, g := range got.networks() {
+			for li, l := range g.Layers {
+				wl := wantNets[name].Layers[li]
+				for i := range l.W {
+					if math.Float64bits(l.W[i]) != math.Float64bits(wl.W[i]) {
+						t.Fatalf("step %d: %s layer %d W[%d] = %v, reference %v", step, name, li, i, l.W[i], wl.W[i])
+					}
 				}
-				if a, b := math.Float64bits(got.LastActorObjective), math.Float64bits(want.LastActorObjective); a != b {
-					t.Fatalf("step %d: LastActorObjective %v, reference %v", step, got.LastActorObjective, want.LastActorObjective)
-				}
-				wantNets := want.networks()
-				for name, g := range got.networks() {
-					for li, l := range g.Layers {
-						wl := wantNets[name].Layers[li]
-						for i := range l.W {
-							if math.Float64bits(l.W[i]) != math.Float64bits(wl.W[i]) {
-								t.Fatalf("step %d: %s layer %d W[%d] = %v, reference %v", step, name, li, i, l.W[i], wl.W[i])
-							}
-						}
-						for i := range l.B {
-							if math.Float64bits(l.B[i]) != math.Float64bits(wl.B[i]) {
-								t.Fatalf("step %d: %s layer %d B[%d] = %v, reference %v", step, name, li, i, l.B[i], wl.B[i])
-							}
-						}
+				for i := range l.B {
+					if math.Float64bits(l.B[i]) != math.Float64bits(wl.B[i]) {
+						t.Fatalf("step %d: %s layer %d B[%d] = %v, reference %v", step, name, li, i, l.B[i], wl.B[i])
 					}
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -225,15 +254,37 @@ func TestTD3UpdateGoldenDigest(t *testing.T) {
 
 // TestTD3UpdateZeroAlloc pins the steady-state update, actor step included,
 // at zero allocations: all batch matrices are trainer- or network-owned
-// scratch sized by the first call.
+// scratch sized by the first call. The odd shape would run the helper's
+// half inline; it is forked here so that starting the helper is pinned too.
 func TestTD3UpdateZeroAlloc(t *testing.T) {
 	cfg := td3Shapes[0].cfg
 	rb := filledReplay(cfg, 21, 600)
 	tr := NewTrainer(cfg, 5)
+	tr.fork = true
 	tr.Update(rb)
 	tr.Update(rb)
 	if n := testing.AllocsPerRun(10, func() { tr.Update(rb) }); n != 0 {
 		t.Fatalf("Update allocates %.1f times per op in steady state, want 0", n)
+	}
+}
+
+// TestTD3UpdateForksOnlyLargeNetworks pins which side of forkMinMACs the
+// two benchmarked shapes fall on: the paper's forks, the fairness lab's
+// runs the helper's half inline.
+func TestTD3UpdateForksOnlyLargeNetworks(t *testing.T) {
+	lab := DefaultConfig(40, 12, 1)
+	lab.Hidden, lab.Batch = []int{16, 12}, 48
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		fork bool
+	}{
+		{"paper", DefaultConfig(40, 12, 1), true},
+		{"fairness_lab", lab, false},
+	} {
+		if got := NewTrainer(c.cfg, 1).fork; got != c.fork {
+			t.Errorf("%s: fork = %v, want %v", c.name, got, c.fork)
+		}
 	}
 }
 

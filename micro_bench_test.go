@@ -171,10 +171,25 @@ func BenchmarkQuantizedPolicyInference(b *testing.B) {
 	}
 }
 
+// BenchmarkTD3Update is one update at the paper's shape (256/128/64 hidden,
+// batch 192), the shape train_td3 and astraea-train run. It is large enough
+// for Update to fork its helper goroutine.
 func BenchmarkTD3Update(b *testing.B) {
-	b.ReportAllocs()
+	benchTD3Update(b, rl.DefaultConfig(40, core.GlobalFeatureDim, 1))
+}
+
+// BenchmarkTD3UpdateFairnessLab is one update at the fairness lab's shape
+// (16/12 hidden, batch 48), small enough that Update runs the helper's half
+// inline rather than pay for a fork.
+func BenchmarkTD3UpdateFairnessLab(b *testing.B) {
 	cfg := rl.DefaultConfig(40, core.GlobalFeatureDim, 1)
-	cfg.Batch = 192
+	cfg.Hidden = []int{16, 12}
+	cfg.Batch = 48
+	benchTD3Update(b, cfg)
+}
+
+func benchTD3Update(b *testing.B, cfg rl.Config) {
+	b.ReportAllocs()
 	tr := rl.NewTrainer(cfg, 1)
 	rb := rl.NewReplayBuffer(10000)
 	rng := rand.New(rand.NewSource(1))

@@ -221,17 +221,24 @@ go test -fuzz=FuzzQuantizedDecode -fuzztime="$FUZZTIME" -run=NONE ./internal/nn
 go test -fuzz=FuzzTraceParse      -fuzztime="$FUZZTIME" -run=NONE ./internal/trace
 go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/core
 
-# The checkpoint/resume bitwise-determinism guarantee gets its own named
-# race pass so a regression is attributable at a glance (the full-tree
-# race run below also covers it, but buries the name).
-go test -race -run TestResumeDeterminismBitwise ./internal/env
 # The batch-major training path's bitwise contract, named: the mulNN kernel
 # against a plain triple loop with guard words, ForwardBatch/BackwardBatch
 # vs looped Forward/Backward (both on the AVX2 and the portable path),
 # batched Update vs the per-sample reference, the parent-captured golden
 # weight digests, and the zero-alloc pin (which holds under the detector
-# too, so it needs no race_on/race_off split).
-go test -race -run 'TestMulNN|TestBatch|TestTD3Update' ./internal/nn ./internal/rl
+# too, so it needs no race_on/race_off split). Update forks a helper
+# goroutine per phase (the reference test forces the fork on every shape,
+# and the inline path small networks take): at -cpu 1 the helper
+# interleaves with the learner, at 2 the two run in parallel, and both
+# schedules must give the same bits.
+go test -race -cpu 1,2 -run 'TestMulNN|TestBatch|TestTD3Update' ./internal/nn ./internal/rl
+# The checkpoint/resume bitwise-determinism guarantee and the parallel
+# learner get their own named race pass so a regression is attributable at
+# a glance (the full-tree race run below also covers them, but buries the
+# name). With the default-size networks the parallel-learner tests train,
+# the learner goroutine, Update's helper and the rollout workers run all at
+# once here.
+go test -race -cpu 1,2 -run 'TestParallelLearner|TestResumeDeterminismBitwise' ./internal/env
 # The batching core and the admission accounting around it, named: the
 # deterministic pull-semantics tests (gate policy, no sleeps) and the
 # slot-leak / queue-bound / fallback-lateness regressions all turn on

@@ -5,11 +5,12 @@ import "fmt"
 // Batch-major evaluation: a minibatch of n samples is one row-major
 // [n][width] matrix per layer, and each Dense layer is three matrix
 // products — forward Y = act(b + X·Wᵀ), weight gradient gW += Δᵀ·X, input
-// gradient dX = Δ·W. All three run on one kernel, mulNN (c += a·b), whose b
-// operand is laid out with the summed index as its rows: the forward pass
-// transposes W into scratch for it, gW takes the Δᵀ that gB needs anyway
-// and reads X in place, and dX reads W in place. The transposes cost
-// O(n·Out + In·Out) against the products' O(n·In·Out).
+// gradient dX = Δ·W — one per kernel entry point: mulNT (c += a·bᵀ), mulTN
+// (c += aᵀ·b) and mulNN (c += a·b). On the AVX2 path all three run on one
+// tile whose b operand is laid out with the summed index as its rows, so the
+// forward pass transposes W into scratch for it (O(In·Out) against the
+// product's O(n·In·Out)); gW reads Δ and X in place, and so does gB, which
+// sums Δ down its rows.
 //
 // Summation-order contract: every individual sum is taken in exactly the
 // order the per-sample Forward/Backward take it — over inputs i ascending
@@ -40,16 +41,11 @@ func (m *MLP) ForwardBatch(x []float64, n int) []float64 {
 		for s := 0; s < n; s++ {
 			copy(y[s*l.Out:(s+1)*l.Out], l.B)
 		}
-		m.trans = transpose(m.trans, l.W, l.Out, l.In)
-		mulNN(y, m.bacts[i], m.trans, n, l.Out, l.In, &m.bT)
+		mulNT(y, m.bacts[i], l.W, n, l.Out, l.In, &m.trans)
 		switch l.Act {
 		case Linear:
-		case ReLU: // apply, inlined: the call is past the compiler's budget
-			for k, v := range y {
-				if v < 0 {
-					y[k] = 0
-				}
-			}
+		case ReLU:
+			relu(y)
 		default:
 			for k, v := range y {
 				y[k] = l.Act.apply(v)
@@ -79,19 +75,10 @@ func (m *MLP) BackwardBatch(dOut []float64, accumulate, needInput bool) []float6
 		// taken in place; dOut itself is never written.
 		delta := sized(m.bgrads[li+1], n*l.Out)
 		m.bgrads[li+1] = delta
-		for k, y := range m.bacts[li+1] {
-			delta[k] = grad[k] * l.Act.derivFromOut(y)
-		}
+		actDelta(l.Act, delta, grad, m.bacts[li+1])
 		if accumulate {
-			m.trans = transpose(m.trans, delta, n, l.Out)
-			for o := range l.gB {
-				g := l.gB[o]
-				for _, d := range m.trans[o*n : (o+1)*n] {
-					g += d
-				}
-				l.gB[o] = g
-			}
-			mulNN(l.gW, m.trans, m.bacts[li], l.Out, l.In, n, &m.bT)
+			sumRows(l.gB, delta, n)
+			mulTN(l.gW, delta, m.bacts[li], l.Out, l.In, n, &m.trans, &m.bT)
 		}
 		if li == 0 && !needInput {
 			return nil
@@ -114,64 +101,99 @@ func sized(buf []float64, n int) []float64 {
 }
 
 // transpose writes the rows×cols row-major src into dst as cols×rows,
-// growing dst if needed, and returns it.
+// growing dst if needed, and returns it. Where useAVX2 is set, the 8×4
+// blocks covering the first rows - rows mod 8 rows and cols - cols mod 4
+// columns run in assembly, cache-blocked (transposeAVX2); the rest, and
+// everything on the portable path, one dst row at a time here.
 func transpose(dst, src []float64, rows, cols int) []float64 {
-	dst = sized(dst, rows*cols)
+	dst, src = sized(dst, rows*cols), src[:rows*cols]
+	r8, c4 := 0, 0
+	if useAVX2 && rows >= 8 && cols >= 4 {
+		r8, c4 = rows&^7, cols&^3
+		transposeAVX2(&dst[0], &src[0], r8, c4, rows, cols)
+	}
 	for c := 0; c < cols; c++ {
+		r0 := r8
+		if c >= c4 {
+			r0 = 0
+		}
 		col := dst[c*rows : (c+1)*rows]
-		for r := range col {
+		for r := r0; r < rows; r++ {
 			col[r] = src[r*cols+c]
 		}
 	}
 	return dst
 }
 
-// useAVX2 selects mulNN's kernel: the AVX2 tile where the CPU has it
-// (haveAVX2, read once per process), the portable path otherwise. Only
-// tests change it, to run both paths on one machine.
+// useAVX2 selects the kernels: the AVX2 assembly where the CPU has it
+// (haveAVX2, read once per process), the portable Go otherwise. Only tests
+// change it, to run both paths on one machine.
 var useAVX2 = haveAVX2
 
-// mulNN adds a·b to c: c[r][q] += Σ_j a[r][j]·b[j][q], for a m×k, b k×p and
-// c m×p, all row-major. Each sum starts from c[r][q] and adds its k
-// products one at a time in ascending j, each product rounded before the
-// add, so both paths give the same bits. The AVX2 path runs whole 4×8
-// tiles in assembly and the rest here; the portable path transposes b into
-// bT (scratch, grown as needed) and runs mulNT.
+// The three products. Each adds to c, m×p row-major: c[r][q] += Σ_j
+// A[r][j]·B[j][q] over k terms. Each sum starts from c[r][q] and adds its
+// products one at a time in ascending j, each rounded before the add, so
+// every path gives the same bits. On the AVX2 path mulTiled runs them; the
+// portable path transposes what mulNTPortable needs into scratch (grown as
+// needed).
+
+// mulNN adds a·b to c, for a m×k and b k×p.
 func mulNN(c, a, b []float64, m, p, k int, bT *[]float64) {
 	if !useAVX2 {
 		*bT = transpose(*bT, b, k, p)
-		mulNT(c, a, *bT, m, p, k)
+		mulNTPortable(c, a, *bT, m, p, k)
 		return
 	}
-	m4, p8 := m-m%4, p-p%8
-	if m4 > 0 && p8 > 0 && k > 0 {
-		mulNNTiles(c, a, b, m4, p8, k, p)
+	mulTiled(c, a, b, m, p, k, k, 1)
+}
+
+// mulNT adds a·bᵀ to c, for a m×k and b p×k. The AVX2 tile takes bᵀ
+// into bT.
+func mulNT(c, a, b []float64, m, p, k int, bT *[]float64) {
+	if !useAVX2 {
+		mulNTPortable(c, a, b, m, p, k)
+		return
 	}
-	// What the tiles leave — the last p mod 8 columns of the tiled rows and
-	// all of the last m mod 4 rows — one row at a time, j-major: each sum
-	// still takes its terms in ascending j, and b is read a row at a time.
-	for r := 0; r < m; r++ {
-		q0 := p8
-		if r >= m4 {
-			q0 = 0
-		}
-		if q0 == p {
-			continue
-		}
-		cr := c[r*p+q0 : (r+1)*p]
-		for j, u := range a[r*k : (r+1)*k] {
-			for q, v := range b[j*p+q0 : (j+1)*p] {
+	*bT = transpose(*bT, b, p, k)
+	mulTiled(c, a, *bT, m, p, k, k, 1)
+}
+
+// mulTN adds aᵀ·b to c, for a k×m and b k×p. The AVX2 tile reads aᵀ[r][j]
+// straight out of a; the portable path takes aᵀ into aT for mulNN.
+func mulTN(c, a, b []float64, m, p, k int, aT, bT *[]float64) {
+	if !useAVX2 {
+		*aT = transpose(*aT, a, k, m)
+		mulNN(c, *aT, b, m, p, k, bT)
+		return
+	}
+	mulTiled(c, a, b, m, p, k, 1, m)
+}
+
+// mulTiled adds A·b to c on the AVX2 path, where A[r][j] = a[r·ars+j·acs].
+// The assembly covers every column of the first m - m mod 4 rows; the last
+// m mod 4 rows run here one at a time, j-major: each sum still takes its
+// terms in ascending j, and b is read a row at a time.
+func mulTiled(c, a, b []float64, m, p, k, ars, acs int) {
+	m4 := m - m%4
+	if m4 > 0 {
+		mulTiles(c, a, b, m4, p, k, p, ars, acs)
+	}
+	for r := m4; r < m; r++ {
+		cr := c[r*p : (r+1)*p]
+		for j := 0; j < k; j++ {
+			u := a[r*ars+j*acs]
+			for q, v := range b[j*p : (j+1)*p] {
 				cr[q] += u * v
 			}
 		}
 	}
 }
 
-// mulNT adds a·bᵀ to c: c[r][q] += Σ_j a[r][j]·b[q][j], for a m×k, b p×k and
-// c m×p, all row-major. Each sum starts from c[r][q] and adds its k products
-// one at a time in ascending j — the order a scalar dot product takes — so
-// only how many sums are in flight differs.
-func mulNT(c, a, b []float64, m, p, k int) {
+// mulNTPortable adds a·bᵀ to c in pure Go: c[r][q] += Σ_j a[r][j]·b[q][j],
+// for a m×k, b p×k and c m×p, all row-major. Each sum starts from c[r][q]
+// and adds its k products one at a time in ascending j — the order a
+// scalar dot product takes — so only how many sums are in flight differs.
+func mulNTPortable(c, a, b []float64, m, p, k int) {
 	m3, p2 := m-m%3, p-p%2
 	for r := 0; r < m3; r += 3 {
 		a0, a1, a2 := a[r*k:(r+1)*k], a[(r+1)*k:(r+2)*k], a[(r+2)*k:(r+3)*k]

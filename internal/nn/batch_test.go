@@ -176,18 +176,72 @@ func forEachKernel(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// guard is the bit pattern written past the end of c (and, for the bare
-// AVX2 kernel, into every cell outside its tiles): a NaN no arithmetic here
-// produces, so any store that lands on it shows.
+// guard is the bit pattern written past the end of every kernel output
+// (and, for the bare AVX2 tile, after every c row and into every row it
+// does not own): a NaN no arithmetic here produces, so any store that lands
+// on it shows.
 const guard = 0x7ff8_dead_beef_0001
 
-// TestMulNNMatchesScalarBitwise pins mulNN to the plain triple loop, as
-// IEEE-754 bit patterns, for every m mod 4 and p mod 8 remainder (with zero,
-// one and two whole tiles), k in {1, 2, 53, 192}, and a non-zero starting c.
-// Operands span several binades, so a reordered sum or a fused multiply-add
-// changes the bits. Guard words after c catch a store past the end; on the
-// AVX2 path the bare kernel is also run with every non-tile cell guarded,
-// which catches a tile writing past its 8 columns or its 4 rows.
+// guarded returns vals followed by guards guard words, and the check that
+// those words are still intact.
+func guarded(vals []float64, guards int) ([]float64, func(t *testing.T, what string)) {
+	buf := append(append(make([]float64, 0, len(vals)+guards), vals...), make([]float64, guards)...)
+	for i := len(vals); i < len(buf); i++ {
+		buf[i] = math.Float64frombits(guard)
+	}
+	return buf, func(t *testing.T, what string) {
+		t.Helper()
+		for i := len(vals); i < len(buf); i++ {
+			if math.Float64bits(buf[i]) != guard {
+				t.Fatalf("%s: guard word %d after the output overwritten with %v", what, i-len(vals), buf[i])
+			}
+		}
+	}
+}
+
+// transposed returns the rows×cols row-major x as cols×rows.
+func transposed(x []float64, rows, cols int) []float64 {
+	xt := make([]float64, len(x))
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			xt[c*rows+r] = x[r*cols+c]
+		}
+	}
+	return xt
+}
+
+// TestTransposeBitwise pins transpose, whose AVX2 path moves 8×4 blocks in
+// registers, to the plain double loop for every rows mod 8 and cols mod 4
+// remainder, with guard words after the output.
+func TestTransposeBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	forEachKernel(t, func(t *testing.T) {
+		for rows := 1; rows <= 17; rows++ {
+			for cols := 1; cols <= 13; cols++ {
+				src := make([]float64, rows*cols)
+				for i := range src {
+					src[i] = rng.NormFloat64()
+				}
+				buf, intact := guarded(make([]float64, rows*cols), 4)
+				got := transpose(buf[:rows*cols], src, rows, cols)
+				what := fmt.Sprintf("transpose %d×%d", rows, cols)
+				bitsEqual(t, what, got, transposed(src, rows, cols))
+				intact(t, what)
+			}
+		}
+	})
+}
+
+// TestMulNNMatchesScalarBitwise pins the three products — mulNN (a·b),
+// mulNT (a·bᵀ) and mulTN (aᵀ·b) — to the plain triple loop, as IEEE-754 bit
+// patterns, for every m mod 4 and p mod 8 remainder (with zero, one and two
+// whole tiles), k in {1, 2, 53, 192}, and a non-zero starting c. Operands
+// span several binades, so a reordered sum or a fused multiply-add changes
+// the bits. Guard words after c catch a store past the end. On the AVX2
+// path the bare tile is also run, reading a row-major and in place as aᵀ,
+// with b and c rows padded by guard words and the rows past its m4 guarded,
+// which catches a tile or its masked p mod 8 tail writing past its columns
+// or its rows.
 func TestMulNNMatchesScalarBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	val := func() float64 { return rng.NormFloat64() * math.Ldexp(1, rng.Intn(21)-10) }
@@ -199,12 +253,14 @@ func TestMulNNMatchesScalarBitwise(t *testing.T) {
 		return v
 	}
 	const guards = 8
+	g := math.Float64frombits(guard)
 	forEachKernel(t, func(t *testing.T) {
-		var bT []float64
+		var s1, s2 []float64
 		for _, k := range []int{1, 2, 53, 192} {
 			for m := 1; m <= 9; m++ {
 				for p := 1; p <= 17; p++ {
 					a, b, c0 := fill(m*k), fill(k*p), fill(m*p)
+					aT, bT := transposed(a, m, k), transposed(b, k, p)
 					want := make([]float64, m*p)
 					for r := 0; r < m; r++ {
 						for q := 0; q < p; q++ {
@@ -215,38 +271,55 @@ func TestMulNNMatchesScalarBitwise(t *testing.T) {
 							want[r*p+q] = s
 						}
 					}
-					buf := append(append([]float64(nil), c0...), make([]float64, guards)...)
-					for i := m * p; i < len(buf); i++ {
-						buf[i] = math.Float64frombits(guard)
-					}
-					mulNN(buf[:m*p], a, b, m, p, k, &bT)
-					what := fmt.Sprintf("m=%d p=%d k=%d: c", m, p, k)
-					bitsEqual(t, what, buf[:m*p], want)
-					for i := m * p; i < len(buf); i++ {
-						if math.Float64bits(buf[i]) != guard {
-							t.Fatalf("%s: guard word %d after c overwritten with %v", what, i-m*p, buf[i])
-						}
+					for _, form := range []struct {
+						name string
+						run  func(c []float64)
+					}{
+						{"mulNN", func(c []float64) { mulNN(c, a, b, m, p, k, &s1) }},
+						{"mulNT", func(c []float64) { mulNT(c, a, bT, m, p, k, &s1) }},
+						{"mulTN", func(c []float64) { mulTN(c, aT, b, m, p, k, &s1, &s2) }},
+					} {
+						buf, intact := guarded(c0, guards)
+						form.run(buf[:m*p])
+						what := fmt.Sprintf("%s m=%d p=%d k=%d: c", form.name, m, p, k)
+						bitsEqual(t, what, buf[:m*p], want)
+						intact(t, what)
 					}
 
-					m4, p8 := m-m%4, p-p%8
-					if !useAVX2 || m4 == 0 || p8 == 0 {
+					m4 := m - m%4
+					if !useAVX2 || m4 == 0 {
 						continue
 					}
-					tiled := make([]float64, len(buf))
-					for i := range tiled {
-						tiled[i] = math.Float64frombits(guard)
-						if r, q := i/p, i%p; i < m*p && r < m4 && q < p8 {
-							tiled[i] = c0[i]
+					ld := p + guards
+					bp := make([]float64, k*ld)
+					for i := range bp {
+						bp[i] = g
+						if q := i % ld; q < p {
+							bp[i] = b[i/ld*p+q]
 						}
 					}
-					mulNNTiles(tiled, a, b, m4, p8, k, p)
-					for i, v := range tiled {
-						if r, q := i/p, i%p; i < m*p && r < m4 && q < p8 {
-							if math.Float64bits(v) != math.Float64bits(want[i]) {
-								t.Fatalf("%s: AVX2 tile cell [%d][%d] = %#x, want %#x", what, r, q, math.Float64bits(v), math.Float64bits(want[i]))
+					for _, op := range []struct {
+						name     string
+						a        []float64
+						ars, acs int
+					}{{"a", a, k, 1}, {"aᵀ in place", aT, 1, m}} {
+						cp := make([]float64, m*ld)
+						for i := range cp {
+							cp[i] = g
+							if r, q := i/ld, i%ld; r < m4 && q < p {
+								cp[i] = c0[r*p+q]
 							}
-						} else if math.Float64bits(v) != guard {
-							t.Fatalf("%s: AVX2 kernel wrote outside its tiles at [%d][%d]", what, i/p, i%p)
+						}
+						mulTiles(cp, op.a, bp, m4, p, k, ld, op.ars, op.acs)
+						what := fmt.Sprintf("AVX2 tile on %s, m=%d p=%d k=%d", op.name, m, p, k)
+						for i, v := range cp {
+							if r, q := i/ld, i%ld; r < m4 && q < p {
+								if math.Float64bits(v) != math.Float64bits(want[r*p+q]) {
+									t.Fatalf("%s: cell [%d][%d] = %#x, want %#x", what, r, q, math.Float64bits(v), math.Float64bits(want[r*p+q]))
+								}
+							} else if math.Float64bits(v) != guard {
+								t.Fatalf("%s: wrote outside its cells at [%d][%d]", what, r, q)
+							}
 						}
 					}
 				}
@@ -255,34 +328,44 @@ func TestMulNNMatchesScalarBitwise(t *testing.T) {
 	})
 }
 
-// BenchmarkMulNN prices mulNN on the three products of the paper's widest
-// layer (256→128) at the paper's batch size, on each path this machine
-// runs, in multiply-adds per nanosecond. The portable figure includes its
-// transpose of b.
+// BenchmarkMulNN prices the three products of the paper's widest layer
+// (256→128) at the paper's batch size through the entry points
+// BackwardBatch and ForwardBatch call, on each path this machine runs, in
+// multiply-adds per nanosecond: forward Y += X·Wᵀ (mulNT, its transpose of
+// W included), paramGrad gW += Δᵀ·X (mulTN, Δ read in place on the AVX2
+// path) and inputGrad dX += Δ·W (mulNN). The portable figures include their
+// transposes.
 func BenchmarkMulNN(b *testing.B) {
+	const n, in, out = 192, 256, 128
 	rng := rand.New(rand.NewSource(1))
+	fill := func(k int) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	x, w, delta := fill(n*in), fill(out*in), fill(n*out)
+	y, gW, dX := make([]float64, n*out), make([]float64, out*in), make([]float64, n*in)
+	var s1, s2 []float64
 	for _, sh := range []struct {
-		name    string
-		m, p, k int
-	}{{"forward", 192, 128, 256}, {"paramGrad", 128, 256, 192}, {"inputGrad", 192, 256, 128}} {
-		a, bm, c := make([]float64, sh.m*sh.k), make([]float64, sh.k*sh.p), make([]float64, sh.m*sh.p)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		for i := range bm {
-			bm[i] = rng.NormFloat64()
-		}
+		name string
+		run  func()
+	}{
+		{"forward", func() { mulNT(y, x, w, n, out, in, &s1) }},
+		{"paramGrad", func() { mulTN(gW, delta, x, out, in, n, &s1, &s2) }},
+		{"inputGrad", func() { mulNN(dX, delta, w, n, in, out, &s1) }},
+	} {
 		for _, avx := range kernelPaths() {
 			b.Run(sh.name+"/"+kernelName[avx], func(b *testing.B) {
 				defer func(was bool) { useAVX2 = was }(useAVX2)
 				useAVX2 = avx
-				var bT []float64
-				mulNN(c, a, bm, sh.m, sh.p, sh.k, &bT)
+				sh.run()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					mulNN(c, a, bm, sh.m, sh.p, sh.k, &bT)
+					sh.run()
 				}
-				b.ReportMetric(float64(sh.m*sh.p*sh.k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "mac/ns")
+				b.ReportMetric(float64(n*in*out)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "mac/ns")
 			})
 		}
 	}

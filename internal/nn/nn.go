@@ -123,8 +123,9 @@ type MLP struct {
 	// Batch-major scratch for ForwardBatch/BackwardBatch (batch.go), grown
 	// on first use: bacts[0] aliases the caller's input, bacts[i] is the
 	// [bn][Out] output of layer i-1, bgrads[i] the gradient at bacts[i],
-	// trans holds the current layer's transposed operand (Wᵀ forward, Δᵀ
-	// backward), and bT is mulNN's portable-path scratch.
+	// and trans and bT hold the transposed operands the kernels copy (Wᵀ
+	// for the AVX2 forward; on the portable path, the backward's Δᵀ, Xᵀ
+	// and Wᵀ).
 	bn        int
 	bacts     [][]float64
 	bgrads    [][]float64
@@ -271,21 +272,41 @@ func (a *Adam) Step(m *MLP, batchScale float64) {
 		}
 	}
 
-	scale := inv * clip
-	upd := func(w, g, mm, vv []float64) {
-		for i := range w {
-			gi := g[i] * scale
-			mm[i] = a.Beta1*mm[i] + (1-a.Beta1)*gi
-			vv[i] = a.Beta2*vv[i] + (1-a.Beta2)*gi*gi
-			mhat := mm[i] / bc1
-			vhat := vv[i] / bc2
-			w[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-			g[i] = 0
-		}
+	k := adamConsts{
+		scale: inv * clip,
+		beta1: a.Beta1, oneMinusBeta1: 1 - a.Beta1,
+		beta2: a.Beta2, oneMinusBeta2: 1 - a.Beta2,
+		bc1: bc1, bc2: bc2, lr: a.LR, eps: a.Eps,
 	}
 	for _, l := range m.Layers {
-		upd(l.W, l.gW, l.mW, l.vW)
-		upd(l.B, l.gB, l.mB, l.vB)
+		k.update(l.W, l.gW, l.mW, l.vW)
+		k.update(l.B, l.gB, l.mB, l.vB)
+	}
+}
+
+// adamConsts are one Adam step's scalars, in the order adamAVX2 reads them.
+type adamConsts struct {
+	scale, beta1, oneMinusBeta1, beta2, oneMinusBeta2, bc1, bc2, lr, eps float64
+}
+
+// update applies the step to one parameter slice w with gradient
+// accumulator g and moments m, v, and zeroes g: the AVX2 kernel takes
+// whole groups of four values where useAVX2 is set, the loop below the
+// rest, with the same operations in the same order.
+func (k *adamConsts) update(w, g, m, v []float64) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	i := vecLen(len(w))
+	if i > 0 {
+		adamAVX2(&w[0], &g[0], &m[0], &v[0], i, k)
+	}
+	for ; i < len(w); i++ {
+		gi := g[i] * k.scale
+		m[i] = k.beta1*m[i] + k.oneMinusBeta1*gi
+		v[i] = k.beta2*v[i] + k.oneMinusBeta2*gi*gi
+		mhat := m[i] / k.bc1
+		vhat := v[i] / k.bc2
+		w[i] -= k.lr * mhat / (math.Sqrt(vhat) + k.eps)
+		g[i] = 0
 	}
 }
 

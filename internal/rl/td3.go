@@ -147,10 +147,13 @@ func NewTrainer(cfg Config, seed int64) *Trainer {
 // counted as the multiply-adds of one critic's forward pass over the batch.
 // Below it the learner runs the helper's half itself, because waking a
 // second core and joining it costs more than the half it would take. On a
-// 2-vCPU VM the fairness lab's shape (16/12 hidden, batch 48: 50 k) ran
-// about 8 % slower forked, 24/24 at batch 48 (90 k) broke even, and 16/12 at
-// batch 96 (101 k) and 32/32 at batch 48 (132 k) ran 5 % and 12 % faster.
-const forkMinMACs = 100_000
+// 2-vCPU VM, with the elementwise passes on AVX2 as well as the products,
+// the fairness lab's shape (16/12 hidden, batch 48: 50 k) ran 6 % slower
+// forked, 24/24 at batch 48 (90 k) 10 % and 32/32 at batch 48 (132 k)
+// 4–20 % slower; 16/12 at batch 96 (101 k) and four shapes of 180–200 k
+// broke even within noise; 48/48 at batch 48 (235 k) and 32/32 at batch 96
+// (264 k) ran 7 % and 16 % faster.
+const forkMinMACs = 200_000
 
 // startHalf runs one of the helper's phase functions: on its own goroutine
 // if the update forks, otherwise inline before the learner's half. Either

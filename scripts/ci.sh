@@ -221,9 +221,11 @@ go test -fuzz=FuzzQuantizedDecode -fuzztime="$FUZZTIME" -run=NONE ./internal/nn
 go test -fuzz=FuzzTraceParse      -fuzztime="$FUZZTIME" -run=NONE ./internal/trace
 go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/core
 
-# The batch-major training path's bitwise contract, named: the mulNN kernel
-# against a plain triple loop with guard words, ForwardBatch/BackwardBatch
-# vs looped Forward/Backward (both on the AVX2 and the portable path),
+# The batch-major training path's bitwise contract, named: the three
+# products, the transpose, the elementwise passes (ReLU, Δ, the gB column
+# sum) and the vector Adam step against their scalar forms with guard
+# words, ForwardBatch/BackwardBatch vs looped Forward/Backward (all on the
+# AVX2 and the portable path),
 # batched Update vs the per-sample reference, the parent-captured golden
 # weight digests, and the zero-alloc pin (which holds under the detector
 # too, so it needs no race_on/race_off split). Update forks a helper
@@ -231,7 +233,7 @@ go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/cor
 # and the inline path small networks take): at -cpu 1 the helper
 # interleaves with the learner, at 2 the two run in parallel, and both
 # schedules must give the same bits.
-go test -race -cpu 1,2 -run 'TestMulNN|TestBatch|TestTD3Update' ./internal/nn ./internal/rl
+go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKernel|TestBatch|TestTD3Update' ./internal/nn ./internal/rl
 # The checkpoint/resume bitwise-determinism guarantee and the parallel
 # learner get their own named race pass so a regression is attributable at
 # a glance (the full-tree race run below also covers them, but buries the

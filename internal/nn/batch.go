@@ -6,11 +6,11 @@ import "fmt"
 // [n][width] matrix per layer, and each Dense layer is three matrix
 // products — forward Y = act(b + X·Wᵀ), weight gradient gW += Δᵀ·X, input
 // gradient dX = Δ·W — one per kernel entry point: mulNT (c += a·bᵀ), mulTN
-// (c += aᵀ·b) and mulNN (c += a·b). On the AVX2 path all three run on one
-// tile whose b operand is laid out with the summed index as its rows, so the
-// forward pass transposes W into scratch for it (O(In·Out) against the
-// product's O(n·In·Out)); gW reads Δ and X in place, and so does gB, which
-// sums Δ down its rows.
+// (c += aᵀ·b) and mulNN (c += a·b). On the AVX2 path all three run on the
+// same assembly tiles (mulTiles), whose b operand is laid out with the
+// summed index as its rows, so the forward pass transposes W into scratch
+// for it (O(In·Out) against the product's O(n·In·Out)); gW reads Δ and X
+// in place, and so does gB, which sums Δ down its rows.
 //
 // Summation-order contract: every individual sum is taken in exactly the
 // order the per-sample Forward/Backward take it — over inputs i ascending
@@ -126,9 +126,10 @@ func transpose(dst, src []float64, rows, cols int) []float64 {
 }
 
 // useAVX2 selects the kernels: the AVX2 assembly where the CPU has it
-// (haveAVX2, read once per process), the portable Go otherwise. Only tests
-// change it, to run both paths on one machine.
-var useAVX2 = haveAVX2
+// (haveAVX2, read once per process), the portable Go otherwise. useAVX512,
+// set only with useAVX2, puts the zmm tile under mulTiles. Only tests
+// change them (useTier), to run every tier on one machine.
+var useAVX2, useAVX512 = haveAVX2, haveAVX512
 
 // The three products. Each adds to c, m×p row-major: c[r][q] += Σ_j
 // A[r][j]·B[j][q] over k terms. Each sum starts from c[r][q] and adds its
@@ -147,8 +148,8 @@ func mulNN(c, a, b []float64, m, p, k int, bT *[]float64) {
 	mulTiled(c, a, b, m, p, k, k, 1)
 }
 
-// mulNT adds a·bᵀ to c, for a m×k and b p×k. The AVX2 tile takes bᵀ
-// into bT.
+// mulNT adds a·bᵀ to c, for a m×k and b p×k. The tiles take bᵀ into
+// bT.
 func mulNT(c, a, b []float64, m, p, k int, bT *[]float64) {
 	if !useAVX2 {
 		mulNTPortable(c, a, b, m, p, k)
@@ -158,7 +159,7 @@ func mulNT(c, a, b []float64, m, p, k int, bT *[]float64) {
 	mulTiled(c, a, *bT, m, p, k, k, 1)
 }
 
-// mulTN adds aᵀ·b to c, for a k×m and b k×p. The AVX2 tile reads aᵀ[r][j]
+// mulTN adds aᵀ·b to c, for a k×m and b k×p. The tiles read aᵀ[r][j]
 // straight out of a; the portable path takes aᵀ into aT for mulNN.
 func mulTN(c, a, b []float64, m, p, k int, aT, bT *[]float64) {
 	if !useAVX2 {

@@ -25,7 +25,7 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // Backward looped over the rows, compared as IEEE-754 bit patterns, over
 // layer shapes and batch sizes that reach every kernel remainder path (odd
 // Out, In not a multiple of 4, n odd, n = 1) and all three activations, for
-// outputs, gW, gB and dX, under both flag settings, on every mulNN path
+// outputs, gW, gB and dX, under both flag settings, on every kernel tier
 // this machine runs. Gradients start from a non-zero accumulator so
 // "continue the running sum" is checked too.
 func TestBatchMatchesLoopedBitwise(t *testing.T) {
@@ -150,35 +150,43 @@ func TestBatchShapeMismatchPanics(t *testing.T) {
 	}
 }
 
-// kernelPaths lists the mulNN paths this machine can execute, as the
-// useAVX2 value selecting each: always the portable path, and the AVX2
-// tile where the CPU has it.
-func kernelPaths() []bool {
-	if haveAVX2 {
-		return []bool{false, true}
-	}
-	return []bool{false}
-}
-
-var kernelName = map[bool]string{false: "portable", true: "avx2"}
-
-// forEachKernel runs fn as a subtest per mulNN path this machine can
-// execute, with the package selector set accordingly. Subtests under it
-// must not be parallel: the selector is process-wide.
+// forEachKernel runs fn as a subtest per kernel tier (portable, avx2,
+// avx512), with the package selectors set accordingly. A tier this machine
+// cannot run is skipped with the reason logged, so it never passes
+// silently. Subtests under it must not be parallel: the selectors are
+// process-wide.
 func forEachKernel(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	for _, avx := range kernelPaths() {
-		t.Run(kernelName[avx], func(t *testing.T) {
-			defer func(was bool) { useAVX2 = was }(useAVX2)
-			useAVX2 = avx
+	for _, name := range tierNames {
+		t.Run(name, func(t *testing.T) {
+			restore, skip := useTier(name)
+			if restore == nil {
+				t.Skip(skip)
+			}
+			defer restore()
 			fn(t)
 		})
 	}
 }
 
+// benchEachKernel is forEachKernel for benchmarks, over the named tiers,
+// each sub-benchmark named prefix + the tier.
+func benchEachKernel(b *testing.B, prefix string, tiers []string, fn func(b *testing.B)) {
+	for _, name := range tiers {
+		b.Run(prefix+name, func(b *testing.B) {
+			restore, skip := useTier(name)
+			if restore == nil {
+				b.Skip(skip)
+			}
+			defer restore()
+			fn(b)
+		})
+	}
+}
+
 // guard is the bit pattern written past the end of every kernel output
-// (and, for the bare AVX2 tile, after every c row and into every row it
-// does not own): a NaN no arithmetic here produces, so any store that lands
+// (and, for the bare tiles, after every c row and into every row they do
+// not own): a NaN no arithmetic here produces, so any store that lands
 // on it shows.
 const guard = 0x7ff8_dead_beef_0001
 
@@ -234,14 +242,16 @@ func TestTransposeBitwise(t *testing.T) {
 
 // TestMulNNMatchesScalarBitwise pins the three products — mulNN (a·b),
 // mulNT (a·bᵀ) and mulTN (aᵀ·b) — to the plain triple loop, as IEEE-754 bit
-// patterns, for every m mod 4 and p mod 8 remainder (with zero, one and two
-// whole tiles), k in {1, 2, 53, 192}, and a non-zero starting c. Operands
-// span several binades, so a reordered sum or a fused multiply-add changes
-// the bits. Guard words after c catch a store past the end. On the AVX2
-// path the bare tile is also run, reading a row-major and in place as aᵀ,
-// with b and c rows padded by guard words and the rows past its m4 guarded,
-// which catches a tile or its masked p mod 8 tail writing past its columns
-// or its rows.
+// patterns, for m 1..17 and p 1..33 (on the AVX-512 tier: 8-row blocks, the
+// 4-row hand-off to the ymm tile, scalar rows, whole 16-column blocks and
+// tails of t ≤ 8 and t > 8 columns; on the AVX2 tier every m mod 4 and p
+// mod 8), k in {1, 2, 53, 192}, and a non-zero starting c. Operands span
+// several binades, so a reordered sum or a fused multiply-add changes the
+// bits. Guard words after c catch a store past the end. On the assembly
+// tiers the bare tiles are also run (mulTiles), reading a row-major and in
+// place as aᵀ, with b and c rows padded by guard words and the rows past
+// its m4 guarded, which catches a tile or its masked column tail writing
+// past its columns or its rows.
 func TestMulNNMatchesScalarBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	val := func() float64 { return rng.NormFloat64() * math.Ldexp(1, rng.Intn(21)-10) }
@@ -257,8 +267,8 @@ func TestMulNNMatchesScalarBitwise(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		var s1, s2 []float64
 		for _, k := range []int{1, 2, 53, 192} {
-			for m := 1; m <= 9; m++ {
-				for p := 1; p <= 17; p++ {
+			for m := 1; m <= 17; m++ {
+				for p := 1; p <= 33; p++ {
 					a, b, c0 := fill(m*k), fill(k*p), fill(m*p)
 					aT, bT := transposed(a, m, k), transposed(b, k, p)
 					want := make([]float64, m*p)
@@ -311,7 +321,7 @@ func TestMulNNMatchesScalarBitwise(t *testing.T) {
 							}
 						}
 						mulTiles(cp, op.a, bp, m4, p, k, ld, op.ars, op.acs)
-						what := fmt.Sprintf("AVX2 tile on %s, m=%d p=%d k=%d", op.name, m, p, k)
+						what := fmt.Sprintf("tiles on %s, m=%d p=%d k=%d", op.name, m, p, k)
 						for i, v := range cp {
 							if r, q := i/ld, i%ld; r < m4 && q < p {
 								if math.Float64bits(v) != math.Float64bits(want[r*p+q]) {
@@ -330,7 +340,7 @@ func TestMulNNMatchesScalarBitwise(t *testing.T) {
 
 // BenchmarkMulNN prices the three products of the paper's widest layer
 // (256→128) at the paper's batch size through the entry points
-// BackwardBatch and ForwardBatch call, on each path this machine runs, in
+// BackwardBatch and ForwardBatch call, on each tier this machine runs, in
 // multiply-adds per nanosecond: forward Y += X·Wᵀ (mulNT, its transpose of
 // W included), paramGrad gW += Δᵀ·X (mulTN, Δ read in place on the AVX2
 // path) and inputGrad dX += Δ·W (mulNN). The portable figures include their
@@ -356,17 +366,13 @@ func BenchmarkMulNN(b *testing.B) {
 		{"paramGrad", func() { mulTN(gW, delta, x, out, in, n, &s1, &s2) }},
 		{"inputGrad", func() { mulNN(dX, delta, w, n, in, out, &s1) }},
 	} {
-		for _, avx := range kernelPaths() {
-			b.Run(sh.name+"/"+kernelName[avx], func(b *testing.B) {
-				defer func(was bool) { useAVX2 = was }(useAVX2)
-				useAVX2 = avx
+		benchEachKernel(b, sh.name+"/", tierNames[:], func(b *testing.B) {
+			sh.run()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				sh.run()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sh.run()
-				}
-				b.ReportMetric(float64(n*in*out)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "mac/ns")
-			})
-		}
+			}
+			b.ReportMetric(float64(n*in*out)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "mac/ns")
+		})
 	}
 }

@@ -200,6 +200,10 @@ var criticShape = []int{53, 256, 128, 64, 1}
 
 const paperBatch = 192
 
+// elemTiers are the tiers the elementwise benchmarks price: the AVX-512
+// tier runs the same elementwise kernels as the AVX2 one.
+var elemTiers = tierNames[:tierAVX512]
+
 // BenchmarkAdamStep prices one Adam.Step over the paper's critic (≈ 55 k
 // parameters) on each path this machine runs, in parameters per ns. The
 // scalar global-norm sum is included, as it is in every step.
@@ -209,17 +213,13 @@ func BenchmarkAdamStep(b *testing.B) {
 	for _, l := range net.Layers {
 		params += len(l.W) + len(l.B)
 	}
-	for _, avx := range kernelPaths() {
-		b.Run(kernelName[avx], func(b *testing.B) {
-			defer func(was bool) { useAVX2 = was }(useAVX2)
-			useAVX2 = avx
-			opt := NewAdam(1e-4)
-			for i := 0; i < b.N; i++ {
-				opt.Step(net, paperBatch)
-			}
-			b.ReportMetric(float64(params)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "param/ns")
-		})
-	}
+	benchEachKernel(b, "", elemTiers, func(b *testing.B) {
+		opt := NewAdam(1e-4)
+		for i := 0; i < b.N; i++ {
+			opt.Step(net, paperBatch)
+		}
+		b.ReportMetric(float64(params)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "param/ns")
+	})
 }
 
 // BenchmarkBatchActivation prices the elementwise passes over the paper's
@@ -254,17 +254,13 @@ func BenchmarkBatchActivation(b *testing.B) {
 		{"reluDelta", func(l layer) { actDelta(ReLU, l.delta, l.grad, l.y) }},
 		{"sumRows", func(l layer) { sumRows(l.gB, l.delta, paperBatch) }},
 	} {
-		for _, avx := range kernelPaths() {
-			b.Run(pass.name+"/"+kernelName[avx], func(b *testing.B) {
-				defer func(was bool) { useAVX2 = was }(useAVX2)
-				useAVX2 = avx
-				for i := 0; i < b.N; i++ {
-					for _, l := range layers {
-						pass.run(l)
-					}
+		benchEachKernel(b, pass.name+"/", elemTiers, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, l := range layers {
+					pass.run(l)
 				}
-				b.ReportMetric(float64(values)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "val/ns")
-			})
-		}
+			}
+			b.ReportMetric(float64(values)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "val/ns")
+		})
 	}
 }

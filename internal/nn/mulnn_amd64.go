@@ -2,39 +2,48 @@
 
 package nn
 
-// haveAVX2 reports whether this CPU runs the AVX2 kernels and the OS saves
-// ymm state across context switches: CPUID leaf 7 EBX bit 5 (AVX2), leaf 1
-// ECX bits 27 and 28 (OSXSAVE, AVX), and XCR0 bits 1 and 2 (SSE and AVX
-// state enabled). Read once per process.
-var haveAVX2 = detectAVX2()
+// haveAVX2 and haveAVX512 report the kernel tiers this CPU runs and the OS
+// saves the registers of (cpuTier). Read once per process.
+var haveAVX2, haveAVX512 = detectTiers()
 
-func detectAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+func detectTiers() (avx2, avx512 bool) {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, ecx1, _ := cpuid(1, 0)
+	_, ebx7, _, _ := cpuid(7, 0)
+	var xcr0 uint32
+	if ecx1&cpuidOSXSAVE != 0 { // XGETBV itself faults without OSXSAVE
+		xcr0, _ = xgetbv()
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	t := cpuTier(maxLeaf, ecx1, ebx7, xcr0)
+	return t >= tierAVX2, t >= tierAVX512
 }
 
-// mulTiles runs the AVX2 tile (mulnn_amd64.s) over the first m4 rows of c
-// and all p of its columns: c[r][q] += Σ_j a[r·ars+j·acs]·b[j][q], where b
-// and c rows are ldb values apart.
+// mulTiles runs the assembly tiles over the first m4 rows of c and all p of
+// its columns: c[r][q] += Σ_j a[r·ars+j·acs]·b[j][q], where b and c rows are
+// ldb values apart. Where useAVX512 is set, the first m4 - m4 mod 8 rows go
+// to the 8×16 zmm tile and a remaining four to the 4×8 ymm one; otherwise
+// all m4 run on the 4×8.
 func mulTiles(c, a, b []float64, m4, p, k, ldb, ars, acs int) {
-	// The kernel trusts its arguments: touch the last value it reads or
-	// writes in each operand, so a short slice panics here instead.
+	// The kernels trust their arguments: touch the last value they read or
+	// write in each operand, so a short slice panics here instead.
 	_, _, _ = c[(m4-1)*ldb+p-1], a[(m4-1)*ars+(k-1)*acs], b[(k-1)*ldb+p-1]
-	mulNN4x8(&c[0], &a[0], &b[0], m4, p, k, ldb, ars, acs)
+	m8 := 0
+	if useAVX512 {
+		m8 = m4 &^ 7
+		if m8 > 0 {
+			mulNN8x16(&c[0], &a[0], &b[0], m8, p, k, ldb, ars, acs)
+		}
+	}
+	if m8 < m4 {
+		mulNN4x8(&c[m8*ldb], &a[m8*ars], &b[0], m4-m8, p, k, ldb, ars, acs)
+	}
 }
 
 //go:noescape
 func mulNN4x8(c, a, b *float64, m4, p, k, ldb, ars, acs int)
+
+//go:noescape
+func mulNN8x16(c, a, b *float64, m8, p, k, ldb, ars, acs int)
 
 //go:noescape
 func transposeAVX2(dst, src *float64, rows8, cols4, rows, cols int)

@@ -206,6 +206,155 @@ nextrows:
 	VZEROUPPER
 	RET
 
+// ZROW continues one tile row's two accumulators with a[r][j] (at src)
+// times the b row in Z16/Z17: broadcast, VMULPD, VMULPD, VADDPD, VADDPD.
+#define ZROW(src, acc0, acc1) \
+	VBROADCASTSD src, Z18; \
+	VMULPD       Z16, Z18, Z19; \
+	VMULPD       Z17, Z18, Z20; \
+	VADDPD       Z19, acc0, acc0; \
+	VADDPD       Z20, acc1, acc1
+
+// ZSTEP runs ZROW on all eight tile rows, steps a and b to the next j and
+// counts it off, leaving the flags for the loop's JNZ.
+#define ZSTEP \
+	ZROW((AX), Z0, Z1); \
+	ZROW((AX)(R12*1), Z2, Z3); \
+	ZROW((AX)(R12*2), Z4, Z5); \
+	ZROW((AX)(R13*1), Z6, Z7); \
+	ZROW((R15), Z8, Z9); \
+	ZROW((R15)(R12*1), Z10, Z11); \
+	ZROW((R15)(R12*2), Z12, Z13); \
+	ZROW((R15)(R13*1), Z14, Z15); \
+	ADDQ R10, AX; \
+	ADDQ R10, R15; \
+	ADDQ R11, CX; \
+	DECQ R14
+
+// func mulNN8x16(c, a, b *float64, m8, p, k, ldb, ars, acs int)
+//
+// mulNN4x8's contract on zmm: c[r][q] += Σ_j a[r][j]·b[j][q] over the
+// first m8 rows (a positive multiple of 8) and all p ≥ 1 columns of c, with
+// the same ldb, ars and acs addressing. It needs AVX512F only.
+//
+// One 8×16 tile of c lives in sixteen zmm accumulators, two per row
+// (Z0–Z15). Each j step loads b[j][q:q+16] into Z16/Z17, then per row
+// broadcasts a[r][j] into Z18 and runs VMULPD, VMULPD, VADDPD, VADDPD
+// (ZSTEP): each lane continues one sum in ascending j with every product
+// rounded before its add, never VFMADD*. Rows 0–3 read a through AX, rows
+// 4–7 through R15, both stepped by acs.
+//
+// c is loaded and stored under the opmasks K1 (lanes 0–7, the block's
+// first zmm) and K2 (lanes 8–15): both all-ones on a whole 16-column block;
+// on the last t = p mod 16 columns the low min(t, 8) bits of K1 and the low
+// t - 8 of K2, if any, from one 16-bit KMOVW and a KSHIFTRW. The loads
+// zero-mask (VMOVUPD.Z) and the stores write only the masked lanes, so a
+// block reads and writes exactly its columns of each of its eight c rows.
+// b is loaded plainly in whole blocks and under the same masks in the
+// tail, in two copies of the j loop: masking every b load measured 2–5 %
+// slower on BenchmarkMulNN's products of the paper's 256→128 layer.
+TEXT ·mulNN8x16(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ m8+24(FP), R8
+	MOVQ ldb+48(FP), R11
+	MOVQ ars+56(FP), R12
+	MOVQ acs+64(FP), R10
+	SHLQ $3, R11              // R11 = row stride of b and c in bytes
+	SHLQ $3, R12              // R12 = a's stride between tile rows in bytes
+	SHLQ $3, R10              // R10 = a's stride between j steps in bytes
+	LEAQ (R12)(R12*2), R13    // R13 = three tile rows of a
+
+zrowblock:
+	XORQ BX, BX               // byte offset of the block's first column
+	MOVQ p+32(FP), R9         // columns from there to the end of the row
+
+zcolblock:
+	MOVQ $16, CX
+	CMPQ R9, CX
+	CMOVQLT R9, CX            // CX = the block's width, min(R9, 16)
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX                   // its low CX bits set
+	KMOVW AX, K1
+	KSHIFTRW $8, K1, K2
+
+	LEAQ (DI)(BX*1), CX       // c rows 0 and 1 of the tile
+	VMOVUPD.Z (CX), K1, Z0
+	VMOVUPD.Z 64(CX), K2, Z1
+	VMOVUPD.Z (CX)(R11*1), K1, Z2
+	VMOVUPD.Z 64(CX)(R11*1), K2, Z3
+	LEAQ (CX)(R11*2), CX      // rows 2 and 3
+	VMOVUPD.Z (CX), K1, Z4
+	VMOVUPD.Z 64(CX), K2, Z5
+	VMOVUPD.Z (CX)(R11*1), K1, Z6
+	VMOVUPD.Z 64(CX)(R11*1), K2, Z7
+	LEAQ (CX)(R11*2), CX      // rows 4 and 5
+	VMOVUPD.Z (CX), K1, Z8
+	VMOVUPD.Z 64(CX), K2, Z9
+	VMOVUPD.Z (CX)(R11*1), K1, Z10
+	VMOVUPD.Z 64(CX)(R11*1), K2, Z11
+	LEAQ (CX)(R11*2), CX      // rows 6 and 7
+	VMOVUPD.Z (CX), K1, Z12
+	VMOVUPD.Z 64(CX), K2, Z13
+	VMOVUPD.Z (CX)(R11*1), K1, Z14
+	VMOVUPD.Z 64(CX)(R11*1), K2, Z15
+
+	MOVQ SI, AX               // a[r][j] for rows 0–3
+	LEAQ (SI)(R12*4), R15     // and rows 4–7
+	LEAQ (DX)(BX*1), CX       // b[j][q]
+	MOVQ k+40(FP), R14        // j steps left
+	CMPQ R9, $16
+	JLT  ztailj
+
+zjloop:
+	VMOVUPD (CX), Z16
+	VMOVUPD 64(CX), Z17
+	ZSTEP
+	JNZ  zjloop
+	JMP  zstore
+
+ztailj:
+	VMOVUPD.Z (CX), K1, Z16
+	VMOVUPD.Z 64(CX), K2, Z17
+	ZSTEP
+	JNZ  ztailj
+
+zstore:
+	LEAQ (DI)(BX*1), CX
+	VMOVUPD Z0, K1, (CX)
+	VMOVUPD Z1, K2, 64(CX)
+	VMOVUPD Z2, K1, (CX)(R11*1)
+	VMOVUPD Z3, K2, 64(CX)(R11*1)
+	LEAQ (CX)(R11*2), CX
+	VMOVUPD Z4, K1, (CX)
+	VMOVUPD Z5, K2, 64(CX)
+	VMOVUPD Z6, K1, (CX)(R11*1)
+	VMOVUPD Z7, K2, 64(CX)(R11*1)
+	LEAQ (CX)(R11*2), CX
+	VMOVUPD Z8, K1, (CX)
+	VMOVUPD Z9, K2, 64(CX)
+	VMOVUPD Z10, K1, (CX)(R11*1)
+	VMOVUPD Z11, K2, 64(CX)(R11*1)
+	LEAQ (CX)(R11*2), CX
+	VMOVUPD Z12, K1, (CX)
+	VMOVUPD Z13, K2, 64(CX)
+	VMOVUPD Z14, K1, (CX)(R11*1)
+	VMOVUPD Z15, K2, 64(CX)(R11*1)
+
+	ADDQ $128, BX
+	SUBQ $16, R9
+	JGT  zcolblock
+
+	LEAQ (DI)(R11*8), DI      // next eight rows of c and a
+	LEAQ (SI)(R12*8), SI
+	SUBQ $8, R8
+	JGT  zrowblock
+
+	VZEROUPPER
+	RET
+
 // func transposeAVX2(dst, src *float64, rows8, cols4, rows, cols int)
 //
 // dst[c][r] = src[r][c] for the first rows8 rows and cols4 columns of the

@@ -2,9 +2,10 @@
 
 package nn
 
-// haveAVX2 is false off amd64: every kernel takes its portable path, and
-// none of the stubs below is ever called.
-const haveAVX2 = false
+// haveAVX2 and haveAVX512 are false off amd64: every kernel takes its
+// portable path, and none of the stubs below is ever called. Both tiles
+// sit behind mulTiles, so it is the one stub they need.
+const haveAVX2, haveAVX512 = false, false
 
 const noAVX2 = "nn: AVX2 kernel selected on a non-amd64 build"
 

@@ -236,42 +236,54 @@ func matchReference(t *testing.T, got, want *Trainer, rb *ReplayBuffer) {
 // TestTD3UpdateGoldenDigest pins the weights td3Steps updates produce to
 // constants captured on the commit before Update went batch-major, so any
 // later kernel (SIMD, a GEMM library) has a fixed target that does not
-// depend on an in-tree reference staying honest.
+// depend on an in-tree reference staying honest. Every kernel tier must hit
+// it.
 func TestTD3UpdateGoldenDigest(t *testing.T) {
 	for _, sh := range td3Shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			rb := filledReplay(sh.cfg, 21, 600)
-			tr := NewTrainer(sh.cfg, 5)
-			for step := 0; step < td3Steps; step++ {
-				tr.Update(rb)
-			}
-			if got := weightDigest(tr); got != sh.golden {
-				t.Fatalf("weight digest %#016x, want %#016x", got, sh.golden)
-			}
+			forEachKernel(t, func(t *testing.T) {
+				rb := filledReplay(sh.cfg, 21, 600)
+				tr := NewTrainer(sh.cfg, 5)
+				for step := 0; step < td3Steps; step++ {
+					tr.Update(rb)
+				}
+				if got := weightDigest(tr); got != sh.golden {
+					t.Fatalf("weight digest %#016x, want %#016x", got, sh.golden)
+				}
+			})
 		})
 	}
 }
 
 // TestTD3UpdateZeroAlloc pins the steady-state update, actor step included,
-// at zero allocations: all batch matrices are trainer- or network-owned
-// scratch sized by the first call. The odd shape would run the helper's
-// half inline; it is forked here so that starting the helper is pinned too.
+// at zero allocations on every kernel tier: all batch matrices are trainer-
+// or network-owned scratch sized by the first call. The odd shape would run
+// the helper's half inline; it is forked here so that starting the helper
+// is pinned too.
 func TestTD3UpdateZeroAlloc(t *testing.T) {
-	cfg := td3Shapes[0].cfg
-	rb := filledReplay(cfg, 21, 600)
-	tr := NewTrainer(cfg, 5)
-	tr.fork = true
-	tr.Update(rb)
-	tr.Update(rb)
-	if n := testing.AllocsPerRun(10, func() { tr.Update(rb) }); n != 0 {
-		t.Fatalf("Update allocates %.1f times per op in steady state, want 0", n)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		cfg := td3Shapes[0].cfg
+		rb := filledReplay(cfg, 21, 600)
+		tr := NewTrainer(cfg, 5)
+		tr.fork = true
+		tr.Update(rb)
+		tr.Update(rb)
+		if n := testing.AllocsPerRun(10, func() { tr.Update(rb) }); n != 0 {
+			t.Fatalf("Update allocates %.1f times per op in steady state, want 0", n)
+		}
+	})
 }
 
 // TestTD3UpdateForksOnlyLargeNetworks pins which side of forkMinMACs the
-// two benchmarked shapes fall on: the paper's forks, the fairness lab's
-// runs the helper's half inline.
+// two benchmarked shapes fall on — the paper's forks, the fairness lab's
+// runs the helper's half inline — and the nearest measured shapes on either
+// side of the break-even band.
 func TestTD3UpdateForksOnlyLargeNetworks(t *testing.T) {
+	shape := func(hidden, batch int) Config {
+		c := DefaultConfig(40, 12, 1)
+		c.Hidden, c.Batch = []int{hidden, hidden}, batch
+		return c
+	}
 	lab := DefaultConfig(40, 12, 1)
 	lab.Hidden, lab.Batch = []int{16, 12}, 48
 	for _, c := range []struct {
@@ -281,6 +293,8 @@ func TestTD3UpdateForksOnlyLargeNetworks(t *testing.T) {
 	}{
 		{"paper", DefaultConfig(40, 12, 1), true},
 		{"fairness_lab", lab, false},
+		{"40x40_b48", shape(40, 48), false}, // 180 k: 6 % slower forked
+		{"48x48_b64", shape(48, 64), true},  // 313 k: 6–13 % faster forked
 	} {
 		if got := NewTrainer(c.cfg, 1).fork; got != c.fork {
 			t.Errorf("%s: fork = %v, want %v", c.name, got, c.fork)

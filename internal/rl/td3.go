@@ -147,13 +147,16 @@ func NewTrainer(cfg Config, seed int64) *Trainer {
 // counted as the multiply-adds of one critic's forward pass over the batch.
 // Below it the learner runs the helper's half itself, because waking a
 // second core and joining it costs more than the half it would take. On a
-// 2-vCPU VM, with the elementwise passes on AVX2 as well as the products,
-// the fairness lab's shape (16/12 hidden, batch 48: 50 k) ran 6 % slower
-// forked, 24/24 at batch 48 (90 k) 10 % and 32/32 at batch 48 (132 k)
-// 4–20 % slower; 16/12 at batch 96 (101 k) and four shapes of 180–200 k
-// broke even within noise; 48/48 at batch 48 (235 k) and 32/32 at batch 96
-// (264 k) ran 7 % and 16 % faster.
-const forkMinMACs = 200_000
+// 2-vCPU VM with the products on the AVX-512 tile, medians of 6–8 runs,
+// forked against inline: the fairness lab's shape (16/12 hidden, batch 48:
+// 50 k) 18 % slower, 24/24 at batch 48 (90 k) 15 %, 16/12 at batch 96
+// (101 k) 28 %, 32/32 at batch 48 (132 k) 16 %, and three shapes of
+// 176–180 k 6–10 % slower; 48/48 at batch 48 (235 k), 40/40 at batch 64
+// (241 k) and 32/32 at batch 96 (264 k) broke even within noise; five
+// shapes of 296–362 k ran 5–16 % faster (32/32 at batch 128 even in one
+// of its two sweeps). The faster tile moved the crossover up from the
+// 180–200 k the AVX2 tile broke even at.
+const forkMinMACs = 250_000
 
 // startHalf runs one of the helper's phase functions: on its own goroutine
 // if the update forks, otherwise inline before the learner's half. Either

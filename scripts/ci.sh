@@ -224,15 +224,18 @@ go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/cor
 # The batch-major training path's bitwise contract, named: the three
 # products, the transpose, the elementwise passes (ReLU, Δ, the gB column
 # sum) and the vector Adam step against their scalar forms with guard
-# words, ForwardBatch/BackwardBatch vs looped Forward/Backward (all on the
-# AVX2 and the portable path),
+# words, ForwardBatch/BackwardBatch vs looped Forward/Backward (all on
+# every kernel tier this machine runs: portable, avx2, avx512),
 # batched Update vs the per-sample reference, the parent-captured golden
-# weight digests, and the zero-alloc pin (which holds under the detector
-# too, so it needs no race_on/race_off split). Update forks a helper
-# goroutine per phase (the reference test forces the fork on every shape,
-# and the inline path small networks take): at -cpu 1 the helper
-# interleaves with the learner, at 2 the two run in parallel, and both
-# schedules must give the same bits.
+# weight digests and the zero-alloc pin (both on every tier; the pin holds
+# under the detector too, so it needs no race_on/race_off split). Update
+# forks a helper goroutine per phase (the reference test forces the fork
+# on every shape, and the inline path small networks take): at -cpu 1 the
+# helper interleaves with the learner, at 2 the two run in parallel, and
+# both schedules must give the same bits. First, log the tier this
+# machine selects: the tests skip, with the reason, the tiers it lacks, so
+# a box without AVX-512 says so here.
+go test -count=1 -v -run 'TestKernelTier$' ./internal/nn | grep 'kernel tier'
 go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKernel|TestBatch|TestTD3Update' ./internal/nn ./internal/rl
 # The checkpoint/resume bitwise-determinism guarantee and the parallel
 # learner get their own named race pass so a regression is attributable at

@@ -8,10 +8,11 @@ import (
 )
 
 // TestDistillPolicyGoldenDigest pins the distilled weights and the returned
-// loss, bit for bit, to constants captured when the minibatch loop still ran
-// one sample at a time. 500 samples at batch 64 leaves a ragged last
-// minibatch of 52, and the hidden widths exercise the batched kernels'
-// remainder paths.
+// loss, bit for bit, to constants captured from the minibatch loop run one
+// sample at a time through Forward/Backward on the portable tier, under the
+// products' fused multiply-add contract. 500 samples at batch 64 leaves a
+// ragged last minibatch of 52, and the hidden widths exercise the batched
+// kernels' remainder paths.
 func TestDistillPolicyGoldenDigest(t *testing.T) {
 	opts := DefaultDistillOptions()
 	opts.Samples, opts.Epochs, opts.Hidden = 500, 3, []int{33, 18, 7}
@@ -28,7 +29,7 @@ func TestDistillPolicyGoldenDigest(t *testing.T) {
 		}
 	}
 	put(loss)
-	const want = 0x93be645906e8b81f
+	const want = 0xcfcc98edae996379
 	if got := h.Sum64(); got != want {
 		t.Fatalf("distilled policy digest %#016x, want %#016x", got, uint64(want))
 	}

@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Batch-major evaluation: a minibatch of n samples is one row-major
 // [n][width] matrix per layer, and each Dense layer is three matrix
@@ -16,9 +19,11 @@ import "fmt"
 // order the per-sample Forward/Backward take it — over inputs i ascending
 // from the bias for a forward output, over samples s ascending from the
 // accumulator's current value for gW and gB, over outputs o ascending from
-// zero for dX — with no term skipped and no fused multiply-add. The kernels
-// only interleave sums that never mix, so ForwardBatch/BackwardBatch are
-// bitwise identical to looping Forward/Backward over the rows.
+// zero for dX — with no term skipped, and each term added by one fused
+// multiply-add (math.FMA, VFMADD231PD): s = fma(a, b, s), a single rounding
+// per term. The kernels only interleave sums that never mix, so
+// ForwardBatch/BackwardBatch are bitwise identical to looping
+// Forward/Backward over the rows, on every tier and GOARCH.
 
 // ForwardBatch runs the n samples packed row-major in x ([n][InDim])
 // through the network and returns the [n][OutDim] outputs. The result is
@@ -132,8 +137,8 @@ func transpose(dst, src []float64, rows, cols int) []float64 {
 var useAVX2, useAVX512 = haveAVX2, haveAVX512
 
 // The three products. Each adds to c, m×p row-major: c[r][q] += Σ_j
-// A[r][j]·B[j][q] over k terms. Each sum starts from c[r][q] and adds its
-// products one at a time in ascending j, each rounded before the add, so
+// A[r][j]·B[j][q] over k terms. Each sum starts from c[r][q] and takes its
+// terms one at a time in ascending j, each by one fused multiply-add, so
 // every path gives the same bits. On the AVX2 path mulTiled runs them; the
 // portable path transposes what mulNTPortable needs into scratch (grown as
 // needed).
@@ -184,7 +189,7 @@ func mulTiled(c, a, b []float64, m, p, k, ars, acs int) {
 		for j := 0; j < k; j++ {
 			u := a[r*ars+j*acs]
 			for q, v := range b[j*p : (j+1)*p] {
-				cr[q] += u * v
+				cr[q] = math.FMA(u, v, cr[q])
 			}
 		}
 	}
@@ -192,8 +197,9 @@ func mulTiled(c, a, b []float64, m, p, k, ars, acs int) {
 
 // mulNTPortable adds a·bᵀ to c in pure Go: c[r][q] += Σ_j a[r][j]·b[q][j],
 // for a m×k, b p×k and c m×p, all row-major. Each sum starts from c[r][q]
-// and adds its k products one at a time in ascending j — the order a
-// scalar dot product takes — so only how many sums are in flight differs.
+// and takes its k terms one fused multiply-add at a time in ascending j —
+// the order a scalar dot product takes — so only how many sums are in
+// flight differs.
 func mulNTPortable(c, a, b []float64, m, p, k int) {
 	m3, p2 := m-m%3, p-p%2
 	for r := 0; r < m3; r += 3 {
@@ -217,7 +223,7 @@ func mulNTPortable(c, a, b []float64, m, p, k int) {
 			bq := b[q*k : (q+1)*k]
 			s := c[r*p+q]
 			for j, u := range ar {
-				s += u * bq[j]
+				s = math.FMA(u, bq[j], s)
 			}
 			c[r*p+q] = s
 		}
@@ -226,21 +232,22 @@ func mulNTPortable(c, a, b []float64, m, p, k int) {
 
 // dot3x2 continues the six running sums s_rq += Σ_j a_r[j]·b_q[j] of three
 // a rows against two b rows. Six independent accumulator chains hide the
-// floating-point add latency a single dot product is bound by, and six sums
-// with their six products are what fits the register file; it is a function
-// of its own so the loop's five pointers and counter stay in registers too.
+// multiply-add latency a single dot product is bound by, and six sums with
+// the five values they read are what fits the SSE registers; it is a
+// function of its own so the loop's five pointers and counter stay in
+// registers too.
 func dot3x2(a0, a1, a2, b0, b1 []float64, s00, s01, s10, s11, s20, s21 float64) (_, _, _, _, _, _ float64) {
 	// Equal lengths let the compiler drop the bounds checks in the loop.
 	a1, a2, b0, b1 = a1[:len(a0)], a2[:len(a0)], b0[:len(a0)], b1[:len(a0)]
 	for j, u := range a0 {
 		v, w := a1[j], a2[j]
 		x, y := b0[j], b1[j]
-		s00 += u * x
-		s01 += u * y
-		s10 += v * x
-		s11 += v * y
-		s20 += w * x
-		s21 += w * y
+		s00 = math.FMA(u, x, s00)
+		s01 = math.FMA(u, y, s01)
+		s10 = math.FMA(v, x, s10)
+		s11 = math.FMA(v, y, s11)
+		s20 = math.FMA(w, x, s20)
+		s21 = math.FMA(w, y, s21)
 	}
 	return s00, s01, s10, s11, s20, s21
 }

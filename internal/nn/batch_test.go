@@ -108,6 +108,103 @@ func TestBatchMatchesLoopedBitwise(t *testing.T) {
 	}
 }
 
+// TestProductsAreFused pins the arithmetic itself, not only the agreement of
+// the paths: every term of every product is one fused multiply-add. With
+// w = 1+2⁻²⁷ and x = 1−2⁻²⁷, w·x = 1−2⁻⁵⁴ exactly, so fma(w, x, −1) is
+// −2⁻⁵⁴, while rounding the product first gives 1 and the sum +0. Each
+// product is built to produce that sum in every cell: the forward output
+// from bias −1 (W = w on the diagonal, x everywhere); gW from accumulator
+// −1 (sample o mod n carries Δ = w into row o); and dX, which starts from
+// zero, from a first term of exactly −1 (Δ[s][0] = −1 against W[0][·] = 1)
+// and then Δ = w against W = x at o = 1 + s mod 12. Zero terms around the
+// sensitive one leave each sum unchanged. Forward/Backward and ForwardBatch/
+// BackwardBatch both run, the latter at n ∈ {1, 3, 4, 8, 13} on 13×13
+// layers: scalar rows, the ymm tile's whole and masked column blocks, the
+// 4-row hand-off and the zmm blocks, or the 3×2 portable tile and its
+// remainder. A mutant that rounds products before adding (VMULPD+VADDPD in
+// ZROW or either ymm j loop, `+= u*v` in mulTiled's rows, dot3x2, the
+// portable remainder loop, Dense.forward or Backward) fails here.
+func TestProductsAreFused(t *testing.T) {
+	const size = 13
+	w, x := 1+math.Ldexp(1, -27), 1-math.Ldexp(1, -27)
+	want := -math.Ldexp(1, -54)
+	layer := func(wv func(o, i int) float64) *MLP {
+		m := NewMLP(rand.New(rand.NewSource(1)), Linear, Linear, size, size)
+		l := m.Layers[0]
+		for o := 0; o < size; o++ {
+			l.B[o] = -1
+			for i := 0; i < size; i++ {
+				l.W[o*size+i] = wv(o, i)
+				l.gW[o*size+i] = -1
+			}
+		}
+		return m
+	}
+	fused := func(t *testing.T, what string, vals []float64) {
+		t.Helper()
+		for i, v := range vals {
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s[%d] = %v, want the fused %v", what, i, v, want)
+			}
+		}
+	}
+	for _, n := range []int{1, 3, 4, 8, 13} {
+		xs := make([]float64, n*size)
+		for i := range xs {
+			xs[i] = x
+		}
+		dOutG, dOutD := make([]float64, n*size), make([]float64, n*size)
+		for s := 0; s < n; s++ {
+			for o := 0; o < size; o++ {
+				if s == o%n {
+					dOutG[s*size+o] = w
+				}
+			}
+			dOutD[s*size] = -1
+			dOutD[s*size+1+s%(size-1)] = w
+		}
+		// run steps m over the batch on one path and returns the outputs
+		// and dX.
+		run := func(batch bool, m *MLP, dOut []float64) (y, dx []float64) {
+			if batch {
+				y = append(y, m.ForwardBatch(xs, n)...)
+				return y, append(dx, m.BackwardBatch(dOut, true, true)...)
+			}
+			for s := 0; s < n; s++ {
+				y = append(y, m.Forward(xs[s*size:(s+1)*size])...)
+				dx = append(dx, m.Backward(dOut[s*size:(s+1)*size])...)
+			}
+			return y, dx
+		}
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			forEachKernel(t, func(t *testing.T) {
+				for _, batch := range []bool{false, true} {
+					path := "Forward/Backward"
+					if batch {
+						path = "ForwardBatch/BackwardBatch"
+					}
+					m := layer(func(o, i int) float64 {
+						if i == o {
+							return w
+						}
+						return 0
+					})
+					y, _ := run(batch, m, dOutG)
+					fused(t, path+" output", y)
+					fused(t, path+" gW", m.Layers[0].gW)
+					_, dx := run(batch, layer(func(o, _ int) float64 {
+						if o == 0 {
+							return 1
+						}
+						return x
+					}), dOutD)
+					fused(t, path+" dX", dx)
+				}
+			})
+		})
+	}
+}
+
 // TestBatchScratchReusedAcrossSizes: a smaller batch after a larger one (the
 // ragged last minibatch of an epoch) must reslice the existing scratch, and
 // going back up must not reallocate either.
@@ -241,13 +338,13 @@ func TestTransposeBitwise(t *testing.T) {
 }
 
 // TestMulNNMatchesScalarBitwise pins the three products — mulNN (a·b),
-// mulNT (a·bᵀ) and mulTN (aᵀ·b) — to the plain triple loop, as IEEE-754 bit
-// patterns, for m 1..17 and p 1..33 (on the AVX-512 tier: 8-row blocks, the
+// mulNT (a·bᵀ) and mulTN (aᵀ·b) — to the plain triple loop of fused
+// multiply-adds, as IEEE-754 bit patterns, for m 1..17 and p 1..33 (on the AVX-512 tier: 8-row blocks, the
 // 4-row hand-off to the ymm tile, scalar rows, whole 16-column blocks and
 // tails of t ≤ 8 and t > 8 columns; on the AVX2 tier every m mod 4 and p
 // mod 8), k in {1, 2, 53, 192}, and a non-zero starting c. Operands span
-// several binades, so a reordered sum or a fused multiply-add changes the
-// bits. Guard words after c catch a store past the end. On the assembly
+// several binades, so a reordered sum or a product rounded before its add
+// changes the bits. Guard words after c catch a store past the end. On the assembly
 // tiers the bare tiles are also run (mulTiles), reading a row-major and in
 // place as aᵀ, with b and c rows padded by guard words and the rows past
 // its m4 guarded, which catches a tile or its masked column tail writing
@@ -276,7 +373,7 @@ func TestMulNNMatchesScalarBitwise(t *testing.T) {
 						for q := 0; q < p; q++ {
 							s := c0[r*p+q]
 							for j := 0; j < k; j++ {
-								s += a[r*k+j] * b[j*p+q]
+								s = math.FMA(a[r*k+j], b[j*p+q], s)
 							}
 							want[r*p+q] = s
 						}

@@ -33,13 +33,13 @@ GLOBL ·tailMask(SB), RODATA|NOPTR, $256
 //
 // One 4×8 tile of c lives in eight ymm accumulators, two per row (Y0–Y7).
 // Each j step loads b[j][q:q+8] into Y8/Y9, then per row broadcasts
-// a[r][j] into Y10 and runs VMULPD, VMULPD, VADDPD, VADDPD. Every lane is
-// one sum continued in ascending j, and each product is rounded before it
-// is added — never VFMADD*, whose single rounding would break the scalar
-// code's bit pattern. The last p mod 8 columns run the same tile with
-// VMASKMOVPD loads and stores of b and c under the masks in Y13/Y14: the
-// masked-off lanes read as zero and are never written, so every tile reads
-// and writes exactly its columns of each of its four c rows.
+// a[r][j] into Y10 and runs two VFMADD231PDs. Every lane is one sum
+// continued in ascending j, one fused multiply-add (a single rounding) per
+// term, the math.FMA the scalar code takes. The last p mod 8 columns run
+// the same tile with VMASKMOVPD loads and stores of b and c under the
+// masks in Y13/Y14: the masked-off lanes read as zero and are never
+// written, so every tile reads and writes exactly its columns of each of
+// its four c rows. It needs FMA3 besides AVX2 (cpuTier).
 TEXT ·mulNN4x8(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -90,28 +90,20 @@ jloop:
 	VMOVUPD 32(CX), Y9
 
 	VBROADCASTSD (AX), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y0, Y0
-	VADDPD Y12, Y1, Y1
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
 
 	VBROADCASTSD (AX)(R12*1), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y2, Y2
-	VADDPD Y12, Y3, Y3
+	VFMADD231PD Y8, Y10, Y2
+	VFMADD231PD Y9, Y10, Y3
 
 	VBROADCASTSD (AX)(R12*2), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y4, Y4
-	VADDPD Y12, Y5, Y5
+	VFMADD231PD Y8, Y10, Y4
+	VFMADD231PD Y9, Y10, Y5
 
 	VBROADCASTSD (AX)(R13*1), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y6, Y6
-	VADDPD Y12, Y7, Y7
+	VFMADD231PD Y8, Y10, Y6
+	VFMADD231PD Y9, Y10, Y7
 
 	ADDQ R10, AX
 	ADDQ R11, CX
@@ -158,28 +150,20 @@ tailj:
 	VMASKMOVPD 32(CX), Y14, Y9
 
 	VBROADCASTSD (AX), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y0, Y0
-	VADDPD Y12, Y1, Y1
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
 
 	VBROADCASTSD (AX)(R12*1), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y2, Y2
-	VADDPD Y12, Y3, Y3
+	VFMADD231PD Y8, Y10, Y2
+	VFMADD231PD Y9, Y10, Y3
 
 	VBROADCASTSD (AX)(R12*2), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y4, Y4
-	VADDPD Y12, Y5, Y5
+	VFMADD231PD Y8, Y10, Y4
+	VFMADD231PD Y9, Y10, Y5
 
 	VBROADCASTSD (AX)(R13*1), Y10
-	VMULPD Y8, Y10, Y11
-	VMULPD Y9, Y10, Y12
-	VADDPD Y11, Y6, Y6
-	VADDPD Y12, Y7, Y7
+	VFMADD231PD Y8, Y10, Y6
+	VFMADD231PD Y9, Y10, Y7
 
 	ADDQ R10, AX
 	ADDQ R11, CX
@@ -207,13 +191,11 @@ nextrows:
 	RET
 
 // ZROW continues one tile row's two accumulators with a[r][j] (at src)
-// times the b row in Z16/Z17: broadcast, VMULPD, VMULPD, VADDPD, VADDPD.
+// times the b row in Z16/Z17: a broadcast and two fused multiply-adds.
 #define ZROW(src, acc0, acc1) \
 	VBROADCASTSD src, Z18; \
-	VMULPD       Z16, Z18, Z19; \
-	VMULPD       Z17, Z18, Z20; \
-	VADDPD       Z19, acc0, acc0; \
-	VADDPD       Z20, acc1, acc1
+	VFMADD231PD  Z16, Z18, acc0; \
+	VFMADD231PD  Z17, Z18, acc1
 
 // ZSTEP runs ZROW on all eight tile rows, steps a and b to the next j and
 // counts it off, leaving the flags for the loop's JNZ.
@@ -235,14 +217,14 @@ nextrows:
 //
 // mulNN4x8's contract on zmm: c[r][q] += Σ_j a[r][j]·b[j][q] over the
 // first m8 rows (a positive multiple of 8) and all p ≥ 1 columns of c, with
-// the same ldb, ars and acs addressing. It needs AVX512F only.
+// the same ldb, ars and acs addressing. It needs AVX512F only (the zmm
+// forms of VFMADD231PD are AVX512F instructions).
 //
 // One 8×16 tile of c lives in sixteen zmm accumulators, two per row
 // (Z0–Z15). Each j step loads b[j][q:q+16] into Z16/Z17, then per row
-// broadcasts a[r][j] into Z18 and runs VMULPD, VMULPD, VADDPD, VADDPD
-// (ZSTEP): each lane continues one sum in ascending j with every product
-// rounded before its add, never VFMADD*. Rows 0–3 read a through AX, rows
-// 4–7 through R15, both stepped by acs.
+// broadcasts a[r][j] into Z18 and runs two VFMADD231PDs (ZSTEP): each lane
+// continues one sum in ascending j, one fused multiply-add per term. Rows
+// 0–3 read a through AX, rows 4–7 through R15, both stepped by acs.
 //
 // c is loaded and stored under the opmasks K1 (lanes 0–7, the block's
 // first zmm) and K2 (lanes 8–15): both all-ones on a whole 16-column block;

@@ -97,13 +97,36 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward computes the layer output and records x internally for Backward.
+// forward computes the layer output into out, and the pre-activation into
+// preact. Each output starts from its bias and takes W[o][i]·x[i] over i
+// ascending, one fused multiply-add per term, as ForwardBatch does. Four
+// outputs run at once: one sum's chain is bound by the multiply-add
+// latency, and four independent ones hide it without reordering any sum.
+// The last Out mod 4 run one at a time.
 func (d *Dense) forward(x []float64, preact, out []float64) {
-	for o := 0; o < d.Out; o++ {
-		sum := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
+	in := d.In
+	x = x[:in]
+	o := 0
+	for ; o+4 <= d.Out; o += 4 {
+		r0 := d.W[o*in : (o+1)*in]
+		r1 := d.W[(o+1)*in : (o+2)*in]
+		r2 := d.W[(o+2)*in : (o+3)*in]
+		r3 := d.W[(o+3)*in : (o+4)*in]
+		s0, s1, s2, s3 := d.B[o], d.B[o+1], d.B[o+2], d.B[o+3]
 		for i, xi := range x {
-			sum += row[i] * xi
+			s0 = math.FMA(r0[i], xi, s0)
+			s1 = math.FMA(r1[i], xi, s1)
+			s2 = math.FMA(r2[i], xi, s2)
+			s3 = math.FMA(r3[i], xi, s3)
+		}
+		preact[o], preact[o+1], preact[o+2], preact[o+3] = s0, s1, s2, s3
+		out[o], out[o+1], out[o+2], out[o+3] = d.Act.apply(s0), d.Act.apply(s1), d.Act.apply(s2), d.Act.apply(s3)
+	}
+	for ; o < d.Out; o++ {
+		sum := d.B[o]
+		row := d.W[o*in : (o+1)*in]
+		for i, xi := range x {
+			sum = math.FMA(row[i], xi, sum)
 		}
 		preact[o] = sum
 		out[o] = d.Act.apply(sum)
@@ -205,8 +228,8 @@ func (m *MLP) Backward(dOut []float64) []float64 {
 			gRow := l.gW[o*l.In : (o+1)*l.In]
 			l.gB[o] += d
 			for i := 0; i < l.In; i++ {
-				gRow[i] += d * in[i]
-				next[i] += d * row[i]
+				gRow[i] = math.FMA(d, in[i], gRow[i])
+				next[i] = math.FMA(d, row[i], next[i])
 			}
 		}
 		grad = next

@@ -23,6 +23,7 @@ func (t kernelTier) String() string { return tierNames[t] }
 
 // CPUID and XCR0 bits cpuTier reads.
 const (
+	cpuidFMA     = 1 << 12            // leaf 1 ECX: FMA3 (VFMADD231PD)
 	cpuidOSXSAVE = 1 << 27            // leaf 1 ECX: the OS enabled XGETBV
 	cpuidAVX     = 1 << 28            // leaf 1 ECX
 	cpuidAVX2    = 1 << 5             // leaf 7 EBX
@@ -39,11 +40,15 @@ const (
 // an instruction on registers the OS (or a hypervisor) left disabled
 // raises #UD.
 //
-//   - AVX2: OSXSAVE and AVX, AVX2, and the SSE and AVX state in XCR0.
+//   - AVX2: OSXSAVE, AVX and FMA, AVX2, and the SSE and AVX state in XCR0.
+//     The ymm tile's VFMADD231PD is an FMA3 instruction, not an AVX2 one,
+//     and a hypervisor may mask FMA while reporting AVX2.
 //   - AVX-512: all of that, AVX512F, and the opmask and both zmm states in
-//     XCR0. The tile is AVX512F-only (KMOVW, not DQ's KMOVB).
+//     XCR0. The tile is AVX512F-only (KMOVW, not DQ's KMOVB; the zmm
+//     VFMADD231PD is AVX512F).
 func cpuTier(maxLeaf, ecx1, ebx7, xcr0 uint32) kernelTier {
-	if maxLeaf < 7 || ecx1&(cpuidOSXSAVE|cpuidAVX) != cpuidOSXSAVE|cpuidAVX ||
+	const leaf1 = cpuidOSXSAVE | cpuidAVX | cpuidFMA
+	if maxLeaf < 7 || ecx1&leaf1 != leaf1 ||
 		xcr0&xcr0AVX != xcr0AVX || ebx7&cpuidAVX2 == 0 {
 		return tierPortable
 	}

@@ -19,7 +19,7 @@ func TestKernelTier(t *testing.T) {
 // hypervisor has not enabled: selecting that tier would raise SIGILL.
 func TestCPUTier(t *testing.T) {
 	const (
-		leaf1  = cpuidOSXSAVE | cpuidAVX
+		leaf1  = cpuidOSXSAVE | cpuidAVX | cpuidFMA
 		leaf7  = cpuidAVX2 | cpuidAVX512F
 		xcrAll = xcr0AVX | xcr0AVX512 | 1 // x87 state is always set
 	)
@@ -34,8 +34,10 @@ func TestCPUTier(t *testing.T) {
 		{"AVX-512 without the upper zmm0-15 state", 0xd, leaf1, leaf7, xcrAll &^ (1 << 6), tierAVX2},
 		{"AVX-512 without zmm16-31 state", 0xd, leaf1, leaf7, xcrAll &^ (1 << 7), tierAVX2},
 		{"AVX2 without AVX512F", 0xd, leaf1, cpuidAVX2, xcrAll, tierAVX2},
-		{"AVX2 without OSXSAVE", 0xd, cpuidAVX, leaf7, 0, tierPortable},
-		{"AVX2 without the AVX bit", 0xd, cpuidOSXSAVE, leaf7, xcrAll, tierPortable},
+		{"AVX2 without OSXSAVE", 0xd, cpuidAVX | cpuidFMA, leaf7, 0, tierPortable},
+		{"AVX2 without the AVX bit", 0xd, cpuidOSXSAVE | cpuidFMA, leaf7, xcrAll, tierPortable},
+		{"AVX+AVX2+OSXSAVE without FMA", 0xd, cpuidOSXSAVE | cpuidAVX, cpuidAVX2, xcrAll &^ xcr0AVX512, tierPortable},
+		{"AVX-512 without FMA", 0xd, cpuidOSXSAVE | cpuidAVX, leaf7, xcrAll, tierPortable},
 		{"AVX2 without ymm state in XCR0", 0xd, leaf1, leaf7, xcrAll &^ (1 << 2), tierPortable},
 		{"AVX512F without AVX2", 0xd, leaf1, cpuidAVX512F, xcrAll, tierPortable},
 		{"max leaf below 7", 6, leaf1, leaf7, xcrAll, tierPortable},

@@ -147,16 +147,17 @@ func NewTrainer(cfg Config, seed int64) *Trainer {
 // counted as the multiply-adds of one critic's forward pass over the batch.
 // Below it the learner runs the helper's half itself, because waking a
 // second core and joining it costs more than the half it would take. On a
-// 2-vCPU VM with the products on the AVX-512 tile, medians of 6–8 runs,
-// forked against inline: the fairness lab's shape (16/12 hidden, batch 48:
-// 50 k) 18 % slower, 24/24 at batch 48 (90 k) 15 %, 16/12 at batch 96
-// (101 k) 28 %, 32/32 at batch 48 (132 k) 16 %, and three shapes of
-// 176–180 k 6–10 % slower; 48/48 at batch 48 (235 k), 40/40 at batch 64
-// (241 k) and 32/32 at batch 96 (264 k) broke even within noise; five
-// shapes of 296–362 k ran 5–16 % faster (32/32 at batch 128 even in one
-// of its two sweeps). The faster tile moved the crossover up from the
-// 180–200 k the AVX2 tile broke even at.
-const forkMinMACs = 250_000
+// 2-vCPU VM with the products on the fused AVX-512 tile, medians of 3–6
+// runs per sweep, up to three sweeps, forked against inline: the fairness
+// lab's shape (16/12 hidden, batch 48: 50 k) 3 % slower, 32/32 at batch 48
+// (132 k) 4 % faster in its one sweep, within its spread, and six shapes of
+// 180–301 k 2–60 % slower in every sweep; 313–394 k broke even within
+// noise (each side won some sweeps); 470–921 k ran 2–25 % faster. Each
+// time the products got faster while the fork cost stayed, the crossover
+// moved up: from 100 k to 200 k with the elementwise kernels, 250 k with
+// the unfused zmm tile, and 400 k once every term was one fused
+// multiply-add.
+const forkMinMACs = 400_000
 
 // startHalf runs one of the helper's phase functions: on its own goroutine
 // if the update forks, otherwise inline before the learner's half. Either

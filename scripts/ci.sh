@@ -224,11 +224,13 @@ go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/cor
 # The batch-major training path's bitwise contract, named: the three
 # products, the transpose, the elementwise passes (ReLU, Δ, the gB column
 # sum) and the vector Adam step against their scalar forms with guard
-# words, ForwardBatch/BackwardBatch vs looped Forward/Backward (all on
-# every kernel tier this machine runs: portable, avx2, avx512),
-# batched Update vs the per-sample reference, the parent-captured golden
-# weight digests and the zero-alloc pin (both on every tier; the pin holds
-# under the detector too, so it needs no race_on/race_off split). Update
+# words, ForwardBatch/BackwardBatch vs looped Forward/Backward, every
+# product term one fused multiply-add (TestProductsAreFused; all on every
+# kernel tier this machine runs: portable, avx2, avx512), the CPUID table
+# that picks the tier, batched Update vs the per-sample reference, the
+# reference-captured golden weight digests and the zero-alloc pin (both
+# on every tier; the pin holds under the detector too, so it needs no
+# race_on/race_off split). Update
 # forks a helper goroutine per phase (the reference test forces the fork
 # on every shape, and the inline path small networks take): at -cpu 1 the
 # helper interleaves with the learner, at 2 the two run in parallel, and
@@ -236,7 +238,13 @@ go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/cor
 # machine selects: the tests skip, with the reason, the tiers it lacks, so
 # a box without AVX-512 says so here.
 go test -count=1 -v -run 'TestKernelTier$' ./internal/nn | grep 'kernel tier'
-go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKernel|TestBatch|TestTD3Update' ./internal/nn ./internal/rl
+go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKernel|TestBatch|TestTD3Update|TestProductsAreFused|TestCPUTier' ./internal/nn ./internal/rl
+# The same bits from a different build of the scalar paths: at GOAMD64=v3
+# math.FMA is one VFMADD231SD with no runtime feature check. The Go spec
+# lets a compiler fuse x*y + z (gc does on arm64, ppc64le, s390x and
+# riscv64), so the contract names every fusion itself instead of relying
+# on what a build happens to do.
+GOAMD64=v3 go test -count=1 -run 'TestBatch|TestMulNN|TestProductsAreFused|TestTD3UpdateGoldenDigest' ./internal/nn ./internal/rl
 # The checkpoint/resume bitwise-determinism guarantee and the parallel
 # learner get their own named race pass so a regression is attributable at
 # a glance (the full-tree race run below also covers them, but buries the

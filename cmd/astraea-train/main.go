@@ -22,9 +22,10 @@
 // episodes; -resume restores one and continues toward -episodes total.
 // Checkpoints are written atomically, so a crash — even kill -9 — between
 // or during writes never leaves a corrupt file at the configured path.
-// Resumed training is bitwise-deterministic, which requires the serial
-// training loop: -checkpoint/-resume run one environment instance
-// regardless of -workers.
+// Resumed training is bitwise-deterministic, which requires one environment
+// instance: -checkpoint/-resume run one worker regardless of -workers. Every
+// run, checkpointed or not, is one ParallelLearner.Train call; a progress
+// line is printed after each episode's updates.
 package main
 
 import (
@@ -48,7 +49,7 @@ func main() {
 	out := flag.String("out", "actor.json", "output weight file")
 	seed := flag.Int64("seed", 1, "random seed")
 	reward := flag.String("reward", "", "reward strategy: paper (default), aurora, maxmin, alpha[:a] (e.g. alpha:2)")
-	checkpoint := flag.String("checkpoint", "", "write crash-safe training checkpoints to this path (rl mode; serial loop)")
+	checkpoint := flag.String("checkpoint", "", "write crash-safe training checkpoints to this path (rl mode; one worker)")
 	checkpointEvery := flag.Int("checkpoint-every", 25, "episodes between checkpoint writes when -checkpoint is set")
 	checkpointKeep := flag.Int("checkpoint-keep", 0,
 		"rotate episode-numbered checkpoint copies (<path>.<episodes>), keeping the newest N plus the last promoted one (0 = single file, no series)")
@@ -98,31 +99,8 @@ func main() {
 	})
 	switch *mode {
 	case "rl":
-		if *checkpoint != "" || *resume != "" {
-			if err := trainCheckpointed(cfg, reg, *episodes, *workers, *seed,
-				*checkpoint, *checkpointEvery, *checkpointKeep, *resume, *out, rewardSet); err != nil {
-				fmt.Fprintln(os.Stderr, "astraea-train:", err)
-				os.Exit(1)
-			}
-			break
-		}
-		learner := env.NewParallelLearner(cfg, env.DefaultTrainingDistribution(), *seed, *workers)
-		if reg != nil {
-			learner.Instrument(reg)
-		}
-		done := 0
-		for done < *episodes {
-			batch := *workers
-			if done+batch > *episodes {
-				batch = *episodes - done
-			}
-			learner.Train(batch)
-			done += batch
-			last := learner.RewardHistory[len(learner.RewardHistory)-1]
-			fmt.Printf("episodes %3d/%d: reward=%+.5f criticLoss=%.5f replay=%d\n",
-				done, *episodes, last, learner.Trainer.LastCriticLoss, learner.Replay.Len())
-		}
-		if err := core.SavePolicy(*out, learner.Trainer.Actor); err != nil {
+		if err := trainRL(cfg, reg, *episodes, *workers, *seed,
+			*checkpoint, *checkpointEvery, *checkpointKeep, *resume, *out, rewardSet); err != nil {
 			fmt.Fprintln(os.Stderr, "astraea-train:", err)
 			os.Exit(1)
 		}
@@ -146,24 +124,28 @@ func main() {
 	fmt.Println("wrote", *out)
 }
 
-// trainCheckpointed runs the serial, deterministic rl training loop with
-// periodic crash-safe checkpoints. With -resume, training continues from
-// the saved episode count toward the -episodes total; the resumed
-// trajectory is bitwise-identical to an uninterrupted run of the same
-// length.
-func trainCheckpointed(cfg core.Config, reg *telemetry.Registry,
+// trainRL runs the rl training loop on one learner, new or resumed from a
+// checkpoint, and writes the actor to out. A progress line and, with
+// ckptPath set, a crash-safe checkpoint every `every` episodes come from
+// the learner's AfterEpisode hook; the final state is checkpointed once
+// more at the end. With -resume, training continues from the saved episode
+// count toward the -episodes total. Checkpointed runs use one worker, so
+// the resumed trajectory is bitwise-identical to an uninterrupted run of
+// the same length.
+func trainRL(cfg core.Config, reg *telemetry.Registry,
 	episodes, workers int, seed int64, ckptPath string, every, keep int, resume, out string,
 	rewardSet bool) error {
 
-	if workers > 1 {
-		fmt.Fprintln(os.Stderr, "astraea-train: checkpointed training is serial for determinism; ignoring -workers")
+	if ckptPath != "" || resume != "" {
+		if workers > 1 {
+			fmt.Fprintln(os.Stderr, "astraea-train: checkpointed training is serial for determinism; ignoring -workers")
+		}
+		workers = 1
 	}
-	if every < 1 {
-		every = 1
-	}
-	var learner *env.Learner
+	every = max(every, 1)
+	var learner *env.ParallelLearner
 	if resume != "" {
-		l, err := env.LoadLearner(resume)
+		l, err := env.LoadParallelLearner(resume, workers)
 		if err != nil {
 			return err
 		}
@@ -175,7 +157,7 @@ func trainCheckpointed(cfg core.Config, reg *telemetry.Registry,
 		fmt.Fprintf(os.Stderr, "astraea-train: resumed from %s at episode %d (strategy %s)\n",
 			resume, learner.Episodes, learner.StrategyName())
 	} else {
-		learner = env.NewLearner(cfg, env.DefaultTrainingDistribution(), seed)
+		learner = env.NewParallelLearner(cfg, env.DefaultTrainingDistribution(), seed, workers)
 	}
 	if reg != nil {
 		learner.Instrument(reg)
@@ -202,16 +184,20 @@ func trainCheckpointed(cfg core.Config, reg *telemetry.Registry,
 		fmt.Fprintf(os.Stderr, "astraea-train: checkpointed episode %d to %s\n", learner.Episodes, ckptPath)
 		return nil
 	}
-	for learner.Episodes < episodes {
-		learner.RunEpisodeAndTrain()
-		last := learner.RewardHistory[len(learner.RewardHistory)-1]
+	var saveErr error
+	learner.AfterEpisode = func(done int) {
+		last := learner.RewardHistory[done-1]
 		fmt.Printf("episodes %3d/%d: reward=%+.5f criticLoss=%.5f replay=%d\n",
-			learner.Episodes, episodes, last, learner.Trainer.LastCriticLoss, learner.Replay.Len())
-		if learner.Episodes%every == 0 && learner.Episodes < episodes {
-			if err := save(); err != nil {
-				return err
+			done, episodes, last, learner.Trainer.LastCriticLoss, learner.Replay.Len())
+		if done%every == 0 && done < episodes {
+			if saveErr = save(); saveErr != nil {
+				learner.Stop()
 			}
 		}
+	}
+	learner.Train(episodes - learner.Episodes)
+	if saveErr != nil {
+		return saveErr
 	}
 	if err := save(); err != nil {
 		return err

@@ -19,16 +19,17 @@ func main() {
 	dist := env.DefaultTrainingDistribution()
 	dist.MaxFlows = 3 // keep the demo cheap
 
-	learner := env.NewLearner(cfg, dist, 1)
-	fmt.Println("episode   avgReward   thr     fair    stab    criticLoss")
-	const episodes = 8
-	for i := 0; i < episodes; i++ {
-		res := learner.RunEpisodeAndTrain()
-		fmt.Printf("%7d   %+.5f   %.3f   %.4f  %.4f  %.5f\n",
-			i, res.AvgReward, res.Components.Thr,
-			res.Components.Fair, res.Components.Stab,
-			learner.Trainer.LastCriticLoss)
+	// One rollout worker: each episode runs against the actor as the
+	// previous episode's updates left it.
+	learner := env.NewParallelLearner(cfg, dist, 1, 1)
+	fmt.Println("episode   avgReward   criticLoss   replay")
+	learner.AfterEpisode = func(episodes int) {
+		fmt.Printf("%7d   %+.5f   %.5f   %d\n",
+			episodes-1, learner.RewardHistory[episodes-1],
+			learner.Trainer.LastCriticLoss, learner.Replay.Len())
 	}
+	const episodes = 8
+	learner.Train(episodes)
 
 	first := learner.RewardHistory[0]
 	last := learner.RewardHistory[len(learner.RewardHistory)-1]

@@ -2,6 +2,8 @@ package env
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,7 +21,7 @@ import (
 // replay fills within one episode, and PolicyDelay makes the delayed-actor
 // schedule observable across the checkpoint boundary. reward names the
 // strategy ("" = paper).
-func tinyLearner(seed int64, reward string) *Learner {
+func tinyLearner(seed int64, reward string) *ParallelLearner {
 	cfg := core.DefaultConfig()
 	cfg.BatchSize = 48
 	cfg.ModelUpdateInterval = 2
@@ -34,10 +36,10 @@ func tinyLearner(seed int64, reward string) *Learner {
 	dist := DefaultTrainingDistribution()
 	dist.MinFlows, dist.MaxFlows = 2, 2
 	dist.EpisodeDuration = 4
-	return NewLearnerRL(cfg, dist, rlCfg, 4000, seed)
+	return NewParallelLearnerRL(cfg, dist, rlCfg, 4000, seed, 1)
 }
 
-func actorBits(l *Learner) []uint64 {
+func actorBits(l *ParallelLearner) []uint64 {
 	var bits []uint64
 	for _, layer := range l.Trainer.Actor.Layers {
 		for _, w := range layer.W {
@@ -50,10 +52,39 @@ func actorBits(l *Learner) []uint64 {
 	return bits
 }
 
-// The tentpole guarantee: training N episodes, checkpointing, restoring
-// into a fresh learner (standing in for a fresh process — the checkpoint
-// file is the only carried-over state), and training N more yields actor
-// weights bitwise-identical to an uninterrupted 2N-episode run. The
+// sameTrajectory fails t unless got and want hold bit-equal actors, reward
+// histories and critic losses.
+func sameTrajectory(t *testing.T, got, want *ParallelLearner) {
+	t.Helper()
+	gb, wb := actorBits(got), actorBits(want)
+	if len(gb) != len(wb) {
+		t.Fatalf("actor has %d parameters, want %d", len(gb), len(wb))
+	}
+	for i := range gb {
+		if gb[i] != wb[i] {
+			t.Fatalf("actor parameter %d differs: %x != %x", i, gb[i], wb[i])
+		}
+	}
+	if len(got.RewardHistory) != len(want.RewardHistory) {
+		t.Fatalf("reward history has %d entries, want %d", len(got.RewardHistory), len(want.RewardHistory))
+	}
+	for i, r := range got.RewardHistory {
+		if r != want.RewardHistory[i] {
+			t.Fatalf("reward history diverged at episode %d: %v != %v", i, r, want.RewardHistory[i])
+		}
+	}
+	if got.Trainer.LastCriticLoss != want.Trainer.LastCriticLoss {
+		t.Fatalf("critic loss diverged: %v != %v", got.Trainer.LastCriticLoss, want.Trainer.LastCriticLoss)
+	}
+}
+
+// The checkpoint guarantee: training N episodes on one worker, checkpointing,
+// restoring into a fresh learner (standing in for a fresh process — the
+// checkpoint file is the only carried-over state), and training N more
+// yields actor weights bitwise-identical to an uninterrupted 2N-episode
+// run. That holds whether the checkpoint is written between Train calls or
+// inside AfterEpisode (the cadence astraea-train and the pilot use), and
+// splitting the run into one Train call per episode changes nothing. The
 // guarantee is strategy-independent: a learner trained under a non-default
 // reward strategy must resume exactly as faithfully as the paper default.
 func TestResumeDeterminismBitwise(t *testing.T) {
@@ -69,49 +100,57 @@ func TestResumeDeterminismBitwise(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			const n = 2
-			path := filepath.Join(t.TempDir(), "train.ckpt")
-
-			interrupted := tinyLearner(7, reward)
-			interrupted.Train(n)
-			if err := interrupted.SaveCheckpoint(path); err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := LoadLearner(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resumed.Episodes != n {
-				t.Fatalf("resumed at episode %d, want %d", resumed.Episodes, n)
-			}
-			if got := resumed.StrategyName(); got != core.MustRewardStrategy(reward).Name() {
-				t.Fatalf("resumed strategy %q, want %q", got, core.MustRewardStrategy(reward).Name())
-			}
-			resumed.Train(n)
-
 			uninterrupted := tinyLearner(7, reward)
 			uninterrupted.Train(2 * n)
 
-			got, want := actorBits(resumed), actorBits(uninterrupted)
-			if len(got) != len(want) {
-				t.Fatalf("actor has %d parameters resumed, %d uninterrupted", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("actor parameter %d differs after resume: %x != %x", i, got[i], want[i])
+			resume := func(t *testing.T, path string) *ParallelLearner {
+				t.Helper()
+				resumed, err := LoadParallelLearner(path, 1)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if len(resumed.RewardHistory) != 2*n {
-				t.Fatalf("resumed reward history has %d entries, want %d", len(resumed.RewardHistory), 2*n)
-			}
-			for i, r := range resumed.RewardHistory {
-				if r != uninterrupted.RewardHistory[i] {
-					t.Fatalf("reward history diverged at episode %d: %v != %v", i, r, uninterrupted.RewardHistory[i])
+				if resumed.Episodes != n {
+					t.Fatalf("resumed at episode %d, want %d", resumed.Episodes, n)
 				}
+				if got := resumed.StrategyName(); got != core.MustRewardStrategy(reward).Name() {
+					t.Fatalf("resumed strategy %q, want %q", got, core.MustRewardStrategy(reward).Name())
+				}
+				resumed.Train(n)
+				return resumed
 			}
-			if resumed.Trainer.LastCriticLoss != uninterrupted.Trainer.LastCriticLoss {
-				t.Fatalf("critic loss diverged: %v != %v",
-					resumed.Trainer.LastCriticLoss, uninterrupted.Trainer.LastCriticLoss)
-			}
+
+			t.Run("between-train-calls", func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "train.ckpt")
+				interrupted := tinyLearner(7, reward)
+				interrupted.Train(n)
+				if err := interrupted.SaveCheckpoint(path); err != nil {
+					t.Fatal(err)
+				}
+				sameTrajectory(t, resume(t, path), uninterrupted)
+			})
+
+			t.Run("inside-after-episode", func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "train.ckpt")
+				hooked := tinyLearner(7, reward)
+				hooked.AfterEpisode = func(episodes int) {
+					if episodes == n {
+						if err := hooked.SaveCheckpoint(path); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+				hooked.Train(2 * n)
+				sameTrajectory(t, hooked, uninterrupted)
+				sameTrajectory(t, resume(t, path), uninterrupted)
+			})
+
+			t.Run("one-episode-calls", func(t *testing.T) {
+				stepped := tinyLearner(7, reward)
+				for i := 0; i < 2*n; i++ {
+					stepped.Train(1)
+				}
+				sameTrajectory(t, stepped, uninterrupted)
+			})
 		})
 	}
 }
@@ -149,7 +188,7 @@ func TestCheckpointStrategyMismatchRefused(t *testing.T) {
 	}
 
 	// Control: the untouched checkpoint loads and carries its identity.
-	ok, err := LoadLearner(path)
+	ok, err := LoadParallelLearner(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +215,7 @@ func TestCheckpointStrategyMismatchRefused(t *testing.T) {
 	if _, err := ckpt.WriteFile(mut, payload); err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadLearner(mut)
+	_, err = LoadParallelLearner(mut, 1)
 	if err == nil {
 		t.Fatal("checkpoint with mismatched strategy identity was loaded")
 	}
@@ -191,7 +230,7 @@ func TestCheckpointStrategyMismatchRefused(t *testing.T) {
 	if _, err := ckpt.WriteFile(mut2, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadLearner(mut2); err == nil {
+	if _, err := LoadParallelLearner(mut2, 1); err == nil {
 		t.Fatal("checkpoint with unknown strategy name was loaded")
 	}
 }
@@ -199,7 +238,7 @@ func TestCheckpointStrategyMismatchRefused(t *testing.T) {
 // A learner checkpoint survives the full save/load cycle with its replay
 // buffer, counters, and RNG intact — verified by checking that two loads of
 // the same file train identically.
-func TestLoadLearnerIsPure(t *testing.T) {
+func TestLoadParallelLearnerIsPure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains real episodes")
 	}
@@ -209,11 +248,11 @@ func TestLoadLearnerIsPure(t *testing.T) {
 	if err := l.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	a, err := LoadLearner(path)
+	a, err := LoadParallelLearner(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadLearner(path)
+	b, err := LoadParallelLearner(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +271,7 @@ func TestLoadLearnerIsPure(t *testing.T) {
 // the replay region, and the trailer. (The exhaustive every-offset property
 // is proven on the container in internal/ckpt; this verifies the learner
 // loader surfaces it.)
-func TestLoadLearnerRejectsTruncation(t *testing.T) {
+func TestLoadParallelLearnerRejectsTruncation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a real episode")
 	}
@@ -256,7 +295,7 @@ func TestLoadLearnerRejectsTruncation(t *testing.T) {
 		if err := os.WriteFile(trunc, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadLearner(trunc); err == nil {
+		if _, err := LoadParallelLearner(trunc, 1); err == nil {
 			t.Fatalf("checkpoint truncated to %d of %d bytes was loaded", n, len(data))
 		}
 	}
@@ -266,7 +305,39 @@ func TestLoadLearnerRejectsTruncation(t *testing.T) {
 	if err := os.WriteFile(trunc, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadLearner(trunc); err == nil {
+	if _, err := LoadParallelLearner(trunc, 1); err == nil {
 		t.Fatal("corrupted checkpoint was loaded")
+	}
+}
+
+// actorDigest is FNV-1a 64 over the actor's parameters in actorBits order,
+// each written as its little-endian IEEE-754 bits.
+func actorDigest(bits []uint64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range bits {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestOneWorkerMatchesSerialGolden pins the one-worker training trajectory:
+// the digests were captured from the serial learner this package used to
+// carry beside ParallelLearner, so a one-worker ParallelLearner still
+// trains that learner's actor bit for bit under both reward strategies.
+func TestOneWorkerMatchesSerialGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains real episodes")
+	}
+	for _, c := range []struct {
+		reward string
+		want   uint64
+	}{{"", 0xe13c8b6e869adf49}, {"maxmin", 0x2f4454953214774c}} {
+		l := tinyLearner(7, c.reward)
+		l.Train(4)
+		if got := actorDigest(actorBits(l)); got != c.want {
+			t.Errorf("reward %q: actor digest %#016x after 4 episodes, want %#016x", c.reward, got, c.want)
+		}
 	}
 }

@@ -235,7 +235,7 @@ func RunEpisode(cfg EpisodeConfig, agentCfg core.Config, policy core.Policy,
 		cfg: agentCfg,
 		// Resolve once per episode; MustRewardStrategy is the contract that
 		// agentCfg.Reward was validated upstream (CLI flag parsing,
-		// NewLearner, or the checkpoint loader).
+		// NewParallelLearnerRL, or the checkpoint loader).
 		strategy: core.MustRewardStrategy(agentCfg.Reward),
 		link: LinkFacts{
 			Bandwidth: cfg.RateBps,

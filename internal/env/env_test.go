@@ -172,26 +172,3 @@ func TestObserverGlobalStateAggregation(t *testing.T) {
 		t.Fatalf("numFlows feature %v, want 0.2", lastGlobal[8])
 	}
 }
-
-func TestLearnerEpisodeLoop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training loop")
-	}
-	cfg := core.DefaultConfig()
-	cfg.BatchSize = 64
-	dist := DefaultTrainingDistribution()
-	dist.MaxFlows = 2
-	dist.EpisodeDuration = 10
-	learner := NewLearner(cfg, dist, 1)
-	learner.Trainer.Cfg.Batch = 64
-	hist := learner.Train(2)
-	if len(hist) != 2 {
-		t.Fatalf("history %v", hist)
-	}
-	if learner.Replay.Len() == 0 {
-		t.Fatal("learner collected no experience")
-	}
-	if learner.Trainer.LastCriticLoss == 0 && learner.Replay.Len() >= cfg.BatchSize {
-		t.Fatal("no training updates ran despite sufficient data")
-	}
-}

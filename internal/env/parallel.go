@@ -3,21 +3,36 @@ package env
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/rl"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
 
-// ParallelLearner runs several training-environment instances concurrently
-// (Appendix A: the paper's evaluation model is trained with 4 instances
-// sharing the same actor and critic networks). Worker goroutines simulate
-// episodes against snapshots of the current policy and stream transitions
-// back; the learner goroutine owns the replay buffer and the networks and
-// applies the update schedule after each completed episode.
+// Sub-seed streams: the trainer (network init, batch sampling, noise) and
+// the episode sampler (scenario draws, arrival processes, per-episode sim
+// seeds) must consume decorrelated streams even though the user supplies
+// one seed. Seeding both from the same value — as earlier revisions did —
+// correlates exploration noise with scenario draws.
+const (
+	streamTrainer = 1
+	streamEpisode = 2
+)
+
+// ParallelLearner is the centralized trainer of §3.1/§3.4: it owns the
+// shared actor/critic networks, collects experience from episodes run under
+// the current policy (with exploration noise), and performs TD3/MADDPG
+// updates — ModelUpdateSteps gradient steps per ModelUpdateInterval of
+// episode time, mirroring the paper's schedule. It runs several
+// training-environment instances concurrently (Appendix A: the paper's
+// evaluation model is trained with 4 instances sharing the same actor and
+// critic networks). Worker goroutines simulate episodes against snapshots
+// of the current policy and stream transitions back; the learner goroutine
+// owns the replay buffer and the networks and applies the update schedule
+// after each completed episode. With one worker every episode runs against
+// the actor as its predecessor's updates left it, which is the serial
+// trajectory: a checkpoint then resumes bitwise (see checkpoint.go).
 type ParallelLearner struct {
 	Cfg     core.Config
 	Dist    TrainingDistribution
@@ -73,9 +88,11 @@ func (p *ParallelLearner) Instrument(reg *telemetry.Registry) {
 // StrategyName reports the reward strategy this learner trains under.
 func (p *ParallelLearner) StrategyName() string { return p.Cfg.RewardName() }
 
-// NewParallelLearner builds the learner with the given worker count
-// (minimum 1). As with NewLearner, cfg.Reward must name a registered
-// reward strategy; unknown names panic at construction.
+// NewParallelLearner builds a learner with fresh networks and the given
+// worker count (minimum 1). cfg.Reward must name a registered reward
+// strategy (empty = paper default); an unknown name panics here, at
+// construction, rather than mid-episode — CLI entry points validate the
+// flag with core.NewRewardStrategy first and report a proper error.
 func NewParallelLearner(cfg core.Config, dist TrainingDistribution, seed int64, workers int) *ParallelLearner {
 	rlCfg := rl.DefaultConfig(cfg.StateDim(), core.GlobalFeatureDim, 1)
 	rlCfg.Gamma = cfg.Gamma
@@ -86,20 +103,17 @@ func NewParallelLearner(cfg core.Config, dist TrainingDistribution, seed int64, 
 }
 
 // NewParallelLearnerRL is NewParallelLearner with the TD3 configuration and
-// replay capacity exposed: the pilot's smoke tests (and any short-budget
-// experiment) need networks far smaller than the paper's 256/128/64
-// default to converge on anything inside a CI time box.
+// replay capacity exposed: the fairness lab and the pilot's smoke tests
+// (and any short-budget experiment) need networks far smaller than the
+// paper's 256/128/64 default to converge on anything inside a CI time box.
 func NewParallelLearnerRL(cfg core.Config, dist TrainingDistribution, rlCfg rl.Config, replayCap int, seed int64, workers int) *ParallelLearner {
-	core.MustRewardStrategy(cfg.Reward)
-	if workers < 1 {
-		workers = 1
-	}
+	core.MustRewardStrategy(cfg.Reward) // fail at construction, not mid-episode
 	return &ParallelLearner{
 		Cfg:     cfg,
 		Dist:    dist,
 		Trainer: rl.NewTrainer(rlCfg, rng.Fold(seed, streamTrainer)),
 		Replay:  rl.NewReplayBuffer(replayCap),
-		Workers: workers,
+		Workers: max(workers, 1),
 		rng:     rng.New(rng.Fold(seed, streamEpisode)),
 	}
 }
@@ -188,7 +202,7 @@ func (p *ParallelLearner) Train(episodes int) []float64 {
 		for _, tr := range out.transitions {
 			p.Replay.Add(tr)
 		}
-		rounds := int(out.result.durationOr(30) / p.Cfg.ModelUpdateInterval)
+		rounds := int(out.result.Duration / p.Cfg.ModelUpdateInterval)
 		if rounds < 1 {
 			rounds = 1
 		}
@@ -224,69 +238,6 @@ func (p *ParallelLearner) ResetStop() { p.stopped.Store(false) }
 // or inside the AfterEpisode hook.
 func (p *ParallelLearner) SnapshotActor() *core.MLPPolicy {
 	return &core.MLPPolicy{Net: p.Trainer.Actor.Clone()}
-}
-
-// SaveCheckpoint writes the learner's state to path atomically, in the same
-// on-disk format as Learner.SaveCheckpoint — either learner kind can resume
-// from it. Unlike the serial learner's guarantee, a resumed parallel run
-// continues the trajectory statistically, not bitwise: the episodes still
-// in flight when the checkpoint is written were dispatched against earlier
-// actors and are not part of it. Must be called from the owning goroutine
-// (outside Train, or inside AfterEpisode).
-func (p *ParallelLearner) SaveCheckpoint(path string) error {
-	start := time.Now()
-	e := &ckpt.Encoder{}
-	hi, lo := p.rng.State()
-	if err := encodeLearnerState(e, &learnerState{
-		Cfg: p.Cfg, Dist: p.Dist, Trainer: p.Trainer, Replay: p.Replay,
-		Episodes: p.Episodes, RewardHistory: p.RewardHistory, RngHi: hi, RngLo: lo,
-	}); err != nil {
-		return err
-	}
-	n, err := ckpt.WriteFile(path, e.Payload())
-	if err != nil {
-		return err
-	}
-	p.mCkptSecs.Set(time.Since(start).Seconds())
-	p.mCkptByte.Add(int64(n))
-	return nil
-}
-
-// LoadParallelLearner restores a parallel learner from a checkpoint written
-// by either learner kind's SaveCheckpoint.
-func LoadParallelLearner(path string, workers int) (*ParallelLearner, error) {
-	payload, err := ckpt.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := decodeLearnerState(payload)
-	if err != nil {
-		return nil, err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	p := &ParallelLearner{
-		Cfg:           s.Cfg,
-		Dist:          s.Dist,
-		Trainer:       s.Trainer,
-		Replay:        s.Replay,
-		Workers:       workers,
-		rng:           rng.New(0),
-		Episodes:      s.Episodes,
-		RewardHistory: s.RewardHistory,
-	}
-	p.rng.SetState(s.RngHi, s.RngLo)
-	return p, nil
-}
-
-// durationOr reports the episode's duration with a fallback for results
-// that never ran.
-func (r EpisodeResult) durationOr(def float64) float64 {
-	if r.Duration > 0 {
-		return r.Duration
-	}
-	return def
 }
 
 // Policy returns the current actor wrapped for deployment.

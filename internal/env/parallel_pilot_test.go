@@ -77,10 +77,9 @@ func TestParallelLearnerHookAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestParallelLearnerCheckpointRoundTrip: the parallel learner writes the
-// same checkpoint format as the serial learner — a round trip restores the
-// actor bitwise, the counters, and the replay length, and the serial
-// LoadLearner accepts the same file (shared lineage).
+// TestParallelLearnerCheckpointRoundTrip: a round trip through a checkpoint
+// restores the actor bitwise, the counters and the replay length, under a
+// different worker count than the one that wrote it.
 func TestParallelLearnerCheckpointRoundTrip(t *testing.T) {
 	p := smallParallelLearner(t, 3, 2)
 	reg := telemetry.NewRegistry()
@@ -113,19 +112,5 @@ func TestParallelLearnerCheckpointRoundTrip(t *testing.T) {
 	}
 	if a, b := q.Policy().Action(state), p.Policy().Action(state); a != b {
 		t.Fatalf("restored actor diverges: %v vs %v", a, b)
-	}
-
-	// Cross-kind: the serial learner resumes from a parallel checkpoint.
-	l, err := LoadLearner(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Episodes != p.Episodes {
-		t.Fatalf("serial resume episodes %d", l.Episodes)
-	}
-	// And continues training without issue.
-	l.RunEpisodeAndTrain()
-	if l.Episodes != p.Episodes+1 {
-		t.Fatalf("serial continuation episodes %d", l.Episodes)
 	}
 }

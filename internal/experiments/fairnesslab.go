@@ -96,7 +96,7 @@ type FairnessLabReport struct {
 }
 
 // labLearner builds one strategy's short-budget learner.
-func labLearner(opts FairnessLabOptions, reward string) *env.Learner {
+func labLearner(opts FairnessLabOptions, reward string) *env.ParallelLearner {
 	cfg := core.DefaultConfig()
 	cfg.BatchSize = 48
 	cfg.ModelUpdateInterval = 2
@@ -113,8 +113,9 @@ func labLearner(opts FairnessLabOptions, reward string) *env.Learner {
 	dist.EpisodeDuration = 4
 	// Every strategy trains from the same fold of the lab seed: identical
 	// initial weights and episode draws, so outcome differences are the
-	// objective's doing.
-	return env.NewLearnerRL(cfg, dist, rlCfg, 4000, rng.Fold(opts.Seed, 77))
+	// objective's doing. One rollout worker keeps each learner on the serial
+	// trajectory; the lab's parallelism is across strategies.
+	return env.NewParallelLearnerRL(cfg, dist, rlCfg, 4000, rng.Fold(opts.Seed, 77), 1)
 }
 
 // labEvalGrid is the fixed head-to-head evaluation: staggered arrivals, an

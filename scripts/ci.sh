@@ -85,6 +85,20 @@ kill -INT "$QSERVE_PID"
 wait "$QSERVE_PID" || { echo "ci: quantized serve drain was not clean"; cat "$SMOKE/qserve.log"; exit 1; }
 if grep -q "RACE" "$SMOKE/qserve.log"; then echo "ci: race detected in quantized serve smoke"; cat "$SMOKE/qserve.log"; exit 1; fi
 
+# Training-loop smoke: astraea-train's one rl loop through the real binary.
+# A -workers value below 1 trains on one worker. A checkpointed run
+# interrupted after 2 episodes and resumed to 4 must write the same actor
+# bytes as an uninterrupted 4-episode run: checkpoints written from the
+# per-episode hook resume bitwise.
+"$SMOKE/astraea-train" -mode rl -episodes 2 -workers 0 -out "$SMOKE/rl-w0.json" >/dev/null
+[ -s "$SMOKE/rl-w0.json" ] || { echo "ci: astraea-train -workers 0 wrote no actor"; exit 1; }
+"$SMOKE/astraea-train" -mode rl -episodes 2 -checkpoint "$SMOKE/rl.ckpt" -checkpoint-every 1 \
+    -out "$SMOKE/rl-half.json" >/dev/null 2>&1
+"$SMOKE/astraea-train" -mode rl -episodes 4 -resume "$SMOKE/rl.ckpt" \
+    -out "$SMOKE/rl-resumed.json" >/dev/null 2>&1
+"$SMOKE/astraea-train" -mode rl -episodes 4 -workers 1 -out "$SMOKE/rl-whole.json" >/dev/null
+cmp "$SMOKE/rl-resumed.json" "$SMOKE/rl-whole.json" || { echo "ci: resumed astraea-train actor differs from an uninterrupted run"; exit 1; }
+
 # Tournament smoke: the real binary on a trimmed grid (2 schemes × 2
 # families, invariants checked). The report must rank both schemes and both
 # artifacts must land under the output directory — a malformed table or a
@@ -245,13 +259,13 @@ go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKer
 # riscv64), so the contract names every fusion itself instead of relying
 # on what a build happens to do.
 GOAMD64=v3 go test -count=1 -run 'TestBatch|TestMulNN|TestProductsAreFused|TestTD3UpdateGoldenDigest' ./internal/nn ./internal/rl
-# The checkpoint/resume bitwise-determinism guarantee and the parallel
-# learner get their own named race pass so a regression is attributable at
-# a glance (the full-tree race run below also covers them, but buries the
-# name). With the default-size networks the parallel-learner tests train,
-# the learner goroutine, Update's helper and the rollout workers run all at
-# once here.
-go test -race -cpu 1,2 -run 'TestParallelLearner|TestResumeDeterminismBitwise' ./internal/env
+# The checkpoint/resume bitwise-determinism guarantee, the one-worker
+# golden (the serial trajectory, pinned) and the parallel learner get their
+# own named race pass so a regression is attributable at a glance (the
+# full-tree race run below also covers them, but buries the name). With the
+# default-size networks the parallel-learner tests train, the learner
+# goroutine, Update's helper and the rollout workers run all at once here.
+go test -race -cpu 1,2 -run 'TestParallelLearner|TestResumeDeterminismBitwise|TestOneWorkerMatchesSerialGolden' ./internal/env
 # The batching core and the admission accounting around it, named: the
 # deterministic pull-semantics tests (gate policy, no sleeps) and the
 # slot-leak / queue-bound / fallback-lateness regressions all turn on

@@ -1,24 +1,30 @@
 // Command astraea-serve is the production policy inference daemon: the
 // shared batched service of §4 behind real network transports, with
 // per-request deadlines, admission control, a deterministic fallback
-// action, hot policy reload, and graceful drain.
+// action, hot policy reload, and graceful drain. It is the one inference
+// server: senders on udp or unixgram endpoints get the same admission,
+// deadlines and fallback as framed stream clients.
 //
 // Transports: TCP and unix stream sockets speak the length-prefixed framing
 // of internal/serve; udp and unixgram endpoints speak the bare datagram
-// codec, so existing core.ServiceClient senders keep working.
+// codec, so core.ServiceClient senders talk to them directly.
 //
-// Policy artifacts: -policy accepts "reference", JSON actor weights, or a
-// quantized blob from cmd/astraea-quantize. JSON weights are compiled to
-// the fixed-point serving form at load by default (several times faster
-// per inference, see DESIGN.md §12); -float keeps the float64 network —
-// the equivalence oracle — instead. Blobs always serve quantized.
+// Policy artifacts: -policy accepts "reference" or a file that
+// core.LoadPolicy sniffs — JSON actor weights, a sealed generation artifact
+// from the pilot, or a quantized blob from cmd/astraea-quantize. Float
+// artifacts are compiled to the fixed-point serving form at load by default
+// (several times faster per inference, see DESIGN.md §12); -float keeps the
+// float64 network — the equivalence oracle — instead. Blobs always serve
+// quantized. Boot and hot reload load through the same serve.Reloader, so a
+// sealed artifact's generation shows on serve_policy_generation from the
+// first scrape.
 //
 // Examples:
 //
 //	astraea-serve -listen tcp:127.0.0.1:9000 -policy reference
 //	astraea-serve -listen tcp::9000,unixgram:/tmp/astraea.sock \
 //	    -policy actor.json -reload 1s -deadline 10ms -telemetry :9090
-//	astraea-serve -listen tcp::9000 -policy actor.aqp
+//	astraea-serve -listen udp:127.0.0.1:9000 -policy actor.aqp
 //
 // Signals: SIGHUP reloads the policy file in place (version bump, no
 // dropped requests); SIGINT/SIGTERM drain gracefully.
@@ -42,8 +48,8 @@ import (
 func main() {
 	listen := flag.String("listen", "tcp:127.0.0.1:9000",
 		"comma-separated endpoints, each network:address (tcp:host:port, unix:/path, udp:host:port, unixgram:/path)")
-	policyArg := flag.String("policy", "reference", `"reference", a path to JSON actor weights, or a quantized blob (astraea-quantize)`)
-	floatPath := flag.Bool("float", false, "serve JSON actor weights as float64 instead of compiling them to the quantized fixed-point form")
+	policyArg := flag.String("policy", "reference", `"reference", or a policy file: JSON actor weights, a sealed generation artifact, or a quantized blob (astraea-quantize)`)
+	floatPath := flag.Bool("float", false, "serve float artifacts as float64 instead of compiling them to the quantized fixed-point form")
 	reload := flag.Duration("reload", 0,
 		"poll the -policy file at this interval and hot-reload on change (0 disables; SIGHUP always reloads)")
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics and /debug/pprof on this address (e.g. :9090)")
@@ -69,17 +75,18 @@ func run(listen, policyArg string, floatPath bool, reload time.Duration, telemet
 	addrFile string, drainTimeout time.Duration) error {
 
 	cfg := core.DefaultConfig()
-	var policy core.Policy
-	policyPath := ""
-	if policyArg == "reference" {
-		policy = core.NewReferencePolicy(cfg)
-	} else {
-		p, err := core.LoadServingPolicy(policyArg, cfg, !floatPath)
+	reg := telemetry.NewRegistry()
+	var policy core.Policy = core.NewReferencePolicy(cfg)
+	var reloader *serve.Reloader
+	if policyArg != "reference" {
+		reloader = serve.NewReloader(policyArg, cfg)
+		reloader.Quantize = !floatPath
+		reloader.Instrument(reg)
+		p, err := reloader.Load()
 		if err != nil {
 			return err
 		}
 		policy = p
-		policyPath = policyArg
 		if qp, ok := p.(*core.QuantizedPolicy); ok {
 			fmt.Printf("astraea-serve: serving quantized policy (%d layers, %d parameter bytes)\n",
 				qp.Q.NumLayers(), qp.Q.ParamBytes())
@@ -96,19 +103,11 @@ func run(listen, policyArg string, floatPath bool, reload time.Duration, telemet
 		QueueDepth:  queueDepth,
 		Deadline:    deadline,
 	})
-	reg := telemetry.NewRegistry()
 	srv.Instrument(reg)
-
-	var reloader *serve.Reloader
-	if policyPath != "" {
-		reloader = serve.NewReloader(srv, policyPath, cfg)
-		reloader.Quantize = !floatPath
-		reloader.Instrument(reg)
-		if reload > 0 {
-			reloader.Interval = reload
-			reloader.Watch()
-			defer reloader.Stop()
-		}
+	if reloader != nil && reload > 0 {
+		reloader.Interval = reload
+		reloader.Watch(srv)
+		defer reloader.Stop()
 	}
 
 	if telemetryAddr == "" {
@@ -158,7 +157,7 @@ func run(listen, policyArg string, floatPath bool, reload time.Duration, telemet
 				fmt.Println("astraea-serve: SIGHUP ignored (-policy reference has no file to reload)")
 				continue
 			}
-			if v, err := reloader.Reload(); err != nil {
+			if v, err := reloader.Reload(srv); err != nil {
 				fmt.Fprintln(os.Stderr, "astraea-serve: reload rejected:", err)
 			} else {
 				fmt.Printf("astraea-serve: policy reloaded, now version %d\n", v)

@@ -2,8 +2,8 @@
 // (internal/pilot). A sealed artifact is a ckpt CRC container whose payload
 // carries a PolicyMeta record — generation number, lineage, training
 // provenance — followed by the float actor weights. It is what the pilot
-// promotes to the serving fleet: the serving loaders sniff the format and
-// compile the embedded weights to the quantized serving form on load
+// promotes to the serving fleet: LoadPolicy sniffs the format, the serving
+// layer compiles the embedded weights to the quantized serving form on load
 // (quantize-on-promote), and the metadata rides through to the
 // serve_policy_generation telemetry, so every response-path version bump is
 // attributable to a training generation.
@@ -70,14 +70,12 @@ func SaveSealedPolicy(path string, net *nn.MLP, meta PolicyMeta) error {
 	return err
 }
 
-// decodeSealedPolicy parses a sealed-artifact payload (tag already
-// verified by the caller's sniff) into the float policy and its metadata,
-// validated against cfg like every other loader.
+// decodeSealedPolicy parses a sealed-artifact payload (its tag already
+// sniffed by LoadPolicy) into the float policy and its metadata, validated
+// against cfg like every other format.
 func decodeSealedPolicy(payload []byte, path string, cfg Config) (*MLPPolicy, *PolicyMeta, error) {
 	d := ckpt.NewDecoder(payload)
-	if tag := d.Int64(); d.Err() != nil || tag != sealedPolicyTag {
-		return nil, nil, fmt.Errorf("core: %s is not a sealed policy artifact", path)
-	}
+	d.Int64() // sealedPolicyTag
 	metaJSON := d.Bytes()
 	weights := d.Bytes()
 	if err := d.Err(); err != nil {
@@ -95,16 +93,4 @@ func decodeSealedPolicy(payload []byte, path string, cfg Config) (*MLPPolicy, *P
 		return nil, nil, err
 	}
 	return mp, &meta, nil
-}
-
-// LoadSealedPolicy reads a sealed artifact written by SaveSealedPolicy and
-// returns the float policy with its metadata. Corruption anywhere in the
-// file — truncation, extension, any bit flip — is rejected by the container
-// CRC before a single field is interpreted.
-func LoadSealedPolicy(path string, cfg Config) (*MLPPolicy, *PolicyMeta, error) {
-	payload, err := ckpt.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return decodeSealedPolicy(payload, path, cfg)
 }

@@ -17,9 +17,8 @@ func sealedTestActor(t *testing.T, cfg Config, bias float64) *nn.MLP {
 	return net
 }
 
-// TestSealedPolicyRoundTrip: seal → load returns identical weights and the
-// exact metadata, and the serving loader recognizes the format with and
-// without quantize-on-load.
+// TestSealedPolicyRoundTrip: seal → LoadPolicy returns the float policy
+// with identical weights and the exact metadata.
 func TestSealedPolicyRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	net := sealedTestActor(t, cfg, 0.3)
@@ -30,44 +29,20 @@ func TestSealedPolicyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mp, got, err := LoadSealedPolicy(path, cfg)
+	p, got, err := LoadPolicy(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != meta {
-		t.Fatalf("meta round trip: got %+v want %+v", *got, meta)
+	if got == nil || *got != meta {
+		t.Fatalf("meta round trip: got %+v want %+v", got, meta)
+	}
+	mp, ok := p.(*MLPPolicy)
+	if !ok {
+		t.Fatalf("sealed artifact loaded as %T, want *MLPPolicy", p)
 	}
 	state := make([]float64, cfg.StateDim())
 	if a, b := mp.Action(state), (&MLPPolicy{Net: net}).Action(state); a != b {
 		t.Fatalf("sealed weights diverge: %v vs %v", a, b)
-	}
-
-	// Serving loader, float oracle path: same policy plus metadata.
-	p, m, err := LoadServingPolicyMeta(path, cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == nil || m.Generation != 7 {
-		t.Fatalf("serving loader lost metadata: %+v", m)
-	}
-	if _, ok := p.(*MLPPolicy); !ok {
-		t.Fatalf("quantize=false returned %T", p)
-	}
-
-	// Quantize-on-promote: the serving default compiles the sealed weights.
-	p, m, err = LoadServingPolicyMeta(path, cfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == nil || m.Generation != 7 || m.Parent != 6 {
-		t.Fatalf("quantized load lost metadata: %+v", m)
-	}
-	if _, ok := p.(*QuantizedPolicy); !ok {
-		t.Fatalf("quantize=true returned %T", p)
-	}
-	// LoadServingPolicy (no meta) accepts the same artifact.
-	if _, err := LoadServingPolicy(path, cfg, true); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -92,11 +67,8 @@ func TestSealedPolicyCorruptionRejected(t *testing.T) {
 		if err := os.WriteFile(tmp, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadSealedPolicy(tmp, cfg); err == nil {
+		if _, _, err := LoadPolicy(tmp, cfg); err == nil {
 			t.Fatalf("corruption at offset %d accepted", off)
-		}
-		if _, _, err := LoadServingPolicyMeta(tmp, cfg, true); err == nil {
-			t.Fatalf("serving loader accepted corruption at offset %d", off)
 		}
 	}
 	for _, cut := range []int{1, len(data) / 2, len(data) - 1} {
@@ -104,7 +76,7 @@ func TestSealedPolicyCorruptionRejected(t *testing.T) {
 		if err := os.WriteFile(tmp, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadSealedPolicy(tmp, cfg); err == nil {
+		if _, _, err := LoadPolicy(tmp, cfg); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
@@ -119,7 +91,7 @@ func TestSealedPolicyDimensionValidated(t *testing.T) {
 	if err := SaveSealedPolicy(path, wrong, PolicyMeta{Generation: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := LoadSealedPolicy(path, cfg)
+	_, _, err := LoadPolicy(path, cfg)
 	if err == nil || !strings.Contains(err.Error(), "states") {
 		t.Fatalf("wrong-dimension sealed artifact: err = %v", err)
 	}

@@ -11,11 +11,14 @@ import (
 )
 
 // FuzzLoadPolicy exercises the full deployment-side loading path: arbitrary
-// bytes land on disk as a weights file, and LoadPolicy either rejects them
+// bytes land on disk as a policy file, and LoadPolicy either rejects them
 // with an error or returns a policy whose Action runs without panicking and
 // respects the clamp (never outside [-1, 1]; NaN can only arise from
 // arithmetic overflow inside a successfully validated net, which the clamp
-// cannot catch, so only the range is asserted).
+// cannot catch, so only the range is asserted). The seeds cover all three
+// formats LoadPolicy sniffs — JSON weights, a sealed artifact and a
+// quantized blob — so mutation reaches the container CRC, the payload-tag
+// sniff and both binary decoders, not only the JSON parser.
 func FuzzLoadPolicy(f *testing.F) {
 	cfg := DefaultConfig()
 	// A short history keeps the valid seed inputs small (a default-width
@@ -34,6 +37,20 @@ func FuzzLoadPolicy(f *testing.F) {
 	f.Add([]byte(`{"layers":[]}`))
 	f.Add([]byte(`{"layers":[{"in":-1,"out":0,"act":"relu","w":[],"b":[]}]}`))
 	f.Add([]byte("not json"))
+	sealedPath := filepath.Join(f.TempDir(), "sealed")
+	if err := SaveSealedPolicy(sealedPath, actor, PolicyMeta{Generation: 3}); err != nil {
+		f.Fatal(err)
+	}
+	sealed, err := os.ReadFile(sealedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed)
+	qp, err := QuantizeMLPPolicy(&MLPPolicy{Net: actor}, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(qp.Q.QuantizedBlob())
 
 	dir, err := os.MkdirTemp("", "fuzz-loadpolicy-*")
 	if err != nil {
@@ -46,7 +63,7 @@ func FuzzLoadPolicy(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		p, err := LoadPolicy(path, cfg)
+		p, _, err := LoadPolicy(path, cfg)
 		if err != nil {
 			return
 		}

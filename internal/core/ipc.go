@@ -7,25 +7,27 @@ import (
 	"math"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file implements the out-of-process transport of the inference
-// service (§4): senders talk to a shared service over a UNIX datagram or
-// UDP socket. The wire format is fixed-size little-endian float64s:
+// This file implements the sender side of the out-of-process transport of
+// the inference service (§4): senders talk to a shared service over a UNIX
+// datagram or UDP socket. The wire format is fixed-size little-endian
+// float64s:
 //
 //	request:  [reqID uint64][n uint32][n × float64 state]
 //	response: [reqID uint64][action float64]
 //
-// The in-process Service does the batching; this layer only moves bytes,
-// exactly the split the paper's C++ implementation uses. The codec is
-// exported because internal/serve reuses it verbatim inside length-prefixed
-// frames on its stream transports (a response there may carry a trailer
-// after the 16 codec bytes; DecodeResponse ignores trailing bytes, so the
-// formats stay interoperable).
+// The in-process Service does the batching; the codec only moves bytes,
+// exactly the split the paper's C++ implementation uses. The server side is
+// internal/serve's Server (astraea-serve -listen udp:… or unixgram:…), which
+// answers these datagrams with admission, deadlines and fallback. It reuses
+// the codec verbatim, also inside length-prefixed frames on its stream
+// transports (a response there may carry a trailer after the 16 codec
+// bytes; DecodeResponse ignores trailing bytes, so the formats stay
+// interoperable).
 
 // MaxStateDim bounds the accepted request size (defensive: a datagram
 // declaring a huge n must not cause a huge allocation).
@@ -105,122 +107,6 @@ func DecodeResponse(buf []byte) (reqID uint64, action float64, err error) {
 		math.Float64frombits(binary.LittleEndian.Uint64(buf[8:16])), nil
 }
 
-// ServiceServer exposes a Service over a packet connection (UDP or
-// unixgram). Datagrams fan into a bounded worker pool: a reader goroutine
-// decodes and enqueues, and a fixed number of workers call Service.Infer
-// (blocking until the evaluator answers) and send the reply. When the queue is
-// full the datagram is dropped and counted — never an unbounded goroutine
-// per request, so a flood degrades to drops (datagram semantics) instead of
-// memory exhaustion.
-type ServiceServer struct {
-	Service *Service
-	conn    net.PacketConn
-
-	queue chan dgramReq
-	drops atomic.Uint64
-
-	wg     sync.WaitGroup
-	closed chan struct{}
-}
-
-type dgramReq struct {
-	reqID uint64
-	state []float64
-	from  net.Addr
-}
-
-// ListenAndServe starts serving on network/address (e.g. "udp",
-// "127.0.0.1:0" or "unixgram", "/tmp/astraea.sock") until Close, with
-// default worker-pool sizing.
-func ListenAndServe(svc *Service, network, address string) (*ServiceServer, error) {
-	return ListenAndServeWith(svc, network, address, 0, 0)
-}
-
-// ListenAndServeWith is ListenAndServe with explicit pool sizing: workers
-// concurrent in-flight requests and queueDepth parked datagrams (both
-// default when <= 0: 8×GOMAXPROCS workers, 4× that queue).
-func ListenAndServeWith(svc *Service, network, address string, workers, queueDepth int) (*ServiceServer, error) {
-	if workers <= 0 {
-		workers = 8 * runtime.GOMAXPROCS(0)
-	}
-	if queueDepth <= 0 {
-		queueDepth = 4 * workers
-	}
-	conn, err := net.ListenPacket(network, address)
-	if err != nil {
-		return nil, fmt.Errorf("core: listen %s %s: %w", network, address, err)
-	}
-	s := &ServiceServer{
-		Service: svc,
-		conn:    conn,
-		queue:   make(chan dgramReq, queueDepth),
-		closed:  make(chan struct{}),
-	}
-	s.wg.Add(1)
-	go s.loop()
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s, nil
-}
-
-// Addr returns the bound address (useful with port 0).
-func (s *ServiceServer) Addr() net.Addr { return s.conn.LocalAddr() }
-
-// Dropped returns how many datagrams were shed because the worker queue was
-// full.
-func (s *ServiceServer) Dropped() uint64 { return s.drops.Load() }
-
-// loop is the single reader: it owns the receive buffer and the queue's
-// send side (it closes the queue on exit, releasing the workers).
-func (s *ServiceServer) loop() {
-	defer s.wg.Done()
-	defer close(s.queue)
-	buf := make([]byte, RequestSize(MaxStateDim))
-	for {
-		n, from, err := s.conn.ReadFrom(buf)
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			continue // transient read errors: drop the datagram, keep serving
-		}
-		reqID, state, err := DecodeRequest(buf[:n])
-		if err != nil {
-			continue // malformed datagram: drop (datagram semantics)
-		}
-		select {
-		case s.queue <- dgramReq{reqID: reqID, state: state, from: from}:
-		default:
-			s.drops.Add(1) // pool saturated: shed, don't spawn
-		}
-	}
-}
-
-func (s *ServiceServer) worker() {
-	defer s.wg.Done()
-	for r := range s.queue {
-		action := s.Service.Infer(r.state)
-		// Best-effort reply: a lost datagram means the sender times out
-		// and reuses its previous action, like any datagram protocol.
-		_, _ = s.conn.WriteTo(EncodeResponse(r.reqID, action), r.from)
-	}
-}
-
-// Close stops the server and flushes the underlying service. Queued
-// requests still in the pool are answered best-effort (their replies fail
-// once the socket is gone, which is indistinguishable from datagram loss).
-func (s *ServiceServer) Close() error {
-	close(s.closed)
-	err := s.conn.Close()
-	s.wg.Wait()
-	s.Service.Close()
-	return err
-}
-
 // DefaultInferTimeout bounds ServiceClient.Infer when the caller does not
 // choose a timeout: datagrams are lossy, and an unanswered request must
 // surface as an error, not a goroutine parked forever.
@@ -240,7 +126,8 @@ type inferResult struct {
 	err    error
 }
 
-// ServiceClient issues inference requests to a remote ServiceServer.
+// ServiceClient issues inference requests to a datagram inference server
+// (internal/serve's Server on a udp or unixgram endpoint).
 type ServiceClient struct {
 	conn      net.Conn
 	localPath string // unixgram client socket file, removed on Close

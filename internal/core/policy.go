@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -71,10 +72,9 @@ func SavePolicy(path string, net *nn.MLP) error {
 }
 
 // validatePolicyShape checks a loaded actor's I/O widths against cfg. It is
-// the single source of truth for dimension validation — LoadPolicy and the
-// quantized loaders all reject a mismatched artifact with the identical
-// error, so operators see one message regardless of which format was
-// mis-deployed.
+// the single source of truth for dimension validation — LoadPolicy rejects a
+// mismatched artifact with the identical error in every format, so
+// operators see one message regardless of which format was mis-deployed.
 func validatePolicyShape(path string, inDim, outDim int, cfg Config) error {
 	if want := cfg.StateDim(); inDim != want {
 		return fmt.Errorf("core: policy %s expects %d-wide states, config produces %d (HistoryLen %d × %d features)",
@@ -99,16 +99,55 @@ func parsePolicyWeights(data []byte, path string, cfg Config) (*MLPPolicy, error
 	return &MLPPolicy{Net: &net}, nil
 }
 
-// LoadPolicy reads JSON weights saved by SavePolicy and validates the
-// network against cfg: an actor whose input width does not match
-// cfg.StateDim(), or that does not emit exactly one action, is rejected
-// with a clear error instead of panicking at its first Forward.
-func LoadPolicy(path string, cfg Config) (*MLPPolicy, error) {
+// LoadPolicy reads a policy artifact from path, sniffing its format, and
+// returns it in the form it was saved in:
+//
+//   - JSON weights (SavePolicy): an *MLPPolicy and nil metadata;
+//   - a sealed generation artifact (SaveSealedPolicy): an *MLPPolicy and
+//     its PolicyMeta;
+//   - a quantized blob (SaveQuantizedPolicy): a *QuantizedPolicy and nil
+//     metadata.
+//
+// Both binary formats are ckpt containers, so corruption anywhere in them is
+// rejected by the CRC before a field is parsed. Every format is validated
+// against cfg by validatePolicyShape: an actor whose input width does not
+// match cfg.StateDim(), or that does not emit exactly one action, is
+// rejected with the same error whichever format carried it. Callers that
+// serve compile an *MLPPolicy with QuantizeMLPPolicy; callers that need the
+// float network reject a *QuantizedPolicy.
+func LoadPolicy(path string, cfg Config) (Policy, *PolicyMeta, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return parsePolicyWeights(data, path, cfg)
+	if !bytes.HasPrefix(data, []byte(ckpt.Magic)) {
+		mp, err := parsePolicyWeights(data, path, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return mp, nil, nil
+	}
+	// A ckpt container holds either a sealed float artifact or a quantized
+	// blob; the payload's leading tag discriminates.
+	payload, err := ckpt.Open(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: policy artifact %s: %w", path, err)
+	}
+	if tag := ckpt.NewDecoder(payload).Int64(); tag == sealedPolicyTag {
+		mp, meta, err := decodeSealedPolicy(payload, path, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return mp, meta, nil
+	}
+	qm, err := nn.OpenQuantizedBlob(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: parse quantized policy %s: %w", path, err)
+	}
+	if err := validatePolicyShape(path, qm.InDim(), qm.OutDim(), cfg); err != nil {
+		return nil, nil, err
+	}
+	return &QuantizedPolicy{Q: qm}, nil, nil
 }
 
 // ReferencePolicy is the distilled rendering of the converged Astraea

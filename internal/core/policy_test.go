@@ -120,7 +120,7 @@ func TestSaveLoadPolicy(t *testing.T) {
 	if err := SavePolicy(path, net); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPolicy(path, cfg)
+	loaded, _, err := LoadPolicy(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSaveLoadPolicy(t *testing.T) {
 
 func TestLoadPolicyErrors(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := LoadPolicy("/nonexistent/actor.json", cfg); err == nil {
+	if _, _, err := LoadPolicy("/nonexistent/actor.json", cfg); err == nil {
 		t.Fatal("expected error for missing file")
 	}
 	dir := t.TempDir()
@@ -141,7 +141,7 @@ func TestLoadPolicyErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPolicy(bad, cfg); err == nil {
+	if _, _, err := LoadPolicy(bad, cfg); err == nil {
 		t.Fatal("expected error for corrupt file")
 	}
 }
@@ -158,14 +158,14 @@ func TestLoadPolicyDimensionMismatch(t *testing.T) {
 	if err := SavePolicy(path, narrow); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPolicy(path, cfg); err == nil {
+	if _, _, err := LoadPolicy(path, cfg); err == nil {
 		t.Fatal("expected error for state-dim mismatch")
 	}
 	wide := nn.NewMLP(rng, nn.ReLU, nn.Tanh, cfg.StateDim(), 8, 2)
 	if err := SavePolicy(path, wide); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPolicy(path, cfg); err == nil {
+	if _, _, err := LoadPolicy(path, cfg); err == nil {
 		t.Fatal("expected error for action-dim mismatch")
 	}
 }
@@ -186,7 +186,7 @@ func TestSavePolicyAtomicOverwrite(t *testing.T) {
 	if err := SavePolicy(path, second); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPolicy(path, cfg)
+	loaded, _, err := LoadPolicy(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

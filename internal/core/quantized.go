@@ -2,18 +2,17 @@
 // and the serving stack. A trained actor (JSON float weights) is compiled
 // with QuantizeMLPPolicy against a calibration sweep of plausible stacked
 // states, persisted as a CRC-sealed binary blob (SaveQuantizedPolicy /
-// cmd/astraea-quantize), and loaded back by LoadQuantizedPolicy or — format
-// sniffed — by LoadServingPolicy, which is what the serve daemons use. The
-// float path stays available behind LoadServingPolicy's quantize=false as
-// the equivalence oracle (internal/check pins the two within tolerance on
-// the 220-seed sweep).
+// cmd/astraea-quantize), and loaded back by the format-sniffing LoadPolicy.
+// The serving layer (internal/serve's Reloader) compiles float artifacts on
+// load unless asked for the float network, which stays available as the
+// equivalence oracle (internal/check pins the two within tolerance on the
+// 220-seed sweep).
 
 package core
 
 import (
 	"fmt"
 	"math/rand"
-	"os"
 
 	"repro/internal/ckpt"
 	"repro/internal/nn"
@@ -104,80 +103,4 @@ func QuantizeMLPPolicy(p *MLPPolicy, cfg Config) (*QuantizedPolicy, error) {
 // emits and astraea-serve hot-reloads.
 func SaveQuantizedPolicy(path string, p *QuantizedPolicy) error {
 	return ckpt.WriteAtomic(path, p.Q.QuantizedBlob(), 0o644)
-}
-
-// LoadQuantizedPolicyBytes decodes a quantized-policy blob (as written by
-// SaveQuantizedPolicy) and validates its shape against cfg with the same
-// rules and error text as LoadPolicy; name appears in errors.
-func LoadQuantizedPolicyBytes(blob []byte, name string, cfg Config) (*QuantizedPolicy, error) {
-	qm, err := nn.OpenQuantizedBlob(blob)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse quantized policy %s: %w", name, err)
-	}
-	if err := validatePolicyShape(name, qm.InDim(), qm.OutDim(), cfg); err != nil {
-		return nil, err
-	}
-	return &QuantizedPolicy{Q: qm}, nil
-}
-
-// LoadQuantizedPolicy reads a quantized-policy blob from path.
-func LoadQuantizedPolicy(path string, cfg Config) (*QuantizedPolicy, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return LoadQuantizedPolicyBytes(blob, path, cfg)
-}
-
-// LoadServingPolicy loads a policy artifact for serving, sniffing the
-// format: a ckpt-sealed blob loads as the compiled quantized policy it
-// contains; JSON float weights load as an MLPPolicy and — when quantize is
-// true, the serving default — are compiled on the spot, so operators can
-// point the server at trainer output and still serve fixed-point.
-// quantize=false keeps the float network as loaded (the equivalence
-// oracle).
-func LoadServingPolicy(path string, cfg Config, quantize bool) (Policy, error) {
-	p, _, err := LoadServingPolicyMeta(path, cfg, quantize)
-	return p, err
-}
-
-// LoadServingPolicyMeta is LoadServingPolicy extended with generation
-// metadata: a sealed policy artifact (SaveSealedPolicy, the pilot's
-// promotion format) returns its embedded PolicyMeta alongside the policy —
-// compiled to the quantized serving form when quantize is true, the
-// quantize-on-promote path. Plain JSON weights and quantized blobs carry no
-// metadata and return nil.
-func LoadServingPolicyMeta(path string, cfg Config, quantize bool) (Policy, *PolicyMeta, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var mp *MLPPolicy
-	var meta *PolicyMeta
-	if len(data) >= len(ckpt.Magic) && string(data[:len(ckpt.Magic)]) == ckpt.Magic {
-		// A ckpt container holds either a quantized blob or a sealed float
-		// artifact; the payload's leading tag discriminates.
-		payload, err := ckpt.Open(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: policy artifact %s: %w", path, err)
-		}
-		if tag := ckpt.NewDecoder(payload).Int64(); tag == sealedPolicyTag {
-			if mp, meta, err = decodeSealedPolicy(payload, path, cfg); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			qp, err := LoadQuantizedPolicyBytes(data, path, cfg)
-			return qp, nil, err
-		}
-	} else if mp, err = parsePolicyWeights(data, path, cfg); err != nil {
-		return nil, nil, err
-	}
-	if !quantize {
-		return mp, meta, nil
-	}
-	qp, err := QuantizeMLPPolicy(mp, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return qp, meta, nil
 }

@@ -76,9 +76,12 @@ func TestQuantizedPolicySaveLoadBitwise(t *testing.T) {
 	if err := SaveQuantizedPolicy(path, qp); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadQuantizedPolicy(path, cfg)
+	back, _, err := LoadPolicy(path, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := back.(*QuantizedPolicy); !ok {
+		t.Fatalf("blob loaded as %T, want *QuantizedPolicy", back)
 	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
@@ -138,11 +141,12 @@ func TestQuantizedPolicyCloneConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLoaderValidationParity is the bugfix regression: LoadPolicy and the
-// quantized loader must reject a dimension-mismatched artifact with the
-// IDENTICAL error text (modulo the artifact path), because they share
+// TestLoaderValidationParity is the bugfix regression: LoadPolicy must
+// reject a dimension-mismatched artifact with the IDENTICAL error text
+// (modulo the artifact path) whether it arrives as JSON weights, a sealed
+// artifact or a quantized blob, because every format goes through
 // validatePolicyShape. A drift here means an operator debugging a
-// mis-deployed policy sees two different stories for one mistake.
+// mis-deployed policy sees different stories for one mistake.
 func TestLoaderValidationParity(t *testing.T) {
 	cfg := DefaultConfig()
 	for name, shape := range map[string][]int{
@@ -152,10 +156,13 @@ func TestLoaderValidationParity(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		net := nn.NewMLP(rng, nn.ReLU, nn.Tanh, shape...)
 
-		dirF, dirQ := t.TempDir(), t.TempDir()
-		pathF := filepath.Join(dirF, "actor")
-		pathQ := filepath.Join(dirQ, "actor")
+		pathF := filepath.Join(t.TempDir(), "actor")
+		pathS := filepath.Join(t.TempDir(), "actor")
+		pathQ := filepath.Join(t.TempDir(), "actor")
 		if err := SavePolicy(pathF, net); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveSealedPolicy(pathS, net, PolicyMeta{Generation: 1}); err != nil {
 			t.Fatal(err)
 		}
 		qm, err := nn.Quantize(net, nn.QuantizeOptions{})
@@ -166,23 +173,26 @@ func TestLoaderValidationParity(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		_, errF := LoadPolicy(pathF, cfg)
-		_, errQ := LoadQuantizedPolicy(pathQ, cfg)
-		if errF == nil || errQ == nil {
-			t.Fatalf("%s: float err %v, quantized err %v; want both non-nil", name, errF, errQ)
+		var msgs []string
+		for _, path := range []string{pathF, pathS, pathQ} {
+			_, _, err := LoadPolicy(path, cfg)
+			if err == nil {
+				t.Fatalf("%s: %s accepted", name, path)
+			}
+			msgs = append(msgs, strings.ReplaceAll(err.Error(), path, "PATH"))
 		}
-		msgF := strings.ReplaceAll(errF.Error(), pathF, "PATH")
-		msgQ := strings.ReplaceAll(errQ.Error(), pathQ, "PATH")
-		if msgF != msgQ {
-			t.Errorf("%s: loaders disagree on the error:\n  float:     %s\n  quantized: %s", name, msgF, msgQ)
+		if msgs[0] != msgs[1] || msgs[0] != msgs[2] {
+			t.Errorf("%s: formats disagree on the error:\n  json:      %s\n  sealed:    %s\n  quantized: %s",
+				name, msgs[0], msgs[1], msgs[2])
 		}
 	}
 }
 
-// TestLoadServingPolicySniffsFormat covers the deployment entry point: blob
-// → quantized, JSON + quantize → compiled on the spot, JSON + float flag →
-// float oracle, garbage → error.
-func TestLoadServingPolicySniffsFormat(t *testing.T) {
+// TestLoadPolicySniffsFormat covers the one loader's format sniffing: a
+// blob loads as the compiled *QuantizedPolicy it contains, JSON weights as
+// the float *MLPPolicy, both without metadata; compiling the JSON weights
+// equals the precompiled blob bitwise; garbage is an error.
+func TestLoadPolicySniffsFormat(t *testing.T) {
 	cfg := DefaultConfig()
 	fp := testActor(t, cfg, 10)
 	dir := t.TempDir()
@@ -200,37 +210,31 @@ func TestLoadServingPolicySniffsFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := LoadServingPolicy(blobPath, cfg, true)
+	p, meta, err := LoadPolicy(blobPath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.(*QuantizedPolicy); !ok {
-		t.Fatalf("blob loaded as %T, want *QuantizedPolicy", p)
+	pre, ok := p.(*QuantizedPolicy)
+	if !ok || meta != nil {
+		t.Fatalf("blob loaded as %T with meta %v, want *QuantizedPolicy and none", p, meta)
 	}
-	p, err = LoadServingPolicy(jsonPath, cfg, true)
+	p, meta, err = LoadPolicy(jsonPath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, ok := p.(*QuantizedPolicy)
-	if !ok {
-		t.Fatalf("JSON + quantize loaded as %T, want *QuantizedPolicy", p)
-	}
-	p, err = LoadServingPolicy(jsonPath, cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.(*MLPPolicy); !ok {
-		t.Fatalf("JSON + float loaded as %T, want *MLPPolicy", p)
+	mp, ok := p.(*MLPPolicy)
+	if !ok || meta != nil {
+		t.Fatalf("JSON loaded as %T with meta %v, want *MLPPolicy and none", p, meta)
 	}
 
-	// Quantize-on-load must equal the precompiled artifact bitwise
+	// Compiling on load must equal the precompiled artifact bitwise
 	// (deterministic compilation), so both deployment styles serve the
 	// same actions.
-	rng := rand.New(rand.NewSource(11))
-	pre, err := LoadQuantizedPolicy(blobPath, cfg)
+	fromJSON, err := QuantizeMLPPolicy(mp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
 		s := sampleState(cfg, rng)
 		if a, b := pre.Action(s), fromJSON.Action(s); a != b {
@@ -242,7 +246,7 @@ func TestLoadServingPolicySniffsFormat(t *testing.T) {
 	if err := os.WriteFile(badPath, []byte("not a policy"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadServingPolicy(badPath, cfg, true); err == nil {
+	if _, _, err := LoadPolicy(badPath, cfg); err == nil {
 		t.Fatal("garbage artifact accepted")
 	}
 }

@@ -39,8 +39,8 @@ import (
 // The pending queue is unbounded and submitting never blocks: the bound on
 // outstanding requests lives in the callers, all of which have one —
 // internal/serve counts the requests each shard's service has not handed
-// back and sheds past a multiple of QueueDepth, ServiceServer submits from
-// a fixed worker pool, and Infer parks its caller until the answer arrives.
+// back and sheds past a multiple of QueueDepth, and Infer parks its caller
+// until the answer arrives.
 type Service struct {
 	// MaxBatch caps the requests evaluated between two AfterBatch calls:
 	// a pull larger than MaxBatch is answered in chunks of at most MaxBatch.

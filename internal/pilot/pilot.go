@@ -228,7 +228,7 @@ func (s *Supervisor) incumbentPolicy() (core.Policy, error) {
 	if !ok {
 		return nil, fmt.Errorf("pilot: no serving generation")
 	}
-	p, _, err := core.LoadSealedPolicy(s.o.Store.Path(cur), s.o.Learner.Cfg)
+	p, _, err := core.LoadPolicy(s.o.Store.Path(cur), s.o.Learner.Cfg)
 	return p, err
 }
 

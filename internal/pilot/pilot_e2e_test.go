@@ -207,14 +207,13 @@ func TestPilotPromotionEndToEnd(t *testing.T) {
 		t.Fatal("promotion did not pin its checkpoint")
 	}
 	// The served policy is the sealed candidate, quantize-on-promote.
-	p, meta, err := core.LoadSealedPolicy(store.Path(cur), learner.Cfg)
+	_, meta, err := core.LoadPolicy(store.Path(cur), learner.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Episodes != learner.Episodes {
 		t.Fatalf("sealed episodes %d, learner %d", meta.Episodes, learner.Episodes)
 	}
-	_ = p
 }
 
 // TestPilotGateRefusal: a candidate that cannot clear the floors is never

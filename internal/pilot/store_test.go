@@ -43,7 +43,7 @@ func TestStoreLineage(t *testing.T) {
 	}
 
 	// The sealed artifact is loadable and carries the store-assigned meta.
-	_, meta, err := core.LoadSealedPolicy(s.Path(g2), core.DefaultConfig())
+	_, meta, err := core.LoadPolicy(s.Path(g2), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

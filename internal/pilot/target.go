@@ -51,6 +51,7 @@ func publish(src, dst string) error {
 
 // HostTarget promotes onto an in-process PolicyHost via a serve.Reloader.
 type HostTarget struct {
+	host        serve.PolicyHost
 	reloader    *serve.Reloader
 	reg         *telemetry.Registry
 	servingPath string
@@ -63,9 +64,9 @@ type HostTarget struct {
 // serve_* counters back; it must be the registry the host is instrumented
 // on.
 func NewHostTarget(host serve.PolicyHost, servingPath string, cfg core.Config, reg *telemetry.Registry) *HostTarget {
-	rl := serve.NewReloader(host, servingPath, cfg)
+	rl := serve.NewReloader(servingPath, cfg)
 	rl.Instrument(reg)
-	return &HostTarget{reloader: rl, reg: reg, servingPath: servingPath}
+	return &HostTarget{host: host, reloader: rl, reg: reg, servingPath: servingPath}
 }
 
 // Promote publishes the artifact and hot-swaps it in. On reload failure the
@@ -75,7 +76,7 @@ func (t *HostTarget) Promote(path string, meta core.PolicyMeta) error {
 	if err := publish(path, t.servingPath); err != nil {
 		return err
 	}
-	_, err := t.reloader.Reload()
+	_, err := t.reloader.Reload(t.host)
 	return err
 }
 

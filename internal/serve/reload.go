@@ -10,37 +10,44 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Reloader hot-swaps the served policy from a policy artifact on disk —
-// JSON weights written by core.SavePolicy, a quantized blob written by
-// core.SaveQuantizedPolicy / cmd/astraea-quantize, or a sealed generation
-// artifact written by core.SaveSealedPolicy (the pilot's promotion format).
-// Reload validates the file against the serving config before swapping (a
-// half-trained, truncated, or wrong-dimension candidate is rejected — the
-// previous policy keeps serving and policy_reload_failures_total counts the
-// refusal), then bumps the host's version counter. Because all three writers
-// are atomic (temp + fsync + rename via internal/ckpt), a watcher can never
-// observe a torn file: every snapshot it picks up is one the trainer
-// finished writing. Direct writes by anything else can still tear, which is
-// exactly what the failure counter makes loudly observable.
+// Reloader serves the policy artifact at one path: it loads the daemon's
+// boot policy (Load) and hot-swaps later snapshots of the same file into a
+// PolicyHost (Reload). The artifact is read by core.LoadPolicy, which sniffs
+// its format — JSON weights written by core.SavePolicy, a quantized blob
+// written by core.SaveQuantizedPolicy / cmd/astraea-quantize, or a sealed
+// generation artifact written by core.SaveSealedPolicy (the pilot's
+// promotion format) — and validates it against the serving config. Float
+// weights are compiled to the fixed-point serving form here and nowhere
+// else, so the boot policy and every reload take the same path and the
+// serve_policy_generation gauge reports a sealed artifact's generation from
+// the first scrape.
+//
+// A rejected reload (a half-trained, truncated, or wrong-dimension
+// candidate) leaves the previous policy serving and is counted on
+// policy_reload_failures_total; a good one bumps the host's version counter.
+// Because all three writers are atomic (temp + fsync + rename via
+// internal/ckpt), a watcher can never observe a torn file: every snapshot it
+// picks up is one the trainer finished writing. Direct writes by anything
+// else can still tear, which is exactly what the failure counter makes
+// loudly observable.
 //
 // Two triggers share the same Reload path: an explicit call (the serve
 // daemon wires SIGHUP to it) and the mtime/size poller started by Watch.
 // The host is any PolicyHost — the network Server in the daemon, a bare
 // ShardedService in tests and embedded pilots.
 type Reloader struct {
-	host PolicyHost
 	path string
 	cfg  core.Config
 
 	// Interval is the Watch polling period (default 500ms).
 	Interval time.Duration
 
-	// Quantize selects the serving form for JSON weight snapshots: when
-	// true (the default from NewReloader), each reload compiles the float
-	// actor to its fixed-point form before swapping, so hot reloads serve
-	// the same representation the daemon booted with. Precompiled blob
-	// artifacts always serve quantized regardless. The serve daemon's
-	// -float flag clears it to keep the float oracle path.
+	// Quantize selects the serving form of float artifacts (JSON weights
+	// and sealed generations): when true (the default from NewReloader),
+	// Load and Reload compile the float actor to its fixed-point form, so
+	// hot reloads serve the same representation the daemon booted with.
+	// Quantized blobs always serve quantized. The serve daemon's -float
+	// flag clears it to keep the float oracle path.
 	Quantize bool
 
 	mReloads  *telemetry.Counter
@@ -58,22 +65,23 @@ type Reloader struct {
 	done     chan struct{}
 }
 
-// NewReloader builds a reloader for host serving the policy at path,
-// validated against cfg. Reloads quantize JSON snapshots by default; clear
-// Quantize before the first Reload/Watch to serve float weights as loaded.
-func NewReloader(host PolicyHost, path string, cfg core.Config) *Reloader {
-	r := &Reloader{host: host, path: path, cfg: cfg, Interval: 500 * time.Millisecond,
+// NewReloader builds a reloader for the policy artifact at path, validated
+// against cfg. It quantizes float artifacts by default; clear Quantize
+// before the first Load/Reload/Watch to serve float weights as loaded.
+func NewReloader(path string, cfg core.Config) *Reloader {
+	r := &Reloader{path: path, cfg: cfg, Interval: 500 * time.Millisecond,
 		Quantize: true,
 		stop:     make(chan struct{}), done: make(chan struct{})}
 	if st, err := os.Stat(path); err == nil {
-		// Baseline: the daemon loaded this snapshot at boot; only a later
-		// write should trigger a reload.
+		// Baseline: the host serves this snapshot already (booted from it
+		// by Load); only a later write should trigger a reload.
 		r.lastMod, r.lastSize = st.ModTime(), st.Size()
 	}
 	return r
 }
 
-// Instrument registers reload telemetry on reg.
+// Instrument registers reload telemetry on reg. Call it before Load, so the
+// boot artifact's generation reaches the gauge.
 func (r *Reloader) Instrument(reg *telemetry.Registry) {
 	r.mReloads = reg.Counter("serve_reloads_total", "successful policy hot reloads")
 	r.mErrors = reg.Counter("serve_reload_errors_total", "rejected policy reloads (unreadable or invalid weights)")
@@ -83,20 +91,48 @@ func (r *Reloader) Instrument(reg *telemetry.Registry) {
 		"pilot generation of the served policy (sealed artifacts only; 0 before the first promotion)")
 }
 
-// Reload loads and validates the policy artifact (JSON weights, a quantized
-// blob, or a sealed generation artifact — sniffed by format) and swaps it
-// in, returning the new policy version. On error the served policy is
+// load reads the artifact in its serving form: quantized blobs as they
+// are, float artifacts compiled to fixed point when Quantize is set.
+func (r *Reloader) load() (core.Policy, *core.PolicyMeta, error) {
+	p, meta, err := core.LoadPolicy(r.path, r.cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if mp, ok := p.(*core.MLPPolicy); ok && r.Quantize {
+		if p, err = core.QuantizeMLPPolicy(mp, r.cfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	return p, meta, nil
+}
+
+// Load reads the artifact in its serving form without installing it: the
+// daemon builds its server around the returned policy, which then serves
+// as version 1.
+func (r *Reloader) Load() (core.Policy, error) {
+	p, meta, err := r.load()
+	if err != nil {
+		return nil, err
+	}
+	if meta != nil { // artifacts without metadata leave the gauge where it was
+		r.gGen.Set(float64(meta.Generation))
+	}
+	return p, nil
+}
+
+// Reload loads and validates the artifact and swaps it into host,
+// returning the new policy version. On error the served policy is
 // unchanged: the failure is counted on both serve_reload_errors_total and
 // policy_reload_failures_total and the version counter does not move, so a
 // corrupt candidate is loudly observable without any service interruption.
-func (r *Reloader) Reload() (uint32, error) {
-	p, meta, err := core.LoadServingPolicyMeta(r.path, r.cfg, r.Quantize)
+func (r *Reloader) Reload(host PolicyHost) (uint32, error) {
+	p, meta, err := r.load()
 	if err != nil {
 		r.mErrors.Inc()
 		r.mFailures.Inc()
-		return r.host.PolicyVersion(), fmt.Errorf("serve: reload %s: %w", r.path, err)
+		return host.PolicyVersion(), fmt.Errorf("serve: reload %s: %w", r.path, err)
 	}
-	v := r.host.SetPolicy(p)
+	v := host.SetPolicy(p)
 	if meta != nil {
 		r.gGen.Set(float64(meta.Generation))
 	}
@@ -104,12 +140,12 @@ func (r *Reloader) Reload() (uint32, error) {
 	return v, nil
 }
 
-// Watch starts the file poller: every Interval it stats the weights file
-// and calls Reload when the mtime or size moved. Errors are counted and
+// Watch starts the file poller: every Interval it stats the artifact and
+// reloads it into host when the mtime or size moved. Errors are counted and
 // the previous policy keeps serving; the same changed file is not retried
 // until it changes again (a broken snapshot should not hot-loop the
 // loader). Stop terminates the poller.
-func (r *Reloader) Watch() {
+func (r *Reloader) Watch(host PolicyHost) {
 	r.mu.Lock()
 	if r.watching {
 		r.mu.Unlock()
@@ -126,13 +162,13 @@ func (r *Reloader) Watch() {
 			case <-r.stop:
 				return
 			case <-ticker.C:
-				r.poll()
+				r.poll(host)
 			}
 		}
 	}()
 }
 
-func (r *Reloader) poll() {
+func (r *Reloader) poll(host PolicyHost) {
 	st, err := os.Stat(r.path)
 	if err != nil {
 		return // file temporarily absent (mid-rename): next tick sees it
@@ -144,7 +180,7 @@ func (r *Reloader) poll() {
 	}
 	r.mu.Unlock()
 	if changed {
-		_, _ = r.Reload() // errors are counted; old policy keeps serving
+		_, _ = r.Reload(host) // errors are counted; old policy keeps serving
 	}
 }
 

@@ -104,7 +104,7 @@ func TestReloadFailureObservable(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rl.Reload(); err == nil {
+		if _, err := rl.Reload(srv); err == nil {
 			t.Fatalf("corruption at offset %d accepted", off)
 		}
 		attempts++
@@ -116,7 +116,7 @@ func TestReloadFailureObservable(t *testing.T) {
 		if err := os.WriteFile(path, good[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rl.Reload(); err == nil {
+		if _, err := rl.Reload(srv); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 		attempts++
@@ -137,7 +137,7 @@ func TestReloadFailureObservable(t *testing.T) {
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v, err := rl.Reload()
+	v, err := rl.Reload(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +202,10 @@ func TestShardedServiceAsPolicyHost(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rl := NewReloader(host, path, cfg)
+	rl := NewReloader(path, cfg)
 	reg := telemetry.NewRegistry()
 	rl.Instrument(reg)
-	v, err := rl.Reload()
+	v, err := rl.Reload(host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestShardedServiceAsPolicyHost(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rl.Reload(); err == nil {
+	if _, err := rl.Reload(host); err == nil {
 		t.Fatal("truncated artifact accepted by bare-shard reloader")
 	}
 	if host.PolicyVersion() != 6 {

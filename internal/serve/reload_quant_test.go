@@ -16,7 +16,7 @@ func newQuantTestActor(cfg core.Config, seed int64) *core.MLPPolicy {
 }
 
 // TestReloadQuantizesByDefault: a Reloader fresh from NewReloader compiles
-// JSON snapshots to the fixed-point form — and because compilation is
+// JSON weights to the fixed-point form, at boot and on reload — and because compilation is
 // deterministic, the served actions are bitwise those of a locally
 // quantized copy of the same weights.
 func TestReloadQuantizesByDefault(t *testing.T) {
@@ -28,28 +28,30 @@ func TestReloadQuantizesByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boot, err := core.LoadServingPolicy(path, cfg, true)
+	rl := NewReloader(path, cfg)
+	if !rl.Quantize {
+		t.Fatal("NewReloader should default Quantize to true")
+	}
+	boot, err := rl.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := core.NewService(cfg, boot)
-	srv := NewServer(svc, cfg, Options{Deadline: time.Second})
+	if _, ok := boot.(*core.QuantizedPolicy); !ok {
+		t.Fatalf("boot policy is %T, want the quantized compile", boot)
+	}
+	srv := NewServer(core.NewService(cfg, boot), cfg, Options{Deadline: time.Second})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rl := NewReloader(srv, path, cfg)
-	if !rl.Quantize {
-		t.Fatal("NewReloader should default Quantize to true")
-	}
 
 	// New snapshot: the reload must land its quantized compilation.
 	next := newQuantTestActor(cfg, 22)
 	if err := core.SavePolicy(path, next.Net); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := rl.Reload(); err != nil || v != 2 {
+	if v, err := rl.Reload(srv); err != nil || v != 2 {
 		t.Fatalf("reload: version %d, err %v", v, err)
 	}
 
@@ -87,20 +89,19 @@ func TestHotReloadQuantizedBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boot, err := core.LoadServingPolicy(path, cfg, true)
+	rl := NewReloader(path, cfg)
+	boot, err := rl.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := core.NewService(cfg, boot)
-	srv := NewServer(svc, cfg, Options{Deadline: time.Second})
+	srv := NewServer(core.NewService(cfg, boot), cfg, Options{Deadline: time.Second})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rl := NewReloader(srv, path, cfg)
 	rl.Interval = 10 * time.Millisecond
-	rl.Watch()
+	rl.Watch(srv)
 	defer rl.Stop()
 
 	next := newQuantTestActor(cfg, 32)

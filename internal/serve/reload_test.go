@@ -35,26 +35,26 @@ func writePolicyFile(t *testing.T, path string, bias float64, hidden int) float6
 	return math.Tanh(bias)
 }
 
-// newReloadableServer boots a server from the weights at path.
+// newReloadableServer boots a server from the artifact at path the way the
+// serve daemon does: through the Reloader that later reloads it.
 func newReloadableServer(t *testing.T, path string, reg *telemetry.Registry) (*Server, *Reloader, string) {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	policy, err := core.LoadPolicy(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := core.NewService(cfg, policy)
-	srv := NewServer(svc, cfg, Options{Deadline: time.Second})
-	if reg != nil {
-		srv.Instrument(reg)
-	}
-	rl := NewReloader(srv, path, cfg)
+	rl := NewReloader(path, cfg)
 	// These tests pin float-path reload semantics bitwise (actions must equal
 	// math.Tanh of the bias exactly); reload_quant_test.go covers the
 	// quantized default.
 	rl.Quantize = false
 	if reg != nil {
 		rl.Instrument(reg)
+	}
+	policy, err := rl.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(core.NewService(cfg, policy), cfg, Options{Deadline: time.Second})
+	if reg != nil {
+		srv.Instrument(reg)
 	}
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -122,7 +122,7 @@ func TestHotReloadMidRun(t *testing.T) {
 		t.Fatal("load never ramped")
 	}
 	writePolicyFile(t, path, -1.0, 4)
-	v, err := rl.Reload()
+	v, err := rl.Reload(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestReloadWatcher(t *testing.T) {
 	srv, rl, _ := newReloadableServer(t, path, nil)
 
 	rl.Interval = 10 * time.Millisecond
-	rl.Watch()
+	rl.Watch(srv)
 	// A different hidden width changes the file size, so the poll triggers
 	// even on filesystems with coarse mtime granularity.
 	writePolicyFile(t, path, -0.5, 6)
@@ -204,7 +204,7 @@ func TestReloadRejectsBadFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rl.Reload(); err == nil {
+	if _, err := rl.Reload(srv); err == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
 	if srv.PolicyVersion() != 1 {
@@ -232,7 +232,43 @@ func TestReloadRejectsBadFile(t *testing.T) {
 	if err := core.SavePolicy(path, net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rl.Reload(); err == nil {
+	if _, err := rl.Reload(srv); err == nil {
 		t.Fatal("wrong-dimension snapshot accepted")
+	}
+}
+
+// TestBootReportsGeneration is the regression test for the boot-generation
+// bug: a server booted from a sealed artifact of generation 5 must report
+// serve_policy_generation 5 from the first scrape, with the policy version
+// still at 1. The pilot confirms promotions by reading that gauge, so a
+// restarted daemon that reported 0 until its next reload would disown the
+// generation it serves.
+func TestBootReportsGeneration(t *testing.T) {
+	path := t.TempDir() + "/gen5.policy"
+	data, want := sealedArtifactBytes(t, 0.6, core.PolicyMeta{Generation: 5, Parent: 4})
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	_, _, addr := newReloadableServer(t, path, reg)
+
+	snap := reg.Snapshot()
+	if m, _ := snap.Get("serve_policy_generation"); m.Value != 5 {
+		t.Fatalf("serve_policy_generation = %v at boot, want 5", m.Value)
+	}
+	if m, _ := snap.Get("serve_policy_version"); m.Value != 1 {
+		t.Fatalf("serve_policy_version = %v at boot, want 1", m.Value)
+	}
+	client, err := Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	res, err := client.Infer(make([]float64, core.DefaultConfig().StateDim()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Action != want || res.Version != 1 {
+		t.Fatalf("boot res = %+v, want action %v version 1", res, want)
 	}
 }

@@ -297,8 +297,8 @@ func (s *Server) PolicyVersion() uint32 { return s.sharded.PolicyVersion() }
 
 // Listen opens one serving endpoint and starts its I/O loop. Stream
 // networks (tcp, tcp4, tcp6, unix) use length-prefixed framing; datagram
-// networks (udp, udp4, udp6, unixgram) reuse the bare core codec, so
-// existing core.ServiceClient senders keep working against this server.
+// networks (udp, udp4, udp6, unixgram) speak the bare core codec: this is
+// the datagram server core.ServiceClient senders talk to.
 // Returns the bound address (useful with port/path 0).
 func (s *Server) Listen(network, address string) (net.Addr, error) {
 	s.mu.Lock()

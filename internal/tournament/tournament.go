@@ -33,7 +33,8 @@ import (
 type ActorSpec struct {
 	// Name labels the entry in cells and rankings (e.g. "maxmin").
 	Name string
-	// Path is a weight file readable by core.LoadPolicy.
+	// Path is a float weight file readable by core.LoadPolicy: JSON
+	// weights or a sealed generation artifact.
 	Path string
 }
 
@@ -181,11 +182,15 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("actor %q collides with another entry", a.Name)
 		}
 		seen[a.Name] = true
-		p, err := core.LoadPolicy(a.Path, core.DefaultConfig())
+		p, _, err := core.LoadPolicy(a.Path, core.DefaultConfig())
 		if err != nil {
 			return fmt.Errorf("actor %q: %w", a.Name, err)
 		}
-		c.actorPolicies[i] = p
+		mp, ok := p.(*core.MLPPolicy)
+		if !ok {
+			return fmt.Errorf("actor %q: %s is a quantized policy blob; actors take float weights (JSON or a sealed artifact)", a.Name, a.Path)
+		}
+		c.actorPolicies[i] = mp
 	}
 	if len(c.Families) == 0 {
 		c.Families = FamilyNames()

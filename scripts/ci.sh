@@ -188,6 +188,25 @@ grep -q "drained after" "$SMOKE/pserve.log" || { echo "ci: no drain line after p
 if grep -q "RACE" "$SMOKE/pserve.log" "$SMOKE/pilot.log" "$SMOKE/pilot2.log"; then
     echo "ci: race detected in pilot smoke"; exit 1
 fi
+# Restart on the promoted artifact: a daemon booted from the sealed
+# generation-2 serving.policy must report that generation from the first
+# scrape, before any reload, still at policy version 1.
+"$SMOKE/astraea-serve" -listen tcp:127.0.0.1:0 -policy "$SMOKE/serving.policy" -shards 2 \
+    -telemetry 127.0.0.1:0 -addr-file "$SMOKE/raddr" >"$SMOKE/rserve.log" 2>&1 &
+RSERVE_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$SMOKE/raddr" ] && grep -q "telemetry and pprof" "$SMOKE/rserve.log" && break; sleep 0.1
+done
+[ -s "$SMOKE/raddr" ] || { echo "ci: restarted astraea-serve never bound"; cat "$SMOKE/rserve.log"; exit 1; }
+RMETRICS=$(sed -n 's#.*telemetry and pprof on \(http://[^/]*\)/.*#\1/metrics#p' "$SMOKE/rserve.log" | head -1)
+[ -n "$RMETRICS" ] || { echo "ci: no telemetry endpoint in restarted serve log"; cat "$SMOKE/rserve.log"; exit 1; }
+curl -s "$RMETRICS" | grep -q '^serve_policy_generation 2$' \
+    || { echo "ci: restarted daemon does not report generation 2"; curl -s "$RMETRICS" | grep serve_policy_; exit 1; }
+curl -s "$RMETRICS" | grep -q '^serve_policy_version 1$' \
+    || { echo "ci: restarted daemon is not at policy version 1"; curl -s "$RMETRICS" | grep serve_policy_; exit 1; }
+kill -INT "$RSERVE_PID"
+wait "$RSERVE_PID" || { echo "ci: restarted astraea-serve drain was not clean"; cat "$SMOKE/rserve.log"; exit 1; }
+if grep -q "RACE" "$SMOKE/rserve.log"; then echo "ci: race detected in restarted serve"; cat "$SMOKE/rserve.log"; exit 1; fi
 
 # Coverage summary: per-package statement coverage plus the total, so a PR
 # that guts a test file shows up as a number, not a feeling.
@@ -267,10 +286,12 @@ GOAMD64=v3 go test -count=1 -run 'TestBatch|TestMulNN|TestProductsAreFused|TestT
 # goroutine, Update's helper and the rollout workers run all at once here.
 go test -race -cpu 1,2 -run 'TestParallelLearner|TestResumeDeterminismBitwise|TestOneWorkerMatchesSerialGolden' ./internal/env
 # The batching core and the admission accounting around it, named: the
-# deterministic pull-semantics tests (gate policy, no sleeps) and the
-# slot-leak / queue-bound / fallback-lateness regressions all turn on
-# cross-goroutine hand-offs the detector should watch.
-go test -race -run 'TestService|TestAdmission' ./internal/core ./internal/serve
+# deterministic pull-semantics tests (gate policy, no sleeps), the datagram
+# server tests (TestServiceOver*, TestServer*: core.ServiceClient against
+# serve.Server's udp and unixgram endpoints) and the slot-leak / queue-bound
+# / fallback-lateness regressions all turn on cross-goroutine hand-offs the
+# detector should watch.
+go test -race -run 'TestService|TestServer|TestAdmission' ./internal/core ./internal/serve
 # Property-based invariant sweep under the race detector: 200+ seeded
 # random scenarios with the internal/check invariant checker attached.
 # Reproduce a failing seed with:

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cc"
@@ -22,25 +24,43 @@ import (
 )
 
 func main() {
-	scheme := flag.String("scheme", "astraea", "congestion control scheme")
-	list := flag.Bool("list", false, "list registered schemes and exit")
-	bw := flag.Float64("bw", 100, "bottleneck bandwidth in Mbps")
-	rtt := flag.Float64("rtt", 30, "base RTT in ms")
-	bufBDP := flag.Float64("buf", 1, "buffer size in BDP multiples")
-	loss := flag.Float64("loss", 0, "random loss probability")
-	flows := flag.Int("flows", 1, "number of flows")
-	interval := flag.Float64("interval", 0, "flow start stagger in seconds")
-	dur := flag.Float64("dur", 30, "run duration in seconds")
-	seed := flag.Int64("seed", 1, "random seed")
-	series := flag.Bool("series", false, "print per-flow throughput timeseries")
-	traceOut := flag.String("trace", "", "write a per-flow control-event CSV (cwnd changes, losses) to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with args and returns its exit status: 0 on
+// success, 1 when the run fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("astraea", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scheme := fs.String("scheme", "astraea", "congestion control scheme")
+	list := fs.Bool("list", false, "list registered schemes and exit")
+	bw := fs.Float64("bw", 100, "bottleneck bandwidth in Mbps")
+	rtt := fs.Float64("rtt", 30, "base RTT in ms")
+	bufBDP := fs.Float64("buf", 1, "buffer size in BDP multiples")
+	loss := fs.Float64("loss", 0, "random loss probability")
+	flows := fs.Int("flows", 1, "number of flows")
+	interval := fs.Float64("interval", 0, "flow start stagger in seconds")
+	dur := fs.Float64("dur", 30, "run duration in seconds")
+	seed := fs.Int64("seed", 1, "random seed")
+	series := fs.Bool("series", false, "print per-flow throughput timeseries")
+	traceOut := fs.String("trace", "", "write a per-flow control-event CSV (cwnd changes, losses) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, n := range cc.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
+	}
+	if *flows < 1 {
+		fmt.Fprintf(stderr, "astraea: -flows must be at least 1, got %d\n", *flows)
+		fs.Usage()
+		return 2
 	}
 
 	sc := runner.Scenario{
@@ -64,14 +84,14 @@ func main() {
 	}
 	res, err := runner.Run(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "astraea:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "astraea:", err)
+		return 1
 	}
 
-	fmt.Printf("scheme=%s bw=%.0fMbps rtt=%.0fms buf=%.1fBDP dur=%.0fs utilization=%.3f\n",
+	fmt.Fprintf(stdout, "scheme=%s bw=%.0fMbps rtt=%.0fms buf=%.1fBDP dur=%.0fs utilization=%.3f\n",
 		*scheme, *bw, *rtt, *bufBDP, *dur, res.Utilization)
 	for i, fr := range res.Flows {
-		fmt.Printf("flow %d: avg=%.1f Mbps rtt(avg/min)=%.1f/%.1f ms loss=%.4f\n",
+		fmt.Fprintf(stdout, "flow %d: avg=%.1f Mbps rtt(avg/min)=%.1f/%.1f ms loss=%.4f\n",
 			i, fr.AvgTputBps/1e6, fr.AvgRTT*1000, fr.MinRTT*1000, fr.LossRate)
 	}
 	if *flows > 1 {
@@ -79,29 +99,46 @@ func main() {
 		for _, fr := range res.Flows {
 			avgs = append(avgs, fr.AvgTputBps)
 		}
-		fmt.Printf("jain index: %.4f\n", metrics.Jain(avgs))
+		fmt.Fprintf(stdout, "jain index: %.4f\n", metrics.Jain(avgs))
 	}
 	if *series {
-		fmt.Println("time_s flow_mbps...")
+		fmt.Fprintln(stdout, "time_s flow_mbps...")
 		for i := 0; i < len(res.Flows[0].Tput.Values); i += 10 {
-			fmt.Printf("%6.1f", float64(i)*res.Flows[0].Tput.Interval)
+			fmt.Fprintf(stdout, "%6.1f", float64(i)*res.Flows[0].Tput.Interval)
 			for _, fr := range res.Flows {
-				fmt.Printf(" %7.2f", fr.Tput.Values[i]/1e6)
+				fmt.Fprintf(stdout, " %7.2f", fr.Tput.Values[i]/1e6)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 	if tracer != nil {
-		out, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "astraea:", err)
-			os.Exit(1)
+		if err := writeTrace(tracer, *traceOut, stdout, stderr); err != nil {
+			fmt.Fprintln(stderr, "astraea:", err)
+			return 1
 		}
-		defer out.Close()
-		if err := tracer.WriteCSV(out); err != nil {
-			fmt.Fprintln(os.Stderr, "astraea:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d trace events to %s\n", tracer.Len(), *traceOut)
 	}
+	return 0
+}
+
+// writeTrace writes tracer's events to path as CSV. A tracer that hit its
+// cap dropped every later event, so the count goes to stderr: the file
+// holds only the start of the run.
+func writeTrace(tracer *flowtrace.Tracer, path string, stdout, stderr io.Writer) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tracer.WriteCSV(out); err != nil {
+		out.Close()
+		return err
+	}
+	if err := out.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %d trace events to %s\n", tracer.Len(), path)
+	if tracer.Dropped > 0 {
+		fmt.Fprintf(stderr, "astraea: trace truncated: %d events dropped past the %d-event cap\n",
+			tracer.Dropped, tracer.Cap)
+	}
+	return nil
 }

@@ -29,12 +29,11 @@ func main() {
 			f := transport.NewFlow(s, transport.FlowConfig{
 				ID: id, Path: path, CC: cc.MustNew("astraea"),
 			})
-			idx := id
-			f.OnAckHook = func(e transport.AckEvent) {
+			f.Observe(transport.FlowObserver{Ack: func(e transport.AckEvent) {
 				if e.Now > dur/2 {
-					bytes[idx] += int64(e.Bytes)
+					bytes[id] += int64(e.Bytes)
 				}
-			}
+			}})
 			f.Start()
 		}
 		for i := 0; i < n1; i++ {

@@ -54,7 +54,7 @@ const maxRecorded = 32
 //
 // Per-flow checks are incremental: a flow's conservation identity and cwnd
 // floor can only change at its send/ack/loss/cwnd mutation points, all of
-// which fire a transport hook, so the checker marks the flow dirty there
+// which call the flow's observers, so the checker marks the flow dirty there
 // and re-checks only dirty flows after each event. The cost per event is
 // O(flows touched by the event) — almost always 0 or 1 — instead of the
 // full-population scan that made event dispatch O(flows) and a whole run
@@ -69,7 +69,7 @@ type Checker struct {
 	dirty []*checkedFlow
 
 	// Exhaustive re-checks every flow after every event (the original
-	// O(flows) behavior) instead of only flows marked dirty by their hooks.
+	// O(flows) behavior) instead of only flows marked dirty by their observers.
 	// The verdict is identical either way — see TestIncrementalCheckerDifferential.
 	Exhaustive bool
 
@@ -89,9 +89,9 @@ type checkedFlow struct {
 // NewChecker returns an empty checker; wire it to a scenario with Attach.
 func NewChecker() *Checker { return &Checker{} }
 
-// Attach hooks the checker into sc, chaining any Probe, OnFlowCreated and
-// per-flow ack hooks the scenario already carries. It must be called before
-// the scenario runs.
+// Attach hooks the checker into sc, chaining any Probe and OnFlowCreated
+// the scenario already carries, and registers an observer on every flow. It
+// must be called before the scenario runs.
 func (c *Checker) Attach(sc *runner.Scenario) {
 	prevProbe := sc.Probe
 	prevFlow := sc.OnFlowCreated
@@ -121,35 +121,15 @@ func (c *Checker) Attach(sc *runner.Scenario) {
 			cf.baseRTT += flowSpecs[i].ExtraDelay
 		}
 		c.flows = append(c.flows, cf)
-		prevAck := f.OnAckHook
-		f.OnAckHook = func(e transport.AckEvent) {
-			c.checkAck(cf, e)
-			c.markDirty(cf)
-			if prevAck != nil {
-				prevAck(e)
-			}
-		}
-		prevSend := f.OnSendHook
-		f.OnSendHook = func(now float64, bytes int) {
-			c.markDirty(cf)
-			if prevSend != nil {
-				prevSend(now, bytes)
-			}
-		}
-		prevLoss := f.OnLossHook
-		f.OnLossHook = func(e transport.LossEvent) {
-			c.markDirty(cf)
-			if prevLoss != nil {
-				prevLoss(e)
-			}
-		}
-		prevCwnd := f.OnCwndHook
-		f.OnCwndHook = func(now, cwnd float64) {
-			c.markDirty(cf)
-			if prevCwnd != nil {
-				prevCwnd(now, cwnd)
-			}
-		}
+		f.Observe(transport.FlowObserver{
+			Send: func(float64, int) { c.markDirty(cf) },
+			Ack: func(e transport.AckEvent) {
+				c.checkAck(cf, e)
+				c.markDirty(cf)
+			},
+			Cwnd: func(float64, float64) { c.markDirty(cf) },
+			Loss: func(transport.LossEvent) { c.markDirty(cf) },
+		})
 	}
 }
 

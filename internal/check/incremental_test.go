@@ -112,13 +112,9 @@ func TestIncrementalCheckerCatchesHookedCorruption(t *testing.T) {
 				if i != 0 {
 					return
 				}
-				prevAck := f.OnAckHook
-				f.OnAckHook = func(e transport.AckEvent) {
+				f.Observe(transport.FlowObserver{Ack: func(transport.AckEvent) {
 					f.DeliveredBytes += 7 // break conservation right before the check
-					if prevAck != nil {
-						prevAck(e)
-					}
-				}
+				}})
 			}
 		})
 		if err != nil {

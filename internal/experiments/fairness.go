@@ -415,41 +415,40 @@ func runMultiBottleneck(o Opts, seed int64, n1, n2 int) (fs1, fs2 float64) {
 	mb := netem.NewMultiBottleneck(s, 100e6, 20e6, 0.030,
 		netem.BDPBytes(100e6, 0.030)*2, netem.BDPBytes(20e6, 0.030)*2)
 
-	type rec struct {
-		bytes int64
-		flow  *transport.Flow
-	}
-	mkFlow := func(id int, path *netem.Path) *rec {
-		agent, err := newSchemeInstance("astraea")
-		if err != nil {
-			panic(err)
-		}
-		f := transport.NewFlow(s, transport.FlowConfig{ID: id, Path: path, CC: agent})
-		r := &rec{flow: f}
-		half := dur / 2
-		f.OnAckHook = func(e transport.AckEvent) {
-			if e.Now >= half {
-				r.bytes += int64(e.Bytes)
-			}
-		}
-		f.Start()
-		return r
-	}
-	var set1, set2 []*rec
+	half := dur / 2
+	var set1, set2 []*int64
 	for i := 0; i < n1; i++ {
-		set1 = append(set1, mkFlow(i, mb.PathSet1()))
+		set1 = append(set1, launchCounted(s, i, mb.PathSet1(), half))
 	}
 	for i := 0; i < n2; i++ {
-		set2 = append(set2, mkFlow(n1+i, mb.PathSet2()))
+		set2 = append(set2, launchCounted(s, n1+i, mb.PathSet2(), half))
 	}
 	s.Run(dur)
-	window := dur / 2
 	var sum1, sum2 float64
-	for _, r := range set1 {
-		sum1 += float64(r.bytes) * 8 / window
+	for _, b := range set1 {
+		sum1 += float64(*b) * 8 / half
 	}
-	for _, r := range set2 {
-		sum2 += float64(r.bytes) * 8 / window
+	for _, b := range set2 {
+		sum2 += float64(*b) * 8 / half
 	}
 	return sum1 / float64(n1), sum2 / float64(n2)
+}
+
+// launchCounted starts an astraea flow on path and returns the number of
+// bytes acknowledged to it from time from on, the goodput the multi-hop
+// experiments score their second halves by.
+func launchCounted(s *sim.Simulator, id int, path *netem.Path, from float64) *int64 {
+	agent, err := newSchemeInstance("astraea")
+	if err != nil {
+		panic(err)
+	}
+	f := transport.NewFlow(s, transport.FlowConfig{ID: id, Path: path, CC: agent})
+	var bytes int64
+	f.Observe(transport.FlowObserver{Ack: func(e transport.AckEvent) {
+		if e.Now >= from {
+			bytes += int64(e.Bytes)
+		}
+	}})
+	f.Start()
+	return &bytes
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/netem"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // ExpParkingLot extends the multi-bottleneck study (Fig. 11) to the
@@ -55,26 +54,10 @@ func runParkingLot(o Opts, seed int64, k int) (longMbps, shortAvgMbps float64) {
 	pl := netem.NewParkingLot(s, k, 50e6, 0.030, netem.BDPBytes(50e6, 0.030)*2)
 
 	half := dur / 2
-	launch := func(id int, path *netem.Path) *int64 {
-		agent, err := newSchemeInstance("astraea")
-		if err != nil {
-			panic(err)
-		}
-		f := transport.NewFlow(s, transport.FlowConfig{ID: id, Path: path, CC: agent})
-		var bytes int64
-		b := &bytes
-		f.OnAckHook = func(e transport.AckEvent) {
-			if e.Now >= half {
-				*b += int64(e.Bytes)
-			}
-		}
-		f.Start()
-		return b
-	}
-	longBytes := launch(0, pl.LongPath())
+	longBytes := launchCounted(s, 0, pl.LongPath(), half)
 	shortBytes := make([]*int64, k)
 	for i := 0; i < k; i++ {
-		shortBytes[i] = launch(1+i, pl.ShortPath(i))
+		shortBytes[i] = launchCounted(s, 1+i, pl.ShortPath(i), half)
 	}
 	s.Run(dur)
 

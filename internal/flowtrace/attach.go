@@ -4,28 +4,21 @@ import (
 	"repro/internal/transport"
 )
 
-// Attach subscribes tracer to a flow's control-plane hooks: window changes,
-// losses and MTP statistics are recorded with the flow's ID. Existing hooks
-// on the flow are chained, not replaced.
+// Attach registers an observer that records the flow's window changes and
+// loss events into tracer under the flow's ID.
 func Attach(tracer *Tracer, f *transport.Flow) {
 	id := f.ID
-	prevCwnd := f.OnCwndHook
-	f.OnCwndHook = func(now, cwnd float64) {
-		tracer.Record(Event{At: now, FlowID: id, Kind: KindCwnd, Value: cwnd})
-		if prevCwnd != nil {
-			prevCwnd(now, cwnd)
-		}
-	}
-	prevLoss := f.OnLossHook
-	f.OnLossHook = func(e transport.LossEvent) {
-		label := ""
-		if e.Timeout {
-			label = "rto"
-		}
-		tracer.Record(Event{At: e.Now, FlowID: id, Kind: KindLoss,
-			Value: float64(e.Bytes), Label: label})
-		if prevLoss != nil {
-			prevLoss(e)
-		}
-	}
+	f.Observe(transport.FlowObserver{
+		Cwnd: func(now, cwnd float64) {
+			tracer.Record(Event{At: now, FlowID: id, Kind: KindCwnd, Value: cwnd})
+		},
+		Loss: func(e transport.LossEvent) {
+			label := ""
+			if e.Timeout {
+				label = "rto"
+			}
+			tracer.Record(Event{At: e.Now, FlowID: id, Kind: KindLoss,
+				Value: float64(e.Bytes), Label: label})
+		},
+	})
 }

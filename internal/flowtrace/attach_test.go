@@ -1,6 +1,7 @@
 package flowtrace
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cc"
@@ -45,20 +46,21 @@ func TestAttachRecordsFlowEvents(t *testing.T) {
 	}
 }
 
-func TestAttachChainsExistingHooks(t *testing.T) {
+func TestAttachBesideAnotherObserver(t *testing.T) {
 	s := sim.New(1)
 	d := netem.NewDumbbell(s, netem.DumbbellConfig{RateBps: 20e6, BaseRTT: 0.030, QueueBytes: 1 << 20})
 	f := transport.NewFlow(s, transport.FlowConfig{ID: 0, Path: d.FlowPath(0), CC: cc.MustNew("cubic")})
-	prior := 0
-	f.OnCwndHook = func(now, cwnd float64) { prior++ }
+	var other []float64
+	f.Observe(transport.FlowObserver{Cwnd: func(now, cwnd float64) { other = append(other, cwnd) }})
 	tr := &Tracer{}
 	Attach(tr, f)
 	f.Start()
 	s.Run(2)
-	if prior == 0 {
-		t.Fatal("pre-existing hook was not chained")
+	if len(other) == 0 {
+		t.Fatal("the observer registered before Attach recorded nothing")
 	}
-	if tr.Len() == 0 {
-		t.Fatal("tracer recorded nothing")
+	_, traced := tr.Series(0, KindCwnd)
+	if fmt.Sprint(traced) != fmt.Sprint(other) {
+		t.Fatalf("tracer and the other observer disagree:\n traced %v\n other  %v", traced, other)
 	}
 }

@@ -1,8 +1,9 @@
-// Package flowtrace records per-flow control-plane event logs — window
-// updates, pacing changes, losses, monitor-period statistics — and writes
+// Package flowtrace records per-flow control-plane event logs and writes
 // them as CSV for offline analysis. It is the debugging instrument a CC
 // research library needs when a figure looks wrong: instead of rerunning
-// with printf, attach a Tracer and inspect the decision timeline.
+// with printf, attach a Tracer and inspect the decision timeline. Attach
+// records a flow's window changes and losses; pacing, monitor-period and
+// custom events appear only when a caller records them itself.
 package flowtrace
 
 import (

@@ -51,8 +51,9 @@ type Scenario struct {
 	CrossBps float64
 	// Jitter adds uniform random forward-path delay in [0, Jitter).
 	Jitter float64
-	// OnFlowCreated, when set, observes each flow as it is wired up
-	// (before Start), letting callers attach tracers or extra hooks.
+	// OnFlowCreated, when set, sees each flow as it is wired up (before
+	// Start), after runner's own recorder has registered its observer.
+	// Callers register theirs with Flow.Observe; they run after runner's.
 	OnFlowCreated func(i int, f *transport.Flow)
 	// Probe, when set, observes the simulator and topology right after
 	// construction, before any flow is created or any event runs. It exists
@@ -166,13 +167,7 @@ func Run(sc Scenario) (*Result, error) {
 	interval := sc.sampleInterval()
 	bins := int(math.Ceil(sc.Duration/interval)) + 1
 
-	// Registered before the per-flow finalizers so it runs after all of them
-	// (defers are LIFO): by then every FlowResult carries its final byte
-	// totals, ready to publish under the cardinality cap.
-	if sc.Telemetry != nil {
-		defer publishFlowTelemetry(&sc, res)
-	}
-
+	recs := make([]*flowRecorder, 0, len(sc.Flows))
 	for i, spec := range sc.Flows {
 		ctrl := spec.CC
 		if ctrl == nil {
@@ -190,61 +185,19 @@ func Run(sc Scenario) (*Result, error) {
 			ID: i, Path: path, CC: ctrl, Start: spec.Start, Duration: spec.Duration,
 			Metrics: flowMetrics,
 		})
-		fr := &FlowResult{
-			Spec:       spec,
-			SchemeName: ctrl.Name(),
-			Tput:       &metrics.Timeseries{Interval: interval, Values: make([]float64, bins)},
-			RTT:        &metrics.Timeseries{Interval: interval, Values: make([]float64, bins)},
+		r := &flowRecorder{
+			fr: &FlowResult{
+				Spec:       spec,
+				SchemeName: ctrl.Name(),
+				Tput:       &metrics.Timeseries{Interval: interval, Values: make([]float64, bins)},
+				RTT:        &metrics.Timeseries{Interval: interval, Values: make([]float64, bins)},
+			},
+			flow:     f,
+			rttCount: make([]int, bins),
+			minRTT:   math.Inf(1),
 		}
-		rttCount := make([]int, bins)
-		var rttSum, rttN float64
-		minRTT := math.Inf(1)
-		f.OnAckHook = func(e transport.AckEvent) {
-			bin := int(e.Now / interval)
-			if bin >= 0 && bin < bins {
-				fr.Tput.Values[bin] += float64(e.Bytes) * 8 / interval
-				fr.RTT.Values[bin] += e.RTT
-				rttCount[bin]++
-			}
-			rttSum += e.RTT
-			rttN++
-			if e.RTT < minRTT {
-				minRTT = e.RTT
-			}
-		}
-		flow := f
-		f.OnStop = func(fl *transport.Flow) {
-			fr.DeliveredBytes = fl.DeliveredBytes
-			fr.LostBytes = fl.LostBytes
-			fr.LostPackets = fl.LostPackets
-		}
-		res.Flows = append(res.Flows, fr)
-		defer func(fr *FlowResult, counts []int, sum *float64, n *float64, min *float64, fl *transport.Flow) {
-			for b := range fr.RTT.Values {
-				if counts[b] > 0 {
-					fr.RTT.Values[b] /= float64(counts[b])
-				}
-			}
-			if *n > 0 {
-				fr.AvgRTT = *sum / *n
-				fr.MinRTT = *min
-			}
-			if fr.DeliveredBytes == 0 {
-				fr.DeliveredBytes = fl.DeliveredBytes
-				fr.LostBytes = fl.LostBytes
-				fr.LostPackets = fl.LostPackets
-			}
-			active := fr.Spec.Duration
-			if active <= 0 {
-				active = sc.Duration - fr.Spec.Start
-			}
-			if active > 0 {
-				fr.AvgTputBps = float64(fr.DeliveredBytes) * 8 / active
-			}
-			if tot := fr.DeliveredBytes + fr.LostBytes; tot > 0 {
-				fr.LossRate = float64(fr.LostBytes) / float64(tot)
-			}
-		}(fr, rttCount, &rttSum, &rttN, &minRTT, flow)
+		f.Observe(transport.FlowObserver{Ack: r.onAck})
+		recs = append(recs, r)
 		if sc.OnFlowCreated != nil {
 			sc.OnFlowCreated(i, f)
 		}
@@ -253,6 +206,13 @@ func Run(sc Scenario) (*Result, error) {
 
 	s.Run(sc.Duration)
 
+	for _, r := range recs {
+		r.finish(sc.Duration)
+		res.Flows = append(res.Flows, r.fr)
+	}
+	if sc.Telemetry != nil {
+		publishFlowTelemetry(&sc, res)
+	}
 	res.Bottleneck = dumb.Bottleneck.Stats()
 	res.MaxQueue = dumb.Bottleneck.MaxQueueBytes()
 	var delivered int64
@@ -274,6 +234,61 @@ func Run(sc Scenario) (*Result, error) {
 	}
 	simMillis.Add(int64(sc.Duration * 1000))
 	return res, nil
+}
+
+// flowRecorder builds one flow's FlowResult: its ack observer bins
+// throughput and RTT, and finish completes the result after the run.
+type flowRecorder struct {
+	fr       *FlowResult
+	flow     *transport.Flow
+	rttCount []int // acks per RTT bin
+	rttSum   float64
+	rttN     float64
+	minRTT   float64
+}
+
+func (r *flowRecorder) onAck(e transport.AckEvent) {
+	interval := r.fr.Tput.Interval
+	bin := int(e.Now / interval)
+	if bin >= 0 && bin < len(r.rttCount) {
+		r.fr.Tput.Values[bin] += float64(e.Bytes) * 8 / interval
+		r.fr.RTT.Values[bin] += e.RTT
+		r.rttCount[bin]++
+	}
+	r.rttSum += e.RTT
+	r.rttN++
+	if e.RTT < r.minRTT {
+		r.minRTT = e.RTT
+	}
+}
+
+// finish turns the RTT bins into means and copies the flow's lifetime
+// counters. A flow that stopped before the end of the run froze its
+// counters at the stop, so reading them now gives the same totals.
+func (r *flowRecorder) finish(runDuration float64) {
+	fr, f := r.fr, r.flow
+	for b, n := range r.rttCount {
+		if n > 0 {
+			fr.RTT.Values[b] /= float64(n)
+		}
+	}
+	if r.rttN > 0 {
+		fr.AvgRTT = r.rttSum / r.rttN
+		fr.MinRTT = r.minRTT
+	}
+	fr.DeliveredBytes = f.DeliveredBytes
+	fr.LostBytes = f.LostBytes
+	fr.LostPackets = f.LostPackets
+	active := fr.Spec.Duration
+	if active <= 0 {
+		active = runDuration - fr.Spec.Start
+	}
+	if active > 0 {
+		fr.AvgTputBps = float64(fr.DeliveredBytes) * 8 / active
+	}
+	if tot := fr.DeliveredBytes + fr.LostBytes; tot > 0 {
+		fr.LossRate = float64(fr.LostBytes) / float64(tot)
+	}
 }
 
 // publishFlowTelemetry records per-flow byte totals on the scenario's

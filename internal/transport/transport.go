@@ -204,20 +204,29 @@ type Flow struct {
 	// pay only the counters' internal nil checks.
 	metrics *Metrics
 
-	// OnSendHook observes every data packet put on the wire, after the
-	// flow's counters are updated. The invariant checker uses it to mark
-	// the flow dirty for incremental conservation checks.
-	OnSendHook func(now float64, bytes int)
-	// OnAckHook lets experiment recorders observe acks without interposing
-	// on the CC.
-	OnAckHook func(e AckEvent)
-	// OnCwndHook observes every congestion-window change (after clamping).
-	OnCwndHook func(now, cwnd float64)
-	// OnLossHook observes loss events alongside the CC.
-	OnLossHook func(e LossEvent)
-	// OnStop runs when the flow's duration elapses.
-	OnStop func(f *Flow)
+	// observers are called in registration order; see Observe.
+	observers []FlowObserver
 }
+
+// FlowObserver receives a flow's events without interposing on its
+// congestion control. Nil members are skipped.
+type FlowObserver struct {
+	// Send fires for every data packet put on the wire, after the flow's
+	// counters are updated.
+	Send func(now float64, bytes int)
+	// Ack fires for every newly acknowledged packet, after the CC's OnAck.
+	Ack func(e AckEvent)
+	// Cwnd fires on every congestion-window change, after clamping.
+	Cwnd func(now, cwnd float64)
+	// Loss fires for every loss event, after the CC's OnLoss.
+	Loss func(e LossEvent)
+}
+
+// Observe registers o. A flow calls its observers in registration order, so
+// every observer composes the same way and none needs to know who else is
+// listening. A stopped flow ignores late acks and timers, so its lifetime
+// counters stay frozen at their values at the stop.
+func (f *Flow) Observe(o FlowObserver) { f.observers = append(f.observers, o) }
 
 // NewFlow builds a flow; call Start (or let the env do it) to begin.
 func NewFlow(s *sim.Simulator, cfg FlowConfig) *Flow {
@@ -275,9 +284,6 @@ func (f *Flow) stop() {
 	f.sendTimer.Cancel()
 	f.mtpTimer.Cancel()
 	f.rtoTimer.Cancel()
-	if f.OnStop != nil {
-		f.OnStop(f)
-	}
 }
 
 // Active reports whether the flow is currently sending.
@@ -292,8 +298,10 @@ func (f *Flow) SetCwnd(w float64) {
 		w = f.minCwnd
 	}
 	f.cwnd = w
-	if f.OnCwndHook != nil {
-		f.OnCwndHook(f.Sim.Now(), w)
+	for i := range f.observers {
+		if fn := f.observers[i].Cwnd; fn != nil {
+			fn(f.Sim.Now(), w)
+		}
 	}
 	f.trySend()
 }
@@ -476,8 +484,10 @@ func (f *Flow) sendPacket() {
 	f.SentBytes += MSS
 	f.mtpSent += MSS
 	f.metrics.PacketsSent.Inc()
-	if f.OnSendHook != nil {
-		f.OnSendHook(now, MSS)
+	for i := range f.observers {
+		if fn := f.observers[i].Send; fn != nil {
+			fn(now, MSS)
+		}
 	}
 	p := netem.AcquirePacket()
 	p.FlowID, p.Seq, p.Size, p.SentAt = f.ID, num, MSS, now
@@ -531,8 +541,10 @@ func (f *Flow) onAckArrival(p *netem.Packet) {
 	}
 	f.detectLosses()
 	f.CC.OnAck(f, e)
-	if f.OnAckHook != nil {
-		f.OnAckHook(e)
+	for i := range f.observers {
+		if fn := f.observers[i].Ack; fn != nil {
+			fn(e)
+		}
 	}
 	f.armRTO()
 	f.trySend()
@@ -585,8 +597,14 @@ func (f *Flow) detectLosses() {
 	f.metrics.PacketsLostReorder.Add(int64(lostPkts))
 	ev := LossEvent{PktNum: highest, Bytes: lostBytes, Packets: lostPkts, Now: f.Sim.Now()}
 	f.CC.OnLoss(f, ev)
-	if f.OnLossHook != nil {
-		f.OnLossHook(ev)
+	f.observeLoss(ev)
+}
+
+func (f *Flow) observeLoss(ev LossEvent) {
+	for i := range f.observers {
+		if fn := f.observers[i].Loss; fn != nil {
+			fn(ev)
+		}
 	}
 }
 
@@ -657,9 +675,7 @@ func (f *Flow) onRTO() {
 			Timeout: true, Now: f.Sim.Now(),
 		}
 		f.CC.OnLoss(f, ev)
-		if f.OnLossHook != nil {
-			f.OnLossHook(ev)
-		}
+		f.observeLoss(ev)
 	}
 	f.rtoBackoff *= 2
 	if f.rtoBackoff > 64 {

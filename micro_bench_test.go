@@ -78,13 +78,16 @@ func BenchmarkLinkPacketForwarding(b *testing.B) {
 
 // warmCubicFlow builds one Cubic flow saturating a 100 Mbps, 30 ms
 // dumbbell and runs it past slow start; each further simulated second is
-// ≈8.3k packets of events.
-func warmCubicFlow() *sim.Simulator {
+// ≈8.3k packets of events. obs are registered on the flow before it starts.
+func warmCubicFlow(obs ...transport.FlowObserver) *sim.Simulator {
 	s := sim.New(1)
 	d := netem.NewDumbbell(s, netem.DumbbellConfig{
 		RateBps: 100e6, BaseRTT: 0.030, QueueBytes: netem.BDPBytes(100e6, 0.030),
 	})
 	f := transport.NewFlow(s, transport.FlowConfig{ID: 0, Path: d.FlowPath(0), CC: cc.MustNew("cubic")})
+	for _, o := range obs {
+		f.Observe(o)
+	}
 	f.Start()
 	s.Run(2)
 	return s

@@ -28,6 +28,19 @@ SMOKE=$(mktemp -d)
 COVER=$(mktemp)
 trap 'rm -rf "$SMOKE"; rm -f "$COVER"' EXIT
 
+# Tracing smoke: flow observers only watch. A traced run must print the
+# same results, line for line, as the same run untraced, and its CSV must
+# hold both window and loss rows (a tracer that lost its loss observer, or
+# an observer that perturbs the flow, fails here).
+go build -o "$SMOKE/astraea" ./cmd/astraea
+"$SMOKE/astraea" -scheme cubic -flows 2 -dur 5 >"$SMOKE/plain.txt"
+"$SMOKE/astraea" -scheme cubic -flows 2 -dur 5 -trace "$SMOKE/t.csv" >"$SMOKE/traced.txt"
+grep -v '^wrote .* trace events to ' "$SMOKE/traced.txt" | cmp -s - "$SMOKE/plain.txt" \
+    || { echo "ci: -trace changed the results"; diff "$SMOKE/plain.txt" "$SMOKE/traced.txt"; exit 1; }
+grep -q '^flow 1: ' "$SMOKE/plain.txt" || { echo "ci: no per-flow result lines"; cat "$SMOKE/plain.txt"; exit 1; }
+grep -q ',cwnd,' "$SMOKE/t.csv" || { echo "ci: trace CSV has no cwnd rows"; exit 1; }
+grep -q ',loss,' "$SMOKE/t.csv" || { echo "ci: trace CSV has no loss rows"; exit 1; }
+
 # Serving-path smoke: boot astraea-serve (4 shards, race-built so the
 # sharded hot path — pooled requests, write arenas, sweepers, hot reload —
 # runs under the detector with real traffic), drive it with astraea-loadgen

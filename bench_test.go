@@ -2,7 +2,7 @@
 // paper's evaluation via `go test -bench=.`. Each benchmark runs the
 // corresponding experiment at reduced scale (1 trial, shortened durations)
 // and reports simulated-seconds-per-wall-second alongside the standard
-// metrics; run cmd/figures for paper-scale output.
+// metrics; run `astraea figures` for paper-scale output.
 package repro
 
 import (

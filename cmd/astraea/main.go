@@ -1,12 +1,27 @@
-// Command astraea runs congestion-control scenarios on the emulation
-// substrate and prints per-flow results: any registered scheme, any
-// bottleneck shape, optional flow staggering.
+// Command astraea is the one binary of this reproduction. Its subcommands
+// cover the paper's three roles — training, the shared inference service
+// (§4) and the sender datapath on the emulation substrate — and the tools
+// around them:
 //
-// Examples:
+//	run         run one scenario and print per-flow results
+//	figures     regenerate the paper's tables and figures
+//	train       train an actor: multi-agent TD3 or distillation
+//	serve       the batched policy inference daemon
+//	loadgen     drive a serve endpoint; report throughput and latency
+//	quantize    compile actor weights into the fixed-point serving artifact
+//	pilot       closed loop: train, gate, promote into serve, roll back
+//	tournament  rank schemes across a grid of scenario families
+//	fairlab     reward-strategy ablation
 //
-//	astraea -scheme astraea -bw 100 -rtt 30 -flows 3 -interval 40 -dur 200
-//	astraea -scheme cubic -bw 42 -rtt 800 -loss 0.0074 -dur 100
-//	astraea -list
+// Usage is `astraea <subcommand> [flags]`; `astraea <subcommand> -h` lists
+// a subcommand's flags, and bare `astraea` lists the subcommands. Every
+// subcommand exits 0 on success, 1 when the run fails and 2 on a usage
+// error: a bad flag, a missing required flag or an unknown subcommand.
+//
+// train, figures, pilot and serve share one observability pair: -telemetry
+// path writes a metrics snapshot at exit (.json = JSON, else Prometheus
+// text) and -pprof addr serves live /metrics and /debug/pprof while the run
+// lasts.
 package main
 
 import (
@@ -15,130 +30,163 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 
-	"repro/internal/cc"
-	"repro/internal/flowtrace"
-	"repro/internal/metrics"
 	"repro/internal/runner"
-	"repro/internal/transport"
+	"repro/internal/telemetry"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(dispatch(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run executes the command with args and returns its exit status: 0 on
-// success, 1 when the run fails, 2 on a usage error.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("astraea", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	scheme := fs.String("scheme", "astraea", "congestion control scheme")
-	list := fs.Bool("list", false, "list registered schemes and exit")
-	bw := fs.Float64("bw", 100, "bottleneck bandwidth in Mbps")
-	rtt := fs.Float64("rtt", 30, "base RTT in ms")
-	bufBDP := fs.Float64("buf", 1, "buffer size in BDP multiples")
-	loss := fs.Float64("loss", 0, "random loss probability")
-	flows := fs.Int("flows", 1, "number of flows")
-	interval := fs.Float64("interval", 0, "flow start stagger in seconds")
-	dur := fs.Float64("dur", 30, "run duration in seconds")
-	seed := fs.Int64("seed", 1, "random seed")
-	series := fs.Bool("series", false, "print per-flow throughput timeseries")
-	traceOut := fs.String("trace", "", "write a per-flow control-event CSV (cwnd changes, losses) to this file")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
+// commands is the subcommand table. Each entry parses its own arguments
+// and returns its exit status.
+var commands = []struct {
+	name, summary string
+	main          func(args []string, stdout, stderr io.Writer) int
+}{
+	{"run", "run one scenario and print per-flow results", cmdRun},
+	{"figures", "regenerate the paper's tables and figures", cmdFigures},
+	{"train", "train an actor: multi-agent TD3 or distillation", cmdTrain},
+	{"serve", "the batched policy inference daemon", cmdServe},
+	{"loadgen", "drive a serve endpoint; report throughput and latency", cmdLoadgen},
+	{"quantize", "compile actor weights into the fixed-point serving artifact", cmdQuantize},
+	{"pilot", "closed loop: train, gate, promote into serve, roll back", cmdPilot},
+	{"tournament", "rank schemes across a grid of scenario families", cmdTournament},
+	{"fairlab", "reward-strategy ablation", cmdFairlab},
+}
+
+// dispatch runs the subcommand args[0] names with the rest of args and
+// returns its exit status. Without a known subcommand it lists the table:
+// exit 0 when asked for with -h, else 2.
+func dispatch(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		for _, c := range commands {
+			if c.name == args[0] {
+				return c.main(args[1:], stdout, stderr)
+			}
+		}
+		switch args[0] {
+		case "-h", "-help", "--help", "help":
+			listCommands(stderr)
 			return 0
 		}
-		return 2
+		fmt.Fprintf(stderr, "astraea: unknown subcommand %q\n", args[0])
 	}
-
-	if *list {
-		for _, n := range cc.Names() {
-			fmt.Fprintln(stdout, n)
-		}
-		return 0
-	}
-	if *flows < 1 {
-		fmt.Fprintf(stderr, "astraea: -flows must be at least 1, got %d\n", *flows)
-		fs.Usage()
-		return 2
-	}
-
-	sc := runner.Scenario{
-		Seed:     *seed,
-		RateBps:  *bw * 1e6,
-		BaseRTT:  *rtt / 1000,
-		QueueBDP: *bufBDP,
-		LossProb: *loss,
-		Duration: *dur,
-	}
-	var tracer *flowtrace.Tracer
-	if *traceOut != "" {
-		tracer = &flowtrace.Tracer{Cap: 1 << 20}
-		sc.OnFlowCreated = func(i int, f *transport.Flow) { flowtrace.Attach(tracer, f) }
-	}
-	for i := 0; i < *flows; i++ {
-		sc.Flows = append(sc.Flows, runner.FlowSpec{
-			Scheme: *scheme,
-			Start:  float64(i) * *interval,
-		})
-	}
-	res, err := runner.Run(sc)
-	if err != nil {
-		fmt.Fprintln(stderr, "astraea:", err)
-		return 1
-	}
-
-	fmt.Fprintf(stdout, "scheme=%s bw=%.0fMbps rtt=%.0fms buf=%.1fBDP dur=%.0fs utilization=%.3f\n",
-		*scheme, *bw, *rtt, *bufBDP, *dur, res.Utilization)
-	for i, fr := range res.Flows {
-		fmt.Fprintf(stdout, "flow %d: avg=%.1f Mbps rtt(avg/min)=%.1f/%.1f ms loss=%.4f\n",
-			i, fr.AvgTputBps/1e6, fr.AvgRTT*1000, fr.MinRTT*1000, fr.LossRate)
-	}
-	if *flows > 1 {
-		var avgs []float64
-		for _, fr := range res.Flows {
-			avgs = append(avgs, fr.AvgTputBps)
-		}
-		fmt.Fprintf(stdout, "jain index: %.4f\n", metrics.Jain(avgs))
-	}
-	if *series {
-		fmt.Fprintln(stdout, "time_s flow_mbps...")
-		for i := 0; i < len(res.Flows[0].Tput.Values); i += 10 {
-			fmt.Fprintf(stdout, "%6.1f", float64(i)*res.Flows[0].Tput.Interval)
-			for _, fr := range res.Flows {
-				fmt.Fprintf(stdout, " %7.2f", fr.Tput.Values[i]/1e6)
-			}
-			fmt.Fprintln(stdout)
-		}
-	}
-	if tracer != nil {
-		if err := writeTrace(tracer, *traceOut, stdout, stderr); err != nil {
-			fmt.Fprintln(stderr, "astraea:", err)
-			return 1
-		}
-	}
-	return 0
+	listCommands(stderr)
+	return 2
 }
 
-// writeTrace writes tracer's events to path as CSV. A tracer that hit its
-// cap dropped every later event, so the count goes to stderr: the file
-// holds only the start of the run.
-func writeTrace(tracer *flowtrace.Tracer, path string, stdout, stderr io.Writer) error {
-	out, err := os.Create(path)
-	if err != nil {
+func listCommands(w io.Writer) {
+	fmt.Fprintln(w, "usage: astraea <subcommand> [flags]\n\nsubcommands:")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-11s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(w, "\nastraea <subcommand> -h lists its flags.")
+}
+
+// newFlagSet returns the flag set of one subcommand. Its name,
+// "astraea <sub>", prefixes the subcommand's messages.
+func newFlagSet(sub string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("astraea "+sub, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseStatus is the exit status for a FlagSet.Parse error: 0 after -h,
+// 2 after a bad flag. The flag set has already printed usage or the reason.
+func parseStatus(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
+}
+
+// usageError reports a command line the flag package accepts but the
+// subcommand cannot run (a missing required flag, a value out of range),
+// prints the usage and returns 2.
+func usageError(fs *flag.FlagSet, format string, args ...any) int {
+	fmt.Fprintf(fs.Output(), "%s: %s\n", fs.Name(), fmt.Sprintf(format, args...))
+	fs.Usage()
+	return 2
+}
+
+// failed reports the error that ended a run and returns 1.
+func failed(fs *flag.FlagSet, err error) int {
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	return 1
+}
+
+// splitList splits a comma-separated flag value, trimming blanks and
+// dropping empty entries; "" gives nil.
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
+}
+
+// writeReport writes a report as stem.json and its rendered table as
+// stem.txt, creating stem's directory.
+func writeReport(stem string, js, table []byte) error {
+	if err := os.MkdirAll(filepath.Dir(stem), 0o755); err != nil {
 		return err
 	}
-	if err := tracer.WriteCSV(out); err != nil {
-		out.Close()
+	if err := os.WriteFile(stem+".json", js, 0o644); err != nil {
 		return err
 	}
-	if err := out.Close(); err != nil {
-		return err
+	return os.WriteFile(stem+".txt", table, 0o644)
+}
+
+// observability is the flag pair train, figures, pilot and serve share:
+// -telemetry writes a metrics snapshot at exit, -pprof serves live /metrics
+// and /debug/pprof while the run lasts.
+type observability struct {
+	fs               *flag.FlagSet
+	telemetry, pprof string
+}
+
+func addObservability(fs *flag.FlagSet) *observability {
+	o := &observability{fs: fs}
+	fs.StringVar(&o.telemetry, "telemetry", "", "write a telemetry snapshot to this path at exit (.json = JSON, else Prometheus text)")
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof and live /metrics on this address (e.g. 127.0.0.1:6060)")
+	return o
+}
+
+// start returns the registry the run records into, holding the process
+// gauges, and serves it on -pprof until stop. With neither flag set the
+// registry is nil and every instrumented layer skips its metrics.
+func (o *observability) start() (reg *telemetry.Registry, stop func(), err error) {
+	stop = func() {}
+	if o.telemetry == "" && o.pprof == "" {
+		return nil, stop, nil
 	}
-	fmt.Fprintf(stdout, "wrote %d trace events to %s\n", tracer.Len(), path)
-	if tracer.Dropped > 0 {
-		fmt.Fprintf(stderr, "astraea: trace truncated: %d events dropped past the %d-event cap\n",
-			tracer.Dropped, tracer.Cap)
+	reg = telemetry.NewRegistry()
+	runner.InstrumentProcess(reg)
+	if o.pprof != "" {
+		bound, closeHTTP, err := telemetry.Serve(o.pprof, reg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("pprof: %w", err)
+		}
+		stop = closeHTTP
+		fmt.Fprintf(o.fs.Output(), "%s: serving pprof and /metrics on http://%s\n", o.fs.Name(), bound)
 	}
+	return reg, stop, nil
+}
+
+// snapshot writes reg to the -telemetry path, if one is set.
+func (o *observability) snapshot(reg *telemetry.Registry) error {
+	if o.telemetry == "" {
+		return nil
+	}
+	if err := telemetry.WriteFile(o.telemetry, reg); err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	fmt.Fprintf(o.fs.Output(), "%s: wrote telemetry snapshot to %s\n", o.fs.Name(), o.telemetry)
 	return nil
 }

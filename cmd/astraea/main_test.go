@@ -10,21 +10,90 @@ import (
 	"repro/internal/flowtrace"
 )
 
-// TestRunRejectsFewerThanOneFlow: a scenario needs a flow, and -series
-// indexes the first one. -flows below 1 is a usage error before anything
-// runs, not an index-out-of-range panic after.
-func TestRunRejectsFewerThanOneFlow(t *testing.T) {
-	for _, flows := range []string{"0", "-3"} {
+// TestSubcommandUsage: every subcommand answers -h with its usage on
+// stderr and exit 0, and a bad flag with exit 2; a missing required flag
+// is a usage error too. Without a known subcommand the dispatcher lists
+// the table and exits 2 — there is no default subcommand.
+func TestSubcommandUsage(t *testing.T) {
+	for _, c := range commands {
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"-flows", flows, "-series", "-dur", "1"}, &stdout, &stderr)
-		if code != 2 {
-			t.Errorf("-flows %s: exit %d, want 2", flows, code)
+		if code := dispatch([]string{c.name, "-h"}, &stdout, &stderr); code != 0 {
+			t.Errorf("%s -h: exit %d, want 0", c.name, code)
 		}
-		if !strings.Contains(stderr.String(), "-flows must be at least 1") {
-			t.Errorf("-flows %s: stderr %q does not name the bad flag", flows, stderr.String())
+		if !strings.Contains(stderr.String(), "Usage of astraea "+c.name) || stdout.Len() != 0 {
+			t.Errorf("%s -h: stdout %q, stderr %q; want usage on stderr only", c.name, stdout.String(), stderr.String())
+		}
+		stderr.Reset()
+		if code := dispatch([]string{c.name, "-no-such-flag"}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s -no-such-flag: exit %d, want 2", c.name, code)
+		}
+		if !strings.Contains(stderr.String(), "no-such-flag") {
+			t.Errorf("%s -no-such-flag: stderr %q does not name the flag", c.name, stderr.String())
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"pilot"}, "-promote is required"},
+		{[]string{"quantize", "-out", "x.aqp"}, "both -in and -out are required"},
+		{[]string{"train", "-mode", "sarsa"}, `unknown mode "sarsa"`},
+		{[]string{"loadgen", "-addr", "nocolon"}, "bad -addr"},
+		{[]string{"tournament", "-actors", "noequals"}, "want name=path"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := dispatch(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, stderr.String(), tc.want)
+		}
+	}
+	for _, args := range [][]string{nil, {"frobnicate"}, {"-scheme", "cubic"}, {"-h"}} {
+		var stdout, stderr bytes.Buffer
+		code := dispatch(args, &stdout, &stderr)
+		want := 2
+		if len(args) == 1 && args[0] == "-h" {
+			want = 0
+		}
+		if code != want {
+			t.Errorf("astraea %v: exit %d, want %d", args, code, want)
+		}
+		for _, c := range commands {
+			if !strings.Contains(stderr.String(), "  "+c.name+" ") {
+				t.Errorf("astraea %v: listing %q lacks %s", args, stderr.String(), c.name)
+			}
+		}
+	}
+}
+
+// TestRunRejectsFewerThanOneFlow: a scenario needs a flow, and -series
+// indexes the first one; a link needs a positive rate and buffer, and a
+// loss probability lies in [0, 1]. Each bad value is a usage error before
+// anything runs, not a panic or a misreported result after.
+func TestRunRejectsFewerThanOneFlow(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-flows", "0", "-flows must be at least 1"},
+		{"-flows", "-3", "-flows must be at least 1"},
+		{"-bw", "-5", "-bw must be positive"},
+		{"-bw", "0", "-bw must be positive"},
+		{"-bw", "NaN", "-bw must be positive"},
+		{"-buf", "0", "-buf must be positive"},
+		{"-loss", "1.5", "-loss must be in [0, 1]"},
+		{"-loss", "-0.1", "-loss must be in [0, 1]"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := cmdRun([]string{"-flows", "2", "-series", "-dur", "1", tc.flag, tc.value}, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", tc.flag, tc.value, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s %s: stderr %q does not name the bad flag", tc.flag, tc.value, stderr.String())
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("-flows %s: printed results %q", flows, stdout.String())
+			t.Errorf("%s %s: printed results %q", tc.flag, tc.value, stdout.String())
 		}
 	}
 }
@@ -35,7 +104,7 @@ func TestRunRejectsFewerThanOneFlow(t *testing.T) {
 func TestRunWritesTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.csv")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-scheme", "cubic", "-flows", "2", "-dur", "2", "-buf", "0.2", "-trace", path}, &stdout, &stderr)
+	code := cmdRun([]string{"-scheme", "cubic", "-flows", "2", "-dur", "2", "-buf", "0.2", "-trace", path}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr.String())
 	}
@@ -77,5 +146,50 @@ func TestWriteTraceReportsDropped(t *testing.T) {
 	}
 	if err := writeTrace(tr, filepath.Join(t.TempDir(), "missing", "t.csv"), &stdout, &stderr); err == nil {
 		t.Error("writing into a missing directory succeeded")
+	}
+}
+
+// TestTournamentWritesReport: an in-process tournament writes both report
+// files, and what it prints is exactly the table it saves.
+func TestTournamentWritesReport(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	var stdout, stderr bytes.Buffer
+	code := cmdTournament([]string{"-schemes", "cubic", "-families", "steady", "-flows", "2", "-duration", "0.5", "-out", dir}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	txt, err := os.ReadFile(filepath.Join(dir, "tournament.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout.String() != string(txt) {
+		t.Errorf("stdout %q differs from tournament.txt %q", stdout.String(), txt)
+	}
+	js, err := os.ReadFile(filepath.Join(dir, "tournament.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(js), `"ranking"`) {
+		t.Errorf("tournament.json has no ranking: %s", js)
+	}
+}
+
+// TestTrainTelemetrySnapshot: -telemetry writes the shared snapshot at
+// exit, process gauges included.
+func TestTrainTelemetrySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "t.json")
+	var stdout, stderr bytes.Buffer
+	code := cmdTrain([]string{"-mode", "distill", "-samples", "200", "-epochs", "1",
+		"-out", filepath.Join(dir, "d.json"), "-telemetry", snap}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), "process_gomaxprocs") {
+		t.Errorf("snapshot lacks process_gomaxprocs: %s", b)
 	}
 }

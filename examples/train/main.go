@@ -35,5 +35,5 @@ func main() {
 	last := learner.RewardHistory[len(learner.RewardHistory)-1]
 	fmt.Printf("\nreward moved from %+.5f to %+.5f over %d episodes\n", first, last, episodes)
 	fmt.Println("(production training runs thousands of episodes across parallel")
-	fmt.Println(" environment instances; see cmd/astraea-train)")
+	fmt.Println(" environment instances; see `astraea train`)")
 }

@@ -1,7 +1,7 @@
 // Checkpoint series rotation. A long training run that checkpoints every N
 // episodes grows its directory without bound unless old snapshots are
 // retired; this file implements the retention rule shared by
-// astraea-train's -checkpoint-keep and the pilot's training loop: keep the
+// `astraea train -checkpoint-keep` and the pilot's training loop: keep the
 // newest K series members plus the pinned one (the checkpoint that produced
 // the last promoted policy — the state an operator resumes from when a
 // later trajectory goes bad), delete the rest.

@@ -22,7 +22,7 @@ import (
 //
 // The in-process Service does the batching; the codec only moves bytes,
 // exactly the split the paper's C++ implementation uses. The server side is
-// internal/serve's Server (astraea-serve -listen udp:… or unixgram:…), which
+// internal/serve's Server (`astraea serve -listen udp:…` or `unixgram:…`), which
 // answers these datagrams with admission, deadlines and fallback. It reuses
 // the codec verbatim, also inside length-prefixed frames on its stream
 // transports (a response there may carry a trailer after the 16 codec

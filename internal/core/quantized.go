@@ -2,7 +2,7 @@
 // and the serving stack. A trained actor (JSON float weights) is compiled
 // with QuantizeMLPPolicy against a calibration sweep of plausible stacked
 // states, persisted as a CRC-sealed binary blob (SaveQuantizedPolicy /
-// cmd/astraea-quantize), and loaded back by the format-sniffing LoadPolicy.
+// `astraea quantize`), and loaded back by the format-sniffing LoadPolicy.
 // The serving layer (internal/serve's Reloader) compiles float artifacts on
 // load unless asked for the float network, which stays available as the
 // equivalence oracle (internal/check pins the two within tolerance on the
@@ -80,7 +80,7 @@ func calibrationStates(cfg Config, n int) [][]float64 {
 
 // SampleCalibrationState draws one plausible stacked state from the
 // distillation sampler — the distribution quantization calibrates against.
-// Exposed for tools (cmd/astraea-quantize) that replay a sweep through both
+// Exposed for tools (`astraea quantize`) that replay a sweep through both
 // policy forms to report divergence before deploying an artifact.
 func SampleCalibrationState(cfg Config, rng *rand.Rand) []float64 {
 	return sampleState(cfg, rng)
@@ -99,8 +99,8 @@ func QuantizeMLPPolicy(p *MLPPolicy, cfg Config) (*QuantizedPolicy, error) {
 }
 
 // SaveQuantizedPolicy writes the compiled policy to path as a CRC-sealed
-// binary blob, atomically — the deployable artifact cmd/astraea-quantize
-// emits and astraea-serve hot-reloads.
+// binary blob, atomically — the deployable artifact `astraea quantize`
+// emits and `astraea serve` hot-reloads.
 func SaveQuantizedPolicy(path string, p *QuantizedPolicy) error {
 	return ckpt.WriteAtomic(path, p.Q.QuantizedBlob(), 0o644)
 }

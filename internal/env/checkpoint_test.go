@@ -83,7 +83,7 @@ func sameTrajectory(t *testing.T, got, want *ParallelLearner) {
 // checkpoint file is the only carried-over state), and training N more
 // yields actor weights bitwise-identical to an uninterrupted 2N-episode
 // run. That holds whether the checkpoint is written between Train calls or
-// inside AfterEpisode (the cadence astraea-train and the pilot use), and
+// inside AfterEpisode (the cadence `astraea train` and the pilot use), and
 // splitting the run into one Train call per episode changes nothing. The
 // guarantee is strategy-independent: a learner trained under a non-default
 // reward strategy must resume exactly as faithfully as the paper default.

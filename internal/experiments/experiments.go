@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§2 motivation, §5 evaluation, Appendices A–B). Each ExpFigure
 // / ExpTable function runs the corresponding workload on the emulation
-// substrate and returns structured rows; cmd/figures renders them and the
+// substrate and returns structured rows; `astraea figures` renders them and the
 // repository-root benchmarks wrap them for `go test -bench`.
 package experiments
 

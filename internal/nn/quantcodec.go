@@ -1,5 +1,5 @@
 // Binary codec for compiled quantized policies. The payload is the
-// deployable artifact format emitted by cmd/astraea-quantize (inside a
+// deployable artifact format emitted by `astraea quantize` (inside a
 // ckpt CRC container) and loaded by core.LoadPolicy; it carries
 // exactly what the integer forward pass needs — layer shapes, flat int16
 // weights, int32 biases, requantization constants, and the per-feature

@@ -6,7 +6,7 @@
 //     Reloader's validated zero-drop hot-swap path — the embedded shape
 //     (pilot and server in one process) and the shape the e2e tests pin.
 //   - FileTarget publishes the artifact to the weights file an external
-//     astraea-serve -reload daemon watches, and reads health back off its
+//     `astraea serve -reload` daemon watches, and reads health back off its
 //     /metrics endpoint — the split-process shape CI's smoke runs.
 //
 // Both promote by atomically replacing the serving path with the sealed
@@ -96,7 +96,7 @@ func (t *HostTarget) Health() (HealthSample, error) {
 	return h, nil
 }
 
-// FileTarget promotes to an external astraea-serve daemon: the artifact is
+// FileTarget promotes to an external `astraea serve` daemon: the artifact is
 // published to the weights file the daemon's -reload watcher polls, and
 // health is scraped from its /metrics endpoint.
 type FileTarget struct {

@@ -67,8 +67,8 @@ func (o LoadOptions) withDefaults() LoadOptions {
 	return o
 }
 
-// LoadSummary is the result of a load run, JSON-shaped for the bench
-// trajectory (scripts/bench-serve.sh writes it into BENCH_serve.json).
+// LoadSummary is the result of a load run, JSON-shaped: `astraea loadgen`
+// prints it as its report.
 type LoadSummary struct {
 	TargetRPS   float64 `json:"target_rps"` // 0 in closed-loop mode
 	AchievedRPS float64 `json:"achieved_rps"`
@@ -399,8 +399,8 @@ func RunKnee(opts KneeOptions) (KneeReport, error) {
 }
 
 // BenchEnv is the environment provenance embedded in benchmark artifacts
-// (BENCH_serve.json): enough to tell whether two recorded numbers are
-// comparable at all.
+// (a KneeReport, the `go run ./bench` result): enough to tell whether two
+// recorded numbers are comparable at all.
 type BenchEnv struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`

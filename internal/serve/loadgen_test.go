@@ -33,7 +33,7 @@ func TestRunLoadAgainstHealthyServer(t *testing.T) {
 	if sum.String() == "" {
 		t.Fatal("empty human summary")
 	}
-	// The summary must stay JSON-encodable: bench-serve.sh persists it.
+	// The summary must stay JSON-encodable: `astraea loadgen` prints it as JSON.
 	if _, err := json.Marshal(sum); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRunLoadAgainstHealthyServer(t *testing.T) {
 func TestRunLoadCountsFallbacks(t *testing.T) {
 	policy := &slowPolicy{delay: 100 * time.Millisecond, v: 0.5}
 	_, addr := newTestServer(t, policy,
-		Options{MaxInflight: 4, Deadline: 2 * time.Millisecond}, nil)
+		Options{QueueDepth: 16, Deadline: 2 * time.Millisecond}, nil)
 	sum, err := RunLoad(LoadOptions{
 		Network:  "tcp",
 		Address:  addr,

@@ -14,7 +14,7 @@ import (
 // boot policy (Load) and hot-swaps later snapshots of the same file into a
 // PolicyHost (Reload). The artifact is read by core.LoadPolicy, which sniffs
 // its format — JSON weights written by core.SavePolicy, a quantized blob
-// written by core.SaveQuantizedPolicy / cmd/astraea-quantize, or a sealed
+// written by core.SaveQuantizedPolicy / `astraea quantize`, or a sealed
 // generation artifact written by core.SaveSealedPolicy (the pilot's
 // promotion format) — and validates it against the serving config. Float
 // weights are compiled to the fixed-point serving form here and nowhere

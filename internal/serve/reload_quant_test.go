@@ -79,7 +79,7 @@ func TestReloadQuantizesByDefault(t *testing.T) {
 
 // TestHotReloadQuantizedBlob: the poller path is format-agnostic — an
 // operator can overwrite the JSON snapshot in place with a precompiled
-// blob from astraea-quantize and the watcher swaps it in.
+// blob from `astraea quantize` and the watcher swaps it in.
 func TestHotReloadQuantizedBlob(t *testing.T) {
 	cfg := core.DefaultConfig()
 	fp := newQuantTestActor(cfg, 31)

@@ -122,7 +122,7 @@ func TestDeadlineFallback(t *testing.T) {
 	cfg := core.DefaultConfig()
 	policy := &slowPolicy{delay: 200 * time.Millisecond, v: 0.9}
 	reg := telemetry.NewRegistry()
-	opts := Options{MaxInflight: 8, Deadline: 5 * time.Millisecond}
+	opts := Options{QueueDepth: 32, Deadline: 5 * time.Millisecond}
 	srv, addr := newTestServer(t, policy, opts, reg)
 
 	client, err := Dial("tcp", addr)
@@ -171,7 +171,7 @@ func TestDeadlineFallback(t *testing.T) {
 
 	// Bounded concurrency: no goroutine per request. Allow the fixed pool
 	// (workers, IO loops, evaluator, timers) plus slack.
-	if g := runtime.NumGoroutine(); g > baseGoroutines+opts.MaxInflight+24 {
+	if g := runtime.NumGoroutine(); g > baseGoroutines+8+24 {
 		t.Fatalf("goroutines grew to %d from %d", g, baseGoroutines)
 	}
 
@@ -200,7 +200,7 @@ func TestShedFallback(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	policy := &slowPolicy{delay: 50 * time.Millisecond, v: 0.3}
 	_, addr := newTestServer(t, policy,
-		Options{MaxInflight: 1, QueueDepth: 1, Deadline: time.Second}, reg)
+		Options{QueueDepth: 1, Deadline: time.Second}, reg)
 
 	client, err := Dial("tcp", addr)
 	if err != nil {

@@ -27,12 +27,8 @@ type Options struct {
 	Shards int
 	// QueueDepth bounds the in-flight requests per shard — admitted and
 	// not yet answered; a request arriving with its shard full is shed
-	// with a fallback answer. Default 4×MaxInflight for compatibility,
-	// else 1024.
+	// with a fallback answer. Default 1024.
 	QueueDepth int
-	// MaxInflight is retained for compatibility with the pre-sharding
-	// worker pool; it only feeds the QueueDepth default now.
-	MaxInflight int
 	// Deadline is the per-request budget measured from the moment the
 	// request is read off the wire. A request the policy has not answered
 	// within it receives the fallback action instead. Default 20ms.
@@ -50,11 +46,7 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	if o.QueueDepth <= 0 {
-		if o.MaxInflight > 0 {
-			o.QueueDepth = 4 * o.MaxInflight
-		} else {
-			o.QueueDepth = 1024
-		}
+		o.QueueDepth = 1024
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = 20 * time.Millisecond

@@ -175,7 +175,7 @@ func BenchmarkQuantizedPolicyInference(b *testing.B) {
 }
 
 // BenchmarkTD3Update is one update at the paper's shape (256/128/64 hidden,
-// batch 192), the shape train_td3 and astraea-train run. It is large enough
+// batch 192), the shape train_td3 and `astraea train` run. It is large enough
 // for Update to fork its helper goroutine.
 func BenchmarkTD3Update(b *testing.B) {
 	benchTD3Update(b, rl.DefaultConfig(40, core.GlobalFeatureDim, 1))

@@ -28,35 +28,38 @@ SMOKE=$(mktemp -d)
 COVER=$(mktemp)
 trap 'rm -rf "$SMOKE"; rm -f "$COVER"' EXIT
 
+# The one binary, built twice: astraea for every smoke below, astraea-race
+# (race detector on) for the serve and pilot processes, which hand requests
+# and policies across goroutines under real traffic.
+go build -o "$SMOKE/astraea" ./cmd/astraea
+go build -race -o "$SMOKE/astraea-race" ./cmd/astraea
+
 # Tracing smoke: flow observers only watch. A traced run must print the
 # same results, line for line, as the same run untraced, and its CSV must
 # hold both window and loss rows (a tracer that lost its loss observer, or
 # an observer that perturbs the flow, fails here).
-go build -o "$SMOKE/astraea" ./cmd/astraea
-"$SMOKE/astraea" -scheme cubic -flows 2 -dur 5 >"$SMOKE/plain.txt"
-"$SMOKE/astraea" -scheme cubic -flows 2 -dur 5 -trace "$SMOKE/t.csv" >"$SMOKE/traced.txt"
+"$SMOKE/astraea" run -scheme cubic -flows 2 -dur 5 >"$SMOKE/plain.txt"
+"$SMOKE/astraea" run -scheme cubic -flows 2 -dur 5 -trace "$SMOKE/t.csv" >"$SMOKE/traced.txt"
 grep -v '^wrote .* trace events to ' "$SMOKE/traced.txt" | cmp -s - "$SMOKE/plain.txt" \
     || { echo "ci: -trace changed the results"; diff "$SMOKE/plain.txt" "$SMOKE/traced.txt"; exit 1; }
 grep -q '^flow 1: ' "$SMOKE/plain.txt" || { echo "ci: no per-flow result lines"; cat "$SMOKE/plain.txt"; exit 1; }
 grep -q ',cwnd,' "$SMOKE/t.csv" || { echo "ci: trace CSV has no cwnd rows"; exit 1; }
 grep -q ',loss,' "$SMOKE/t.csv" || { echo "ci: trace CSV has no loss rows"; exit 1; }
 
-# Serving-path smoke: boot astraea-serve (4 shards, race-built so the
-# sharded hot path — pooled requests, write arenas, sweepers, hot reload —
-# runs under the detector with real traffic), drive it with astraea-loadgen
-# (which exits non-zero if any request fails hard — fallback answers are
-# fine, unanswered requests are not), probe the saturation knee (non-zero
+# Serving-path smoke: boot serve (4 shards, race-built so the sharded hot
+# path — pooled requests, write arenas, sweepers, hot reload — runs under
+# the detector with real traffic), drive it with loadgen (which exits
+# non-zero if any request fails hard — fallback answers are fine,
+# unanswered requests are not), probe the saturation knee (non-zero
 # throughput required), then SIGINT and require a clean drain. This
-# exercises the real binaries and signal path, which the package tests
+# exercises the real binary and signal path, which the package tests
 # cannot.
-go build -race -o "$SMOKE/astraea-serve" ./cmd/astraea-serve
-go build -o "$SMOKE/astraea-loadgen" ./cmd/astraea-loadgen
-"$SMOKE/astraea-serve" -listen tcp:127.0.0.1:0 -policy reference -shards 4 \
+"$SMOKE/astraea-race" serve -listen tcp:127.0.0.1:0 -policy reference -shards 4 \
     -addr-file "$SMOKE/addr" >"$SMOKE/serve.log" 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$SMOKE/addr" ] && break; sleep 0.1; done
-[ -s "$SMOKE/addr" ] || { echo "ci: astraea-serve never bound"; cat "$SMOKE/serve.log"; exit 1; }
-"$SMOKE/astraea-loadgen" -addr "$(head -1 "$SMOKE/addr")" \
+[ -s "$SMOKE/addr" ] || { echo "ci: serve never bound"; cat "$SMOKE/serve.log"; exit 1; }
+"$SMOKE/astraea" loadgen -addr "$(head -1 "$SMOKE/addr")" \
     -rate 2000 -duration 1s -flows -out "$SMOKE/load.json"
 # At this rate the evaluators are mostly idle, so a request is answered as
 # it arrives: the median is the round trip (~0.7 ms against the race-built
@@ -65,59 +68,56 @@ for _ in $(seq 1 100); do [ -s "$SMOKE/addr" ] && break; sleep 0.1; done
 P50=$(sed -n 's/^ *"p50_ms": *\([0-9.eE+-]*\),*$/\1/p' "$SMOKE/load.json")
 awk -v p50="$P50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 3) }' ||
     { echo "ci: serve smoke p50_ms=$P50 at 2000 req/s, want < 3"; cat "$SMOKE/load.json"; exit 1; }
-"$SMOKE/astraea-loadgen" -addr "$(head -1 "$SMOKE/addr")" \
+"$SMOKE/astraea" loadgen -addr "$(head -1 "$SMOKE/addr")" \
     -knee -duration 300ms -outstanding 8 -flows -out "$SMOKE/knee.json"
 kill -INT "$SERVE_PID"
-wait "$SERVE_PID" || { echo "ci: astraea-serve drain was not clean"; cat "$SMOKE/serve.log"; exit 1; }
+wait "$SERVE_PID" || { echo "ci: serve drain was not clean"; cat "$SMOKE/serve.log"; exit 1; }
 grep -q "drained after" "$SMOKE/serve.log" || { echo "ci: no drain line"; cat "$SMOKE/serve.log"; exit 1; }
 if grep -q "RACE" "$SMOKE/serve.log"; then echo "ci: race detected in serve smoke"; cat "$SMOKE/serve.log"; exit 1; fi
 
 # Deployment-artifact smoke: the full quantize→serve lifecycle through the
-# real binaries — distill an actor, compile it with astraea-quantize, boot
+# real binary — distill an actor, compile it with quantize, boot
 # the race-built server on the blob (the quantized default path), drive it,
 # and require a clean drain. Catches artifact-format or loader drift that
 # package tests, which call the Go APIs directly, would miss.
-go build -o "$SMOKE/astraea-train" ./cmd/astraea-train
-go build -o "$SMOKE/astraea-quantize" ./cmd/astraea-quantize
-"$SMOKE/astraea-train" -mode distill -samples 4000 -epochs 3 \
+"$SMOKE/astraea" train -mode distill -samples 4000 -epochs 3 \
     -out "$SMOKE/actor.json" >/dev/null
 # The trimmed distillation leaves a rougher actor than the documented
 # default budget (which passes the tool's 0.02 default gate), so open the
 # divergence gate here: this smoke tests the artifact lifecycle, and
 # accuracy is gated by TestQuantizedClosedLoopEquivalence below.
-"$SMOKE/astraea-quantize" -in "$SMOKE/actor.json" -out "$SMOKE/actor.aqp" -tol 0.1
-"$SMOKE/astraea-serve" -listen tcp:127.0.0.1:0 -policy "$SMOKE/actor.aqp" -shards 2 \
+"$SMOKE/astraea" quantize -in "$SMOKE/actor.json" -out "$SMOKE/actor.aqp" -tol 0.1
+"$SMOKE/astraea-race" serve -listen tcp:127.0.0.1:0 -policy "$SMOKE/actor.aqp" -shards 2 \
     -addr-file "$SMOKE/qaddr" >"$SMOKE/qserve.log" 2>&1 &
 QSERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$SMOKE/qaddr" ] && break; sleep 0.1; done
-[ -s "$SMOKE/qaddr" ] || { echo "ci: quantized astraea-serve never bound"; cat "$SMOKE/qserve.log"; exit 1; }
+[ -s "$SMOKE/qaddr" ] || { echo "ci: quantized serve never bound"; cat "$SMOKE/qserve.log"; exit 1; }
 grep -q "serving quantized policy" "$SMOKE/qserve.log" || { echo "ci: blob did not serve quantized"; cat "$SMOKE/qserve.log"; exit 1; }
-"$SMOKE/astraea-loadgen" -addr "$(head -1 "$SMOKE/qaddr")" \
+"$SMOKE/astraea" loadgen -addr "$(head -1 "$SMOKE/qaddr")" \
     -rate 2000 -duration 1s -flows -out "$SMOKE/qload.json"
 kill -INT "$QSERVE_PID"
 wait "$QSERVE_PID" || { echo "ci: quantized serve drain was not clean"; cat "$SMOKE/qserve.log"; exit 1; }
 if grep -q "RACE" "$SMOKE/qserve.log"; then echo "ci: race detected in quantized serve smoke"; cat "$SMOKE/qserve.log"; exit 1; fi
 
-# Training-loop smoke: astraea-train's one rl loop through the real binary.
+# Training-loop smoke: train's one rl loop through the real binary.
 # A -workers value below 1 trains on one worker. A checkpointed run
 # interrupted after 2 episodes and resumed to 4 must write the same actor
 # bytes as an uninterrupted 4-episode run: checkpoints written from the
 # per-episode hook resume bitwise.
-"$SMOKE/astraea-train" -mode rl -episodes 2 -workers 0 -out "$SMOKE/rl-w0.json" >/dev/null
-[ -s "$SMOKE/rl-w0.json" ] || { echo "ci: astraea-train -workers 0 wrote no actor"; exit 1; }
-"$SMOKE/astraea-train" -mode rl -episodes 2 -checkpoint "$SMOKE/rl.ckpt" -checkpoint-every 1 \
+"$SMOKE/astraea" train -mode rl -episodes 2 -workers 0 -out "$SMOKE/rl-w0.json" >/dev/null
+[ -s "$SMOKE/rl-w0.json" ] || { echo "ci: train -workers 0 wrote no actor"; exit 1; }
+"$SMOKE/astraea" train -mode rl -episodes 2 -checkpoint "$SMOKE/rl.ckpt" -checkpoint-every 1 \
     -out "$SMOKE/rl-half.json" >/dev/null 2>&1
-"$SMOKE/astraea-train" -mode rl -episodes 4 -resume "$SMOKE/rl.ckpt" \
+"$SMOKE/astraea" train -mode rl -episodes 4 -resume "$SMOKE/rl.ckpt" \
     -out "$SMOKE/rl-resumed.json" >/dev/null 2>&1
-"$SMOKE/astraea-train" -mode rl -episodes 4 -workers 1 -out "$SMOKE/rl-whole.json" >/dev/null
-cmp "$SMOKE/rl-resumed.json" "$SMOKE/rl-whole.json" || { echo "ci: resumed astraea-train actor differs from an uninterrupted run"; exit 1; }
+"$SMOKE/astraea" train -mode rl -episodes 4 -workers 1 -out "$SMOKE/rl-whole.json" >/dev/null
+cmp "$SMOKE/rl-resumed.json" "$SMOKE/rl-whole.json" || { echo "ci: resumed train actor differs from an uninterrupted run"; exit 1; }
 
 # Tournament smoke: the real binary on a trimmed grid (2 schemes × 2
 # families, invariants checked). The report must rank both schemes and both
 # artifacts must land under the output directory — a malformed table or a
 # missing JSON report fails here, not in a user's hands.
-go build -o "$SMOKE/astraea-tournament" ./cmd/astraea-tournament
-"$SMOKE/astraea-tournament" -schemes cubic,reno -families incast,oscillating \
+"$SMOKE/astraea" tournament -schemes cubic,reno -families incast,oscillating \
     -flows 4 -duration 1 -check -out "$SMOKE/tourney" >"$SMOKE/tourney.txt"
 grep -Eq '^1 +(cubic|reno) ' "$SMOKE/tourney.txt" || { echo "ci: tournament table has no rank-1 row"; cat "$SMOKE/tourney.txt"; exit 1; }
 grep -Eq '^2 +(cubic|reno) ' "$SMOKE/tourney.txt" || { echo "ci: tournament table has no rank-2 row"; cat "$SMOKE/tourney.txt"; exit 1; }
@@ -125,46 +125,44 @@ grep -Eq '^2 +(cubic|reno) ' "$SMOKE/tourney.txt" || { echo "ci: tournament tabl
 [ -s "$SMOKE/tourney/tournament.txt" ]  || { echo "ci: tournament.txt missing"; exit 1; }
 grep -q '"ranking"' "$SMOKE/tourney/tournament.json" || { echo "ci: tournament.json has no ranking"; exit 1; }
 
-# Fairness-lab smoke: the reward-strategy ablation binary on a tiny budget
+# Fairness-lab smoke: the reward-strategy ablation on a tiny budget
 # (2 strategies × 2 episodes), then the saved actor entered into a
 # tournament — the full trained-under-strategy-X-competes-as-itself loop
-# through the real binaries.
-go build -o "$SMOKE/astraea-fairlab" ./cmd/astraea-fairlab
-"$SMOKE/astraea-fairlab" -strategies paper,maxmin -episodes 2 \
+# through the real binary.
+"$SMOKE/astraea" fairlab -strategies paper,maxmin -episodes 2 \
     -out "$SMOKE/fairlab" -actors "$SMOKE/fairlab-actors" >"$SMOKE/fairlab.txt"
 grep -Eq '^1 +(paper|maxmin) ' "$SMOKE/fairlab.txt" || { echo "ci: fairlab table has no rank-1 row"; cat "$SMOKE/fairlab.txt"; exit 1; }
 grep -Eq '^2 +(paper|maxmin) ' "$SMOKE/fairlab.txt" || { echo "ci: fairlab table has no rank-2 row"; cat "$SMOKE/fairlab.txt"; exit 1; }
 grep -q '"outcomes"' "$SMOKE/fairlab.json" || { echo "ci: fairlab.json has no outcomes"; exit 1; }
 [ -s "$SMOKE/fairlab.txt" ] || { echo "ci: fairlab.txt missing"; exit 1; }
 [ -s "$SMOKE/fairlab-actors/maxmin.json" ] || { echo "ci: fairlab saved no maxmin actor"; exit 1; }
-"$SMOKE/astraea-tournament" -schemes cubic -families steady -flows 3 -duration 1 \
+"$SMOKE/astraea" tournament -schemes cubic -families steady -flows 3 -duration 1 \
     -actors "lab-maxmin=$SMOKE/fairlab-actors/maxmin.json" -out "" >"$SMOKE/fairtourney.txt"
 grep -Eq '^[12] +lab-maxmin ' "$SMOKE/fairtourney.txt" || { echo "ci: fairlab actor missing from tournament ranking"; cat "$SMOKE/fairtourney.txt"; exit 1; }
 
 # Closed-loop pilot smoke: the full train → gate → promote → serve loop
-# through the real binaries. A race-built astraea-serve watches a weights
-# file; a race-built astraea-pilot trains a short round, gates the candidate
-# against the serving incumbent, and promotes by atomically publishing the
-# sealed generation artifact — confirmed via the daemon's own
-# serve_policy_generation gauge — while astraea-loadgen hammers the fleet
+# through the real binary. A race-built serve watches a weights file; a
+# race-built pilot trains a short round, gates the candidate against the
+# serving incumbent, and promotes by atomically publishing the sealed
+# generation artifact — confirmed via the daemon's own
+# serve_policy_generation gauge — while loadgen hammers the fleet
 # and must see zero failed requests and a monotonically advancing policy
 # version. A second pilot run with an impossible gate floor must refuse its
 # candidate and leave the serving file byte-identical.
-go build -race -o "$SMOKE/astraea-pilot" ./cmd/astraea-pilot
 cp "$SMOKE/actor.json" "$SMOKE/serving.policy"
-"$SMOKE/astraea-serve" -listen tcp:127.0.0.1:0 -policy "$SMOKE/serving.policy" -shards 2 \
-    -reload 50ms -telemetry 127.0.0.1:0 -addr-file "$SMOKE/paddr" >"$SMOKE/pserve.log" 2>&1 &
+"$SMOKE/astraea-race" serve -listen tcp:127.0.0.1:0 -policy "$SMOKE/serving.policy" -shards 2 \
+    -reload 50ms -pprof 127.0.0.1:0 -addr-file "$SMOKE/paddr" >"$SMOKE/pserve.log" 2>&1 &
 PSERVE_PID=$!
 for _ in $(seq 1 100); do
-    [ -s "$SMOKE/paddr" ] && grep -q "telemetry and pprof" "$SMOKE/pserve.log" && break; sleep 0.1
+    [ -s "$SMOKE/paddr" ] && grep -q "serving pprof and /metrics on" "$SMOKE/pserve.log" && break; sleep 0.1
 done
-[ -s "$SMOKE/paddr" ] || { echo "ci: pilot's astraea-serve never bound"; cat "$SMOKE/pserve.log"; exit 1; }
-PMETRICS=$(sed -n 's#.*telemetry and pprof on \(http://[^/]*\)/.*#\1/metrics#p' "$SMOKE/pserve.log" | head -1)
+[ -s "$SMOKE/paddr" ] || { echo "ci: pilot's serve never bound"; cat "$SMOKE/pserve.log"; exit 1; }
+PMETRICS=$(sed -n 's#.*serving pprof and /metrics on \(http://[^ ]*\)$#\1/metrics#p' "$SMOKE/pserve.log" | head -1)
 [ -n "$PMETRICS" ] || { echo "ci: no telemetry endpoint in serve log"; cat "$SMOKE/pserve.log"; exit 1; }
-"$SMOKE/astraea-loadgen" -addr "$(head -1 "$SMOKE/paddr")" \
+"$SMOKE/astraea" loadgen -addr "$(head -1 "$SMOKE/paddr")" \
     -rate 500 -duration 12s -flows -out "$SMOKE/pload.json" >"$SMOKE/ploadgen.log" 2>&1 &
 PLOAD_PID=$!
-"$SMOKE/astraea-pilot" -promote "$SMOKE/serving.policy" -serve-metrics "$PMETRICS" \
+"$SMOKE/astraea-race" pilot -promote "$SMOKE/serving.policy" -serve-metrics "$PMETRICS" \
     -dir "$SMOKE/gens" -rounds 1 -episodes-per-round 2 -workers 2 -rl-hidden 8,8 \
     -episode-duration 3 -max-flows 2 \
     -gate-families steady -gate-flows 3 -gate-duration 0.5 \
@@ -179,7 +177,7 @@ curl -s "$PMETRICS" | grep -q '^serve_policy_generation 2$' \
 # Impossible floor: the candidate must be refused and the serving artifact
 # must not move (byte-identical file, fleet still on generation 2).
 cksum "$SMOKE/serving.policy" >"$SMOKE/serving.sum"
-"$SMOKE/astraea-pilot" -promote "$SMOKE/serving.policy" -serve-metrics "$PMETRICS" \
+"$SMOKE/astraea-race" pilot -promote "$SMOKE/serving.policy" -serve-metrics "$PMETRICS" \
     -dir "$SMOKE/gens" -rounds 1 -episodes-per-round 2 -workers 2 -rl-hidden 8,8 \
     -episode-duration 3 -max-flows 2 \
     -gate-families steady -gate-flows 3 -gate-duration 0.5 -gate-min-jain 1.5 \
@@ -196,7 +194,7 @@ wait "$PLOAD_PID" || { echo "ci: loadgen failed across promotion"; cat "$SMOKE/p
 grep -q '"failed": 0' "$SMOKE/pload.json" || { echo "ci: dropped requests across promotion"; cat "$SMOKE/pload.json"; exit 1; }
 grep -q '"max_version": 3' "$SMOKE/pload.json" || { echo "ci: clients never saw the promoted version"; cat "$SMOKE/pload.json"; exit 1; }
 kill -INT "$PSERVE_PID"
-wait "$PSERVE_PID" || { echo "ci: pilot's astraea-serve drain was not clean"; cat "$SMOKE/pserve.log"; exit 1; }
+wait "$PSERVE_PID" || { echo "ci: pilot's serve drain was not clean"; cat "$SMOKE/pserve.log"; exit 1; }
 grep -q "drained after" "$SMOKE/pserve.log" || { echo "ci: no drain line after pilot smoke"; cat "$SMOKE/pserve.log"; exit 1; }
 if grep -q "RACE" "$SMOKE/pserve.log" "$SMOKE/pilot.log" "$SMOKE/pilot2.log"; then
     echo "ci: race detected in pilot smoke"; exit 1
@@ -204,21 +202,21 @@ fi
 # Restart on the promoted artifact: a daemon booted from the sealed
 # generation-2 serving.policy must report that generation from the first
 # scrape, before any reload, still at policy version 1.
-"$SMOKE/astraea-serve" -listen tcp:127.0.0.1:0 -policy "$SMOKE/serving.policy" -shards 2 \
-    -telemetry 127.0.0.1:0 -addr-file "$SMOKE/raddr" >"$SMOKE/rserve.log" 2>&1 &
+"$SMOKE/astraea-race" serve -listen tcp:127.0.0.1:0 -policy "$SMOKE/serving.policy" -shards 2 \
+    -pprof 127.0.0.1:0 -addr-file "$SMOKE/raddr" >"$SMOKE/rserve.log" 2>&1 &
 RSERVE_PID=$!
 for _ in $(seq 1 100); do
-    [ -s "$SMOKE/raddr" ] && grep -q "telemetry and pprof" "$SMOKE/rserve.log" && break; sleep 0.1
+    [ -s "$SMOKE/raddr" ] && grep -q "serving pprof and /metrics on" "$SMOKE/rserve.log" && break; sleep 0.1
 done
-[ -s "$SMOKE/raddr" ] || { echo "ci: restarted astraea-serve never bound"; cat "$SMOKE/rserve.log"; exit 1; }
-RMETRICS=$(sed -n 's#.*telemetry and pprof on \(http://[^/]*\)/.*#\1/metrics#p' "$SMOKE/rserve.log" | head -1)
+[ -s "$SMOKE/raddr" ] || { echo "ci: restarted serve never bound"; cat "$SMOKE/rserve.log"; exit 1; }
+RMETRICS=$(sed -n 's#.*serving pprof and /metrics on \(http://[^ ]*\)$#\1/metrics#p' "$SMOKE/rserve.log" | head -1)
 [ -n "$RMETRICS" ] || { echo "ci: no telemetry endpoint in restarted serve log"; cat "$SMOKE/rserve.log"; exit 1; }
 curl -s "$RMETRICS" | grep -q '^serve_policy_generation 2$' \
     || { echo "ci: restarted daemon does not report generation 2"; curl -s "$RMETRICS" | grep serve_policy_; exit 1; }
 curl -s "$RMETRICS" | grep -q '^serve_policy_version 1$' \
     || { echo "ci: restarted daemon is not at policy version 1"; curl -s "$RMETRICS" | grep serve_policy_; exit 1; }
 kill -INT "$RSERVE_PID"
-wait "$RSERVE_PID" || { echo "ci: restarted astraea-serve drain was not clean"; cat "$SMOKE/rserve.log"; exit 1; }
+wait "$RSERVE_PID" || { echo "ci: restarted serve drain was not clean"; cat "$SMOKE/rserve.log"; exit 1; }
 if grep -q "RACE" "$SMOKE/rserve.log"; then echo "ci: race detected in restarted serve"; cat "$SMOKE/rserve.log"; exit 1; fi
 
 # Coverage summary: per-package statement coverage plus the total, so a PR

@@ -86,6 +86,21 @@ func astraeaScenario(seed int64, mk func(flow int) *core.Agent) runner.Scenario 
 	return sc
 }
 
+// shadowed is a policy that also evaluates a shadow policy on every state
+// it is asked about, and keeps the largest gap between the two actions.
+type shadowed struct {
+	policy, shadow core.Policy
+	worst          *float64
+}
+
+func (s *shadowed) Action(state []float64) float64 {
+	act := s.policy.Action(state)
+	if d := math.Abs(s.shadow.Action(state) - act); d > *s.worst {
+		*s.worst = d
+	}
+	return act
+}
+
 // runQuantSeed runs one seed's paired float/quantized scenarios.
 func runQuantSeed(seed int64, fp *core.MLPPolicy, qp *core.QuantizedPolicy) (quantSeedResult, error) {
 	cfg := core.DefaultConfig()
@@ -96,15 +111,9 @@ func runQuantSeed(seed int64, fp *core.MLPPolicy, qp *core.QuantizedPolicy) (qua
 	// through a quantized clone, so divergence is measured on the state
 	// distribution the deployed controller actually sees.
 	scF := astraeaScenario(seed, func(int) *core.Agent {
-		a := core.NewAgent(cfg, core.ClonePolicy(fp))
-		shadow := core.ClonePolicy(qp)
-		a.ActionOverride = func(state []float64, act float64) float64 {
-			if d := math.Abs(shadow.Action(state) - act); d > out.worstDelta {
-				out.worstDelta = d
-			}
-			return act
-		}
-		return a
+		return core.NewAgent(cfg, &shadowed{
+			policy: core.ClonePolicy(fp), shadow: core.ClonePolicy(qp), worst: &out.worstDelta,
+		})
 	})
 	resF, err := runner.Run(scF)
 	if err != nil {

@@ -14,16 +14,13 @@ func ActionToCwnd(cwnd, action, alpha float64) float64 {
 }
 
 // Agent is Astraea's deployment-phase congestion controller: each MTP it
-// assembles the local state, queries the policy (directly or through a
-// shared inference Service), and enforces the Eq. 3 window update with
-// cwnd/sRTT pacing. Global information is used only during training, never
-// here (§3.1, Evaluation).
+// assembles the local state, queries the policy (a *Service routes the
+// query through the shared inference service), and enforces the Eq. 3
+// window update with cwnd/sRTT pacing. Global information is used only
+// during training, never here (§3.1, Evaluation).
 type Agent struct {
 	Cfg    Config
 	policy Policy
-	// Service, when set, routes inference through the shared batch service
-	// instead of calling the policy synchronously.
-	service *Service
 
 	states *StateBlock
 
@@ -50,15 +47,13 @@ type Agent struct {
 	drainOffset  int
 	preDrainCwnd float64
 
-	// Hooks for the training environment.
-	OnMTPState func(f *transport.Flow, st transport.MTPStats, ls LocalState)
-	// ActionOverride, when non-nil, replaces the policy output (training
-	// exploration injects noise this way).
-	ActionOverride func(state []float64, policyAction float64) float64
-
-	// LastAction and LastState expose the most recent decision.
-	LastAction float64
-	LastState  []float64
+	// OnDecision, when set, runs at the end of every MTP, after the agent
+	// has acted, with the MTP's statistics, the stacked state the policy
+	// saw and the clamped action the policy returned. State is nil, and the
+	// action 0, while the agent is in startup and the policy is not asked.
+	// State is a fresh slice each MTP, so the hook may keep it. The
+	// training environment builds its transitions here.
+	OnDecision func(f *transport.Flow, st transport.MTPStats, state []float64, action float64)
 }
 
 // NewAgent builds an agent around policy (nil selects the reference
@@ -77,20 +72,8 @@ func NewAgent(cfg Config, policy Policy) *Agent {
 	}
 }
 
-// NewServedAgent builds an agent whose inference goes through a shared
-// batch Service.
-func NewServedAgent(cfg Config, svc *Service) *Agent {
-	a := NewAgent(cfg, nil)
-	a.service = svc
-	return a
-}
-
 // Name implements transport.CongestionControl.
 func (a *Agent) Name() string { return "astraea" }
-
-// StateInput returns the current stacked state vector (the training
-// environment uses it as the s' of a closing transition).
-func (a *Agent) StateInput() []float64 { return a.states.Input() }
 
 // Init implements transport.CongestionControl.
 func (a *Agent) Init(f *transport.Flow) {
@@ -129,35 +112,18 @@ func (a *Agent) OnLoss(f *transport.Flow, e transport.LossEvent) {
 func (a *Agent) OnMTP(f *transport.Flow, st transport.MTPStats) {
 	ls := localStateFromMTP(a.Cfg, st)
 	a.states.Push(ls)
-	if a.OnMTPState != nil {
-		a.OnMTPState(f, st, ls)
-	}
 
 	// Exit startup on the first sign of queueing.
 	if a.inStartup && ls.LatRatio > 1.15 {
 		a.inStartup = false
 	}
 
+	var state []float64
+	var action float64
 	if !a.inStartup {
 		a.mtpCount++
-		state := a.states.Input()
-		var action float64
-		if a.service != nil {
-			action = a.service.Infer(state)
-		} else {
-			action = a.policy.Action(state)
-		}
-		if a.ActionOverride != nil {
-			action = a.ActionOverride(state, action)
-		}
-		if action > 1 {
-			action = 1
-		}
-		if action < -1 {
-			action = -1
-		}
-		a.LastAction = action
-		a.LastState = state
+		state = a.states.Input()
+		action = min(max(a.policy.Action(state), -1), 1)
 
 		phase := -1
 		if a.DrainPeriod > 0 {
@@ -191,6 +157,9 @@ func (a *Agent) OnMTP(f *transport.Flow, st transport.MTPStats) {
 			pacing = 8 * maxT
 		}
 		f.SetPacingBps(pacing)
+	}
+	if a.OnDecision != nil {
+		a.OnDecision(f, st, state, action)
 	}
 	f.ScheduleMTP(a.Cfg.MTP)
 }

@@ -39,7 +39,7 @@ import (
 // The pending queue is unbounded and submitting never blocks: the bound on
 // outstanding requests lives in the callers, all of which have one —
 // internal/serve counts the requests each shard's service has not handed
-// back and sheds past a multiple of QueueDepth, and Infer parks its caller
+// back and sheds past a multiple of QueueDepth, and Action parks its caller
 // until the answer arrives.
 type Service struct {
 	// MaxBatch caps the requests evaluated between two AfterBatch calls:
@@ -82,7 +82,7 @@ type serviceMetrics struct {
 }
 
 // Stats returns the request and batch counts under the service lock. Plain
-// field reads are only safe once no concurrent Infer or evaluator pull can
+// field reads are only safe once no concurrent Action or evaluator pull can
 // be running; Stats is always safe.
 func (s *Service) Stats() (requests, batches int64) {
 	s.mu.Lock()
@@ -201,8 +201,10 @@ func (s *Service) ShareInstruments(src *Service) {
 	s.mu.Unlock()
 }
 
-// Infer evaluates one state, possibly batched with concurrent requests.
-func (s *Service) Infer(state []float64) float64 {
+// Action evaluates one state, possibly batched with concurrent requests.
+// It makes a *Service a Policy: an Agent built on one routes its decisions
+// through the shared service.
+func (s *Service) Action(state []float64) float64 {
 	return <-s.Submit(state)
 }
 
@@ -327,7 +329,7 @@ func (s *Service) evaluate(chunk []inferReq, p Policy, m serviceMetrics) {
 }
 
 // Close waits for every outstanding request to be answered, stops the
-// evaluator, and makes further Infer calls synchronous. Safe to call more
+// evaluator, and makes further Action calls synchronous. Safe to call more
 // than once.
 func (s *Service) Close() {
 	s.mu.Lock()

@@ -74,8 +74,8 @@ func await(t *testing.T, ch <-chan float64, what string) float64 {
 
 func TestServiceSynchronousMode(t *testing.T) {
 	svc := NewSyncService(DefaultConfig(), constPolicy{0.5})
-	if got := svc.Infer([]float64{1}); got != 0.5 {
-		t.Fatalf("Infer = %v", got)
+	if got := svc.Action([]float64{1}); got != 0.5 {
+		t.Fatalf("Action = %v", got)
 	}
 	if svc.Requests != 1 || svc.Batches != 1 {
 		t.Fatalf("counters %d/%d", svc.Requests, svc.Batches)
@@ -91,7 +91,7 @@ func TestServiceLoneRequestAnsweredAtOnce(t *testing.T) {
 	resp := svc.Submit([]float64{7})
 	gate.step(t) // the evaluator is already in Action for the lone request
 	if got := await(t, resp, "lone request"); got != 7 {
-		t.Fatalf("Infer = %v", got)
+		t.Fatalf("Action = %v", got)
 	}
 	if requests, batches := svc.Stats(); requests != 1 || batches != 1 {
 		t.Fatalf("counters %d/%d, want 1/1", requests, batches)
@@ -186,21 +186,21 @@ func TestServiceSetPolicyNeverSplitsAPull(t *testing.T) {
 // requests.
 func TestServiceSetPolicy(t *testing.T) {
 	svc := NewSyncService(DefaultConfig(), constPolicy{0.25})
-	if got := svc.Infer([]float64{1}); got != 0.25 {
-		t.Fatalf("pre-swap Infer = %v", got)
+	if got := svc.Action([]float64{1}); got != 0.25 {
+		t.Fatalf("pre-swap Action = %v", got)
 	}
 	svc.SetPolicy(constPolicy{-0.75})
-	if got := svc.Infer([]float64{1}); got != -0.75 {
-		t.Fatalf("post-swap Infer = %v", got)
+	if got := svc.Action([]float64{1}); got != -0.75 {
+		t.Fatalf("post-swap Action = %v", got)
 	}
 	svc.SetPolicy(nil) // ignored, not a panic
-	if got := svc.Infer([]float64{1}); got != -0.75 {
+	if got := svc.Action([]float64{1}); got != -0.75 {
 		t.Fatalf("nil swap changed policy: %v", got)
 	}
 }
 
 // TestServiceClose: Close answers everything still queued behind a busy
-// evaluator before it returns, and afterwards Infer is synchronous — it
+// evaluator before it returns, and afterwards Action is synchronous — it
 // completes on the caller's goroutine with no evaluator left to run it.
 func TestServiceClose(t *testing.T) {
 	gate := newGatePolicy(0)
@@ -234,8 +234,8 @@ func TestServiceClose(t *testing.T) {
 	}
 
 	svc.SetPolicy(constPolicy{0.75})
-	if got := svc.Infer([]float64{1}); got != 0.75 {
-		t.Fatalf("post-close Infer = %v", got)
+	if got := svc.Action([]float64{1}); got != 0.75 {
+		t.Fatalf("post-close Action = %v", got)
 	}
 	if requests, batches := svc.Stats(); requests != 3 || batches != 3 {
 		t.Fatalf("counters %d/%d, want 3/3", requests, batches)
@@ -264,7 +264,7 @@ func TestServiceNoLostOrDuplicatedResponses(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				want := float64(g*perG + i + 1)
-				if got := svc.Infer([]float64{want}); got != want {
+				if got := svc.Action([]float64{want}); got != want {
 					errs <- "got someone else's response"
 					return
 				}
@@ -293,9 +293,9 @@ func TestServiceNoLostOrDuplicatedResponses(t *testing.T) {
 func TestServiceSubmitAbandoned(t *testing.T) {
 	svc := NewService(DefaultConfig(), constPolicy{0.5})
 	_ = svc.Submit([]float64{1}) // abandoned: never received
-	got := svc.Infer([]float64{2})
+	got := svc.Action([]float64{2})
 	if got != 0.5 {
-		t.Fatalf("Infer after abandoned Submit = %v", got)
+		t.Fatalf("Action after abandoned Submit = %v", got)
 	}
 	svc.Close() // must not hang on the undelivered buffered response
 	requests, _ := svc.Stats()
@@ -308,7 +308,7 @@ func TestServiceDefaultPolicy(t *testing.T) {
 	cfg := DefaultConfig()
 	svc := NewSyncService(cfg, nil)
 	// nil policy selects the reference policy; a no-signal state probes up.
-	if got := svc.Infer(make([]float64, cfg.StateDim())); got != 1 {
-		t.Fatalf("default-policy Infer = %v, want 1", got)
+	if got := svc.Action(make([]float64, cfg.StateDim())); got != 1 {
+		t.Fatalf("default-policy Action = %v, want 1", got)
 	}
 }

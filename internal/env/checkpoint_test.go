@@ -322,10 +322,11 @@ func actorDigest(bits []uint64) uint64 {
 	return h.Sum64()
 }
 
-// TestOneWorkerMatchesSerialGolden pins the one-worker training trajectory:
-// the digests were captured from the serial learner this package used to
-// carry beside ParallelLearner, so a one-worker ParallelLearner still
-// trains that learner's actor bit for bit under both reward strategies.
+// TestOneWorkerMatchesSerialGolden pins the one-worker training trajectory
+// under both reward strategies. The digests were first captured from the
+// serial learner this package used to carry beside ParallelLearner, and
+// re-captured once when transitions began pairing each action with the
+// state it was chosen in (TestTransitionsChain).
 func TestOneWorkerMatchesSerialGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains real episodes")
@@ -333,7 +334,7 @@ func TestOneWorkerMatchesSerialGolden(t *testing.T) {
 	for _, c := range []struct {
 		reward string
 		want   uint64
-	}{{"", 0xe13c8b6e869adf49}, {"maxmin", 0x2f4454953214774c}} {
+	}{{"", 0x49db2023d0d40bcc}, {"maxmin", 0xd13bc7b8df1fa6d2}} {
 		l := tinyLearner(7, c.reward)
 		l.Train(4)
 		if got := actorDigest(actorBits(l)); got != c.want {

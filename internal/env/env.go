@@ -1,10 +1,13 @@
 // Package env implements the paper's multi-flow training environment
-// (§3.2): a Flow Generator that launches concurrent flows with randomized
-// (optionally Poisson) arrivals and heterogeneous RTTs over an emulated
-// bottleneck, and a Controller whose Observer gathers world observations
-// from all active flows into the global state of Table 2 while its Enforcer
-// relays actions back to the flows. Episodes yield (g, s, a, g', s', r)
-// transitions for the multi-agent trainer in internal/rl.
+// (§3.2). TrainingDistribution draws episodes from Table 3, with
+// randomized (optionally Poisson) arrivals and heterogeneous RTTs.
+// RunEpisode runs one on runner.Run, the simulator path every experiment
+// uses: each flow is a core.Agent whose OnDecision hook reports every
+// decision to the Observer, which gathers the world observation of all
+// active flows into the global state of Table 2 and the reward, and pairs
+// each action with the state it was chosen in. Episodes yield
+// (g, s, a, g', s', r) transitions for the multi-agent trainer in
+// internal/rl.
 package env
 
 import (
@@ -12,9 +15,8 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/netem"
 	"repro/internal/rl"
-	"repro/internal/sim"
+	"repro/internal/runner"
 	"repro/internal/transport"
 )
 
@@ -106,7 +108,6 @@ func (c *EpisodeConfig) PoissonArrivals(rng *rand.Rand, meanGap float64) {
 // and the w-deep throughput history the reward block needs.
 type flowTracker struct {
 	flow     *transport.Flow
-	agent    *core.Agent
 	last     transport.MTPStats
 	haveMTP  bool
 	tputHist []float64
@@ -190,9 +191,6 @@ func (o *Observer) Reward() core.RewardComponents {
 			PacingBps:   st.PacingBps,
 		})
 	}
-	if o.strategy == nil {
-		o.strategy = core.MustRewardStrategy(o.cfg.Reward)
-	}
 	return o.strategy.Evaluate(o.cfg, obs, core.LinkInfo{
 		Bandwidth: o.link.Bandwidth,
 		BaseOWD:   o.link.BaseOWD,
@@ -201,10 +199,9 @@ func (o *Observer) Reward() core.RewardComponents {
 
 // EpisodeResult summarizes a finished episode.
 type EpisodeResult struct {
-	Transitions int
-	AvgReward   float64
-	Components  core.RewardComponents // time-averaged
-	Duration    float64
+	AvgReward  float64
+	Components core.RewardComponents // time-averaged
+	Duration   float64
 }
 
 // Exploration configures behaviour noise during episode collection.
@@ -212,25 +209,31 @@ type Exploration struct {
 	Stddev float64
 }
 
-// RunEpisode executes cfg, driving every flow with an Astraea agent whose
-// actions come from policy (through the Enforcer), optionally perturbed by
-// exploration noise drawn from the episode RNG. Completed transitions are
-// appended to rb when it is non-nil. onStep, when set, observes each
-// (agent index, transition) as it completes.
+// explored is Exploration as a policy: Gaussian noise on each action of
+// the wrapped policy, drawn from the episode simulator's RNG. The agent
+// clamps the sum to [-1, 1].
+type explored struct {
+	policy core.Policy
+	stddev float64
+	rng    *rand.Rand // set as the flow is created
+}
+
+func (e *explored) Action(state []float64) float64 {
+	return e.policy.Action(state) + e.rng.NormFloat64()*e.stddev
+}
+
+// RunEpisode executes cfg on runner.Run, driving every flow with an Astraea
+// agent whose actions come from policy (nil gives each agent its own
+// reference policy), optionally perturbed by exploration noise drawn from
+// the episode RNG. Each agent's OnDecision hook feeds the Observer, which
+// turns the flow's decisions into (g, s, a, g', s', r) transitions.
+// Completed transitions are appended to rb when it is non-nil. onStep, when
+// set, observes each (flow index, transition) as it completes.
 func RunEpisode(cfg EpisodeConfig, agentCfg core.Config, policy core.Policy,
 	seed int64, rb *rl.ReplayBuffer, explore *Exploration,
 	onStep func(i int, tr rl.Transition)) EpisodeResult {
 
-	s := sim.New(seed)
-	bufBytes := int(cfg.RateBps / 8 * cfg.BaseRTT * cfg.BufBDP)
-	if bufBytes < 2*transport.MSS {
-		bufBytes = 2 * transport.MSS
-	}
-	dumb := netem.NewDumbbell(s, netem.DumbbellConfig{
-		RateBps: cfg.RateBps, BaseRTT: cfg.BaseRTT,
-		QueueBytes: bufBytes, LossProb: cfg.LossProb,
-	})
-
+	bufBytes := max(int(cfg.RateBps/8*cfg.BaseRTT*cfg.BufBDP), 2*transport.MSS)
 	obs := &Observer{
 		cfg: agentCfg,
 		// Resolve once per episode; MustRewardStrategy is the contract that
@@ -248,29 +251,33 @@ func RunEpisode(cfg EpisodeConfig, agentCfg core.Config, policy core.Policy,
 	var rewardN int
 	var compSum core.RewardComponents
 
+	sc := runner.Scenario{
+		Seed: seed, RateBps: cfg.RateBps, BaseRTT: cfg.BaseRTT,
+		QueueBytes: bufBytes, LossProb: cfg.LossProb, Duration: cfg.Duration,
+	}
+	agents := make([]*core.Agent, len(cfg.Flows))
+	noise := make([]*explored, len(cfg.Flows))
 	for i, plan := range cfg.Flows {
-		agent := core.NewAgent(agentCfg, policy)
-		fl := transport.NewFlow(s, transport.FlowConfig{
-			ID: i, Path: dumb.FlowPath(plan.ExtraDelay), CC: agent,
-			Start: plan.Start, Duration: plan.Duration,
-		})
-		tracker := &flowTracker{flow: fl, agent: agent}
-		obs.trackers = append(obs.trackers, tracker)
-
-		idx := i
-		if explore != nil {
-			agent.ActionOverride = func(state []float64, a float64) float64 {
-				a += s.Rand().NormFloat64() * explore.Stddev
-				if a > 1 {
-					a = 1
-				}
-				if a < -1 {
-					a = -1
-				}
-				return a
-			}
+		p := policy
+		if p == nil {
+			p = core.NewReferencePolicy(agentCfg)
 		}
-		agent.OnMTPState = func(f *transport.Flow, st transport.MTPStats, ls core.LocalState) {
+		if explore != nil {
+			noise[i] = &explored{policy: p, stddev: explore.Stddev}
+			p = noise[i]
+		}
+		agents[i] = core.NewAgent(agentCfg, p)
+		sc.Flows = append(sc.Flows, runner.FlowSpec{
+			CC: agents[i], Start: plan.Start, Duration: plan.Duration, ExtraDelay: plan.ExtraDelay,
+		})
+	}
+	sc.OnFlowCreated = func(idx int, f *transport.Flow) {
+		if noise[idx] != nil {
+			noise[idx].rng = f.Sim.Rand()
+		}
+		tracker := &flowTracker{flow: f}
+		obs.trackers = append(obs.trackers, tracker)
+		agents[idx].OnDecision = func(_ *transport.Flow, st transport.MTPStats, state []float64, action float64) {
 			// Observer bookkeeping (world observation update).
 			tracker.last = st
 			tracker.haveMTP = true
@@ -290,11 +297,12 @@ func RunEpisode(cfg EpisodeConfig, agentCfg core.Config, policy core.Policy,
 			compSum.Stab += rc.Stab
 
 			gVec := g.Vector(agentCfg)
-			sVec := agent.LastState
-			// Complete the pending transition with this step's state as s'.
+			// Close the transition opened at the previous MTP: this MTP's
+			// global and local state are its g' and s', and the reward
+			// observed now is the one its action earned.
 			if tracker.pending != nil {
 				tracker.pending.NextGlobal = gVec
-				tracker.pending.NextState = append([]float64(nil), currentInput(agent)...)
+				tracker.pending.NextState = state
 				tracker.pending.Reward = rc.Total
 				if rb != nil {
 					rb.Add(*tracker.pending)
@@ -304,20 +312,18 @@ func RunEpisode(cfg EpisodeConfig, agentCfg core.Config, policy core.Policy,
 				}
 				tracker.pending = nil
 			}
-			// Open the next transition once the agent has acted (LastState
-			// is set after startup ends).
-			if sVec != nil {
+			// Open one on this decision, once the policy has taken over
+			// from startup: (g, s, a) of the same MTP.
+			if state != nil {
 				tracker.pending = &rl.Transition{
 					Global: gVec,
-					State:  append([]float64(nil), sVec...),
-					Action: []float64{agent.LastAction},
+					State:  state,
+					Action: []float64{action},
 				}
 			}
 		}
-		fl.Start()
 	}
-
-	s.Run(cfg.Duration)
+	runner.MustRun(sc)
 
 	res := EpisodeResult{Duration: cfg.Duration}
 	if rewardN > 0 {
@@ -330,14 +336,5 @@ func RunEpisode(cfg EpisodeConfig, agentCfg core.Config, policy core.Policy,
 			Stab: compSum.Stab / float64(rewardN),
 		}
 	}
-	if rb != nil {
-		res.Transitions = rb.Len()
-	}
 	return res
-}
-
-// currentInput rebuilds the agent's current stacked input (s' for the
-// transition that just closed).
-func currentInput(a *core.Agent) []float64 {
-	return a.StateInput()
 }

@@ -3,6 +3,7 @@ package env
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -103,6 +104,35 @@ func TestRunEpisodeProducesTransitions(t *testing.T) {
 	}
 	if res.AvgReward == 0 {
 		t.Fatal("episode reported zero average reward despite activity")
+	}
+}
+
+// TestTransitionsChain: each transition pairs an action with the state the
+// policy chose it in, so per flow the next-state half of transition j is
+// the state half of transition j+1.
+func TestTransitionsChain(t *testing.T) {
+	cfg := EpisodeConfig{
+		RateBps: 50e6, BaseRTT: 0.030, BufBDP: 1, Duration: 8,
+		Flows: []FlowPlan{{Start: 0}, {Start: 1}},
+	}
+	agentCfg := core.DefaultConfig()
+	byFlow := make([][]rl.Transition, len(cfg.Flows))
+	RunEpisode(cfg, agentCfg, nil, 7, nil, nil, func(i int, tr rl.Transition) {
+		byFlow[i] = append(byFlow[i], tr)
+	})
+	for i, trs := range byFlow {
+		if len(trs) < 100 {
+			t.Fatalf("flow %d: only %d transitions", i, len(trs))
+		}
+		broken := 0
+		for j := 0; j+1 < len(trs); j++ {
+			if !slices.Equal(trs[j].NextState, trs[j+1].State) || !slices.Equal(trs[j].NextGlobal, trs[j+1].Global) {
+				broken++
+			}
+		}
+		if broken > 0 {
+			t.Errorf("flow %d: %d of %d consecutive pairs do not chain", i, broken, len(trs)-1)
+		}
 	}
 }
 

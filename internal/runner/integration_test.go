@@ -58,7 +58,7 @@ func TestServedPolicyClosedLoop(t *testing.T) {
 	cfg := core.DefaultConfig()
 	svc := core.NewSyncService(cfg, nil) // synchronous inside the single-threaded simulator
 
-	mk := func() *core.Agent { return core.NewServedAgent(cfg, svc) }
+	mk := func() *core.Agent { return core.NewAgent(cfg, svc) }
 	res := MustRun(Scenario{
 		Seed: 33, RateBps: 100e6, BaseRTT: 0.030, QueueBDP: 1, Duration: 40,
 		Flows: []FlowSpec{

@@ -139,6 +139,14 @@ grep -q '"outcomes"' "$SMOKE/fairlab.json" || { echo "ci: fairlab.json has no ou
 "$SMOKE/astraea" tournament -schemes cubic -families steady -flows 3 -duration 1 \
     -actors "lab-maxmin=$SMOKE/fairlab-actors/maxmin.json" -out "" >"$SMOKE/fairtourney.txt"
 grep -Eq '^[12] +lab-maxmin ' "$SMOKE/fairtourney.txt" || { echo "ci: fairlab actor missing from tournament ranking"; cat "$SMOKE/fairtourney.txt"; exit 1; }
+# The committed fairness-lab report must regenerate byte-identical: a
+# change that moves training numerics has to re-capture
+# results/fairness_lab.{json,txt} with it (about half a second).
+"$SMOKE/astraea" fairlab -out "$SMOKE/fairness_lab" >/dev/null
+for ext in json txt; do
+    cmp "$SMOKE/fairness_lab.$ext" "results/fairness_lab.$ext" \
+        || { echo "ci: results/fairness_lab.$ext is stale; regenerate with: go run ./cmd/astraea fairlab -out results/fairness_lab"; exit 1; }
+done
 
 # Closed-loop pilot smoke: the full train → gate → promote → serve loop
 # through the real binary. A race-built serve watches a weights file; a

@@ -4,8 +4,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() { Register("aurora", func() transport.CongestionControl { return NewAurora(nil) }) }
-
 // AuroraPolicy maps Aurora's observation vector to an action in (-1,1).
 // The observation follows the Aurora paper: a history of (send ratio,
 // latency ratio, latency gradient) triples.

@@ -6,8 +6,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() { Register("bbr", func() transport.CongestionControl { return NewBBR() }) }
-
 // BBR implements a faithful-in-shape BBRv1: STARTUP with 2/ln2 gain, DRAIN,
 // an 8-phase PROBE_BW pacing-gain cycle, PROBE_RTT every 10 s, a windowed
 // max filter for bottleneck bandwidth and a windowed min filter for RTT. It

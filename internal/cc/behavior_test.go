@@ -7,6 +7,7 @@ package cc_test
 import (
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 )
@@ -149,73 +150,15 @@ func TestCopaLowLatency(t *testing.T) {
 	}
 }
 
-func TestFastHighBDPConvergence(t *testing.T) {
-	// FAST's multiplicative delay update must fill a high-BDP path far
-	// faster than Vegas' one-packet-per-RTT crawl.
-	fast := single(t, "fast", 500e6, 0.080, 1, 20)
-	if fast.Utilization < 0.85 {
-		t.Errorf("fast utilization %.3f on 500 Mbps x 80 ms", fast.Utilization)
-	}
-	vegas := single(t, "vegas", 500e6, 0.080, 1, 20)
-	if vegas.Utilization > fast.Utilization {
-		t.Errorf("vegas (%.3f) outpaced fast (%.3f) on a high-BDP path",
-			vegas.Utilization, fast.Utilization)
-	}
-	// And it stays delay-bounded.
-	if fast.Flows[0].AvgRTT > 0.100 {
-		t.Errorf("fast avg RTT %.1f ms", fast.Flows[0].AvgRTT*1000)
-	}
-}
-
 func TestSchemesConvergeFromColdStart(t *testing.T) {
 	// Every scheme must reach at least half capacity within 10 s on an
 	// easy link — a liveness floor guarding against wedged controllers.
-	for _, scheme := range []string{"reno", "cubic", "vegas", "bbr", "copa", "remy", "aurora", "vivace", "orca", "astraea", "fast", "compound", "allegro"} {
+	for _, scheme := range cc.Names() {
 		res := single(t, scheme, 50e6, 0.040, 2, 12)
 		late := metrics.Mean(res.Flows[0].Tput.Slice(8, 12))
 		if late < 25e6 {
 			t.Errorf("%s reached only %.1f Mbps of 50 by t=8-12s", scheme, late/1e6)
 		}
-	}
-}
-
-func TestCompoundHighUtilizationModestQueue(t *testing.T) {
-	// Compound's delay component must deliver near-full utilization while
-	// keeping the queue below what pure loss-based Cubic holds.
-	comp := single(t, "compound", 100e6, 0.030, 4, 20)
-	cub := single(t, "cubic", 100e6, 0.030, 4, 20)
-	if comp.Utilization < 0.9 {
-		t.Errorf("compound utilization %.3f", comp.Utilization)
-	}
-	if comp.Flows[0].AvgRTT >= cub.Flows[0].AvgRTT {
-		t.Errorf("compound RTT %.1f ms not below cubic %.1f ms on deep buffer",
-			comp.Flows[0].AvgRTT*1000, cub.Flows[0].AvgRTT*1000)
-	}
-}
-
-func TestAllegroLossResilientButLatencyBlind(t *testing.T) {
-	// Allegro tolerates random loss (sigmoid knee at ~5%) where Cubic
-	// collapses, but unlike Vivace it has no latency term, so it parks a
-	// deep standing queue.
-	alg := runner.MustRun(runner.Scenario{
-		Seed: 6, RateBps: 50e6, BaseRTT: 0.050, QueueBDP: 2, LossProb: 0.02,
-		Duration: 20, Flows: []runner.FlowSpec{{Scheme: "allegro"}},
-	})
-	cub := runner.MustRun(runner.Scenario{
-		Seed: 6, RateBps: 50e6, BaseRTT: 0.050, QueueBDP: 2, LossProb: 0.02,
-		Duration: 20, Flows: []runner.FlowSpec{{Scheme: "cubic"}},
-	})
-	if alg.Utilization < 0.7 {
-		t.Errorf("allegro under 2%% random loss: %.3f utilization", alg.Utilization)
-	}
-	if cub.Utilization > alg.Utilization {
-		t.Errorf("cubic (%.3f) should collapse below allegro (%.3f) under random loss",
-			cub.Utilization, alg.Utilization)
-	}
-	clean := single(t, "allegro", 100e6, 0.030, 2, 15)
-	if clean.Flows[0].AvgRTT < 0.035 {
-		t.Errorf("allegro avg RTT %.1f ms; being latency-blind it should hold a queue",
-			clean.Flows[0].AvgRTT*1000)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -17,15 +18,25 @@ import (
 // its own instance because controllers carry per-flow state.
 type Factory func() transport.CongestionControl
 
-var registry = map[string]Factory{}
-
-// Register adds a named factory. It panics on duplicates: registration is
-// an init-time programming act, not a runtime condition.
-func Register(name string, f Factory) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("cc: duplicate registration of %q", name))
-	}
-	registry[name] = f
+// registry maps every scheme name to its factory: the paper's roster plus
+// vivace-enhanced, the tuned Vivace variant of Fig. 2. One map literal, so
+// a duplicate name is a compile error.
+var registry = map[string]Factory{
+	"astraea": func() transport.CongestionControl { return core.NewAgent(core.DefaultConfig(), nil) },
+	"aurora":  func() transport.CongestionControl { return NewAurora(nil) },
+	"bbr":     func() transport.CongestionControl { return NewBBR() },
+	"copa":    func() transport.CongestionControl { return NewCopa() },
+	"cubic":   func() transport.CongestionControl { return NewCubic() },
+	"orca":    func() transport.CongestionControl { return NewOrca(nil) },
+	"remy":    func() transport.CongestionControl { return NewRemy() },
+	"reno":    func() transport.CongestionControl { return NewReno() },
+	"vegas":   func() transport.CongestionControl { return NewVegas() },
+	"vivace":  func() transport.CongestionControl { return NewVivace(DefaultVivaceConfig()) },
+	"vivace-enhanced": func() transport.CongestionControl {
+		cfg := DefaultVivaceConfig()
+		cfg.Theta0 *= 12 // the paper's Fig. 2 "enhanced" variant: larger initial conversion factor
+		return NewVivace(cfg)
+	},
 }
 
 // New instantiates the named scheme.

@@ -1,14 +1,10 @@
 package cc
 
-import (
-	"testing"
-
-	"repro/internal/transport"
-)
+import "testing"
 
 func TestRegistryNames(t *testing.T) {
 	names := Names()
-	want := []string{"allegro", "astraea", "aurora", "bbr", "compound", "copa", "cubic", "fast", "orca", "remy", "reno", "vegas", "vivace", "vivace-enhanced"}
+	want := []string{"astraea", "aurora", "bbr", "copa", "cubic", "orca", "remy", "reno", "vegas", "vivace", "vivace-enhanced"}
 	if len(names) != len(want) {
 		t.Fatalf("registry has %v, want %v", names, want)
 	}
@@ -32,15 +28,6 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew("nosuch")
-}
-
-func TestDuplicateRegisterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate registration")
-		}
-	}()
-	Register("cubic", func() transport.CongestionControl { return NewCubic() })
 }
 
 func TestInstancesAreIndependent(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() { Register("copa", func() transport.CongestionControl { return NewCopa() }) }
-
 // Copa (Arun & Balakrishnan, NSDI'18) targets the rate 1/(delta * dq) where
 // dq is the standing queueing delay, moving its window toward the target at
 // a velocity that doubles when progress is consistent. It includes the

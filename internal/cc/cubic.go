@@ -6,8 +6,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() { Register("cubic", func() transport.CongestionControl { return NewCubic() }) }
-
 // Cubic implements TCP CUBIC (RFC 8312 window growth): after a loss the
 // window follows W(t) = C*(t-K)^3 + Wmax, with beta = 0.7 multiplicative
 // decrease, fast convergence, and a TCP-friendly (Reno-equivalent) floor.

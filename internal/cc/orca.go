@@ -6,8 +6,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() { Register("orca", func() transport.CongestionControl { return NewOrca(nil) }) }
-
 // OrcaPolicy maps Orca's observation vector to an action in [-1, 1]; the
 // overlay scales the underlying TCP window by 2^a.
 type OrcaPolicy interface {

@@ -4,8 +4,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() { Register("remy", func() transport.CongestionControl { return NewRemy() }) }
-
 // remyRule is one entry of the RemyCC rule table: a region of observation
 // space mapped to a window action (multiple, increment) and a minimum
 // intersend gap expressed as a fraction of the minimum RTT.

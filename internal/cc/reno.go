@@ -4,8 +4,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() { Register("reno", func() transport.CongestionControl { return NewReno() }) }
-
 // Reno is the classical loss-based AIMD controller: slow start until
 // ssthresh, then +1 packet per RTT; on a loss event, multiplicative decrease
 // by half, at most once per window (NewReno-style fast recovery implemented

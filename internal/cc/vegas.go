@@ -4,8 +4,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() { Register("vegas", func() transport.CongestionControl { return NewVegas() }) }
-
 // Vegas is the classical delay-based controller: it compares expected
 // throughput (cwnd/baseRTT) against actual throughput (cwnd/RTT) and keeps
 // the difference — the number of packets it estimates it has queued — within

@@ -6,15 +6,6 @@ import (
 	"repro/internal/transport"
 )
 
-func init() {
-	Register("vivace", func() transport.CongestionControl { return NewVivace(DefaultVivaceConfig()) })
-	Register("vivace-enhanced", func() transport.CongestionControl {
-		cfg := DefaultVivaceConfig()
-		cfg.Theta0 *= 12 // the paper's Fig. 2 "enhanced" variant: larger initial conversion factor
-		return NewVivace(cfg)
-	})
-}
-
 // VivaceConfig exposes the knobs the paper's §2 tuning experiment turns.
 type VivaceConfig struct {
 	// Theta0 is the initial conversion factor from utility gradient to rate

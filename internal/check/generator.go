@@ -20,8 +20,8 @@ import (
 // draw would almost never produce a slow or short path; buffers are drawn
 // either in BDP multiples or as raw bytes down to the 2-MSS minimum; every
 // registered CC algorithm is eligible for every flow slot, so scheme
-// pairings the curated experiments never try (remy vs aurora, copa vs
-// allegro, ...) appear constantly.
+// pairings the curated experiments never try (remy vs aurora, ...) appear
+// constantly.
 type Generator struct {
 	rng *rand.Rand
 	// Schemes is the algorithm pool flows draw from; defaults to every

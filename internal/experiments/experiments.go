@@ -10,18 +10,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cc"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
-
-// newSchemeInstance instantiates a registered scheme for experiments that
-// wire flows manually (multi-bottleneck topology).
-func newSchemeInstance(name string) (transport.CongestionControl, error) {
-	return cc.New(name)
-}
 
 // Opts scales experiment cost. Full reproduces the paper's trial counts and
 // durations; Quick shrinks both for CI and benchmarks.

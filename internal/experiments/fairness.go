@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/cc"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/runner"
@@ -438,11 +439,7 @@ func runMultiBottleneck(o Opts, seed int64, n1, n2 int) (fs1, fs2 float64) {
 // bytes acknowledged to it from time from on, the goodput the multi-hop
 // experiments score their second halves by.
 func launchCounted(s *sim.Simulator, id int, path *netem.Path, from float64) *int64 {
-	agent, err := newSchemeInstance("astraea")
-	if err != nil {
-		panic(err)
-	}
-	f := transport.NewFlow(s, transport.FlowConfig{ID: id, Path: path, CC: agent})
+	f := transport.NewFlow(s, transport.FlowConfig{ID: id, Path: path, CC: cc.MustNew("astraea")})
 	var bytes int64
 	f.Observe(transport.FlowObserver{Ack: func(e transport.AckEvent) {
 		if e.Now >= from {

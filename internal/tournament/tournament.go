@@ -171,6 +171,9 @@ func (c *Config) normalize() error {
 	}
 	seen := make(map[string]bool, len(c.Schemes)+len(c.Actors))
 	for _, s := range c.Schemes {
+		if seen[s] {
+			return fmt.Errorf("scheme %q entered twice", s)
+		}
 		seen[s] = true
 	}
 	c.actorPolicies = make([]*core.MLPPolicy, len(c.Actors))
@@ -199,10 +202,15 @@ func (c *Config) normalize() error {
 	for _, f := range families {
 		known[f.name] = true
 	}
+	entered := make(map[string]bool, len(c.Families))
 	for _, name := range c.Families {
 		if !known[name] {
 			return fmt.Errorf("unknown family %q (have %v)", name, FamilyNames())
 		}
+		if entered[name] {
+			return fmt.Errorf("family %q entered twice", name)
+		}
+		entered[name] = true
 	}
 	if c.Flows <= 0 {
 		c.Flows = 8

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -201,5 +202,21 @@ func TestTournamentRejectsUnknownInput(t *testing.T) {
 	}
 	if _, err := Run(Config{Families: []string{"nope"}}); err == nil {
 		t.Error("unknown family accepted")
+	}
+}
+
+// A repeated scheme would share one standing between its copies (summed
+// twice, then divided once per copy), and a repeated family would print
+// its column twice: both must be refused up front, by name.
+func TestTournamentRejectsRepeatedEntries(t *testing.T) {
+	_, err := Run(Config{Schemes: []string{"cubic", "cubic", "reno"},
+		Families: []string{"steady"}, Flows: 2, Duration: 0.5})
+	if err == nil || !strings.Contains(err.Error(), `"cubic"`) {
+		t.Errorf("repeated scheme: err = %v, want one naming cubic", err)
+	}
+	_, err = Run(Config{Schemes: []string{"cubic"},
+		Families: []string{"steady", "lossy", "steady"}, Flows: 2, Duration: 0.5})
+	if err == nil || !strings.Contains(err.Error(), `"steady"`) {
+		t.Errorf("repeated family: err = %v, want one naming steady", err)
 	}
 }

@@ -147,6 +147,15 @@ for ext in json txt; do
     cmp "$SMOKE/fairness_lab.$ext" "results/fairness_lab.$ext" \
         || { echo "ci: results/fairness_lab.$ext is stale; regenerate with: go run ./cmd/astraea fairlab -out results/fairness_lab"; exit 1; }
 done
+# The committed tournament report must regenerate byte-identical too: the
+# full default grid (every registered scheme × every family, about 1.5 s).
+# A changed scheme, family or score has to re-capture
+# results/tournament.{json,txt} with it.
+"$SMOKE/astraea" tournament -out "$SMOKE/tournament" >/dev/null
+for ext in json txt; do
+    cmp "$SMOKE/tournament/tournament.$ext" "results/tournament.$ext" \
+        || { echo "ci: results/tournament.$ext is stale; regenerate with: go run ./cmd/astraea tournament -out results"; exit 1; }
+done
 
 # Closed-loop pilot smoke: the full train → gate → promote → serve loop
 # through the real binary. A race-built serve watches a weights file; a

@@ -105,6 +105,19 @@ func TestQuantizedPolicyActionZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestMLPPolicyActionZeroAllocs pins the float policy's per-decision
+// inference, the per-MTP actor call every rollout and float server makes,
+// at zero allocations on the paper's actor.
+func TestMLPPolicyActionZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(5))
+	p := &MLPPolicy{Net: nn.NewMLP(rng, nn.ReLU, nn.Tanh, cfg.StateDim(), 256, 128, 64, 1)}
+	s := sampleState(cfg, rng)
+	if n := testing.AllocsPerRun(100, func() { p.Action(s) }); n != 0 {
+		t.Fatalf("Action allocates %.1f times per op, want 0", n)
+	}
+}
+
 // TestQuantizedPolicyCloneConcurrent: clones must evaluate independently
 // and identically — the property sharded serving relies on. Run under
 // -race this also proves the shared compiled arrays are read-only.

@@ -82,6 +82,7 @@ func (m *MLP) BackwardBatch(dOut []float64, accumulate, needInput bool) []float6
 		m.bgrads[li+1] = delta
 		actDelta(l.Act, delta, grad, m.bacts[li+1])
 		if accumulate {
+			l.trainState()
 			sumRows(l.gB, delta, n)
 			mulTN(l.gW, delta, m.bacts[li], l.Out, l.In, n, &m.trans, &m.bT)
 		}

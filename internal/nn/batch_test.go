@@ -64,7 +64,7 @@ func TestBatchMatchesLoopedBitwise(t *testing.T) {
 					dOut[i] = rng.NormFloat64()
 				}
 				withGrads := func() *MLP {
-					c := base.Clone()
+					c := withTrainState(base.Clone())
 					for li, l := range base.Layers {
 						copy(c.Layers[li].gW, l.gW)
 						copy(c.Layers[li].gB, l.gB)
@@ -245,6 +245,16 @@ func TestBatchShapeMismatchPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// withTrainState allocates m's optimizer state, as its first Backward or
+// Adam step would, and returns m: a test that seeds a clone's gradient
+// accumulators needs them to exist first.
+func withTrainState(m *MLP) *MLP {
+	for _, l := range m.Layers {
+		l.trainState()
+	}
+	return m
 }
 
 // forEachKernel runs fn as a subtest per kernel tier (portable, avx2,

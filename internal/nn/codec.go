@@ -8,11 +8,14 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 )
 
-// Encode appends the network's complete training state to e.
+// Encode appends the network's complete training state to e. A network
+// that has not trained writes zeroed state of the same lengths, the bytes
+// it would write had it allocated that state.
 func (m *MLP) Encode(e *ckpt.Encoder) {
 	e.Int(len(m.Layers))
 	for _, l := range m.Layers {
@@ -21,12 +24,14 @@ func (m *MLP) Encode(e *ckpt.Encoder) {
 		e.Int(int(l.Act))
 		e.Float64s(l.W)
 		e.Float64s(l.B)
-		e.Float64s(l.mW)
-		e.Float64s(l.vW)
-		e.Float64s(l.mB)
-		e.Float64s(l.vB)
-		e.Float64s(l.gW)
-		e.Float64s(l.gB)
+		mW, vW, mB, vB, gW, gB := l.mW, l.vW, l.mB, l.vB, l.gW, l.gB
+		if gW == nil { // never trained: its state is all zeros
+			zW, zB := make([]float64, len(l.W)), make([]float64, len(l.B))
+			mW, vW, gW, mB, vB, gB = zW, zW, zW, zB, zB, zB
+		}
+		for _, v := range [][]float64{mW, vW, mB, vB, gW, gB} {
+			e.Float64s(v)
+		}
 	}
 }
 
@@ -61,6 +66,12 @@ func DecodeMLP(d *ckpt.Decoder) (*MLP, error) {
 		}
 		if l.In < 1 || l.Out < 1 {
 			return nil, fmt.Errorf("nn: layer %d has shape %dx%d", li, l.In, l.Out)
+		}
+		// As in UnmarshalJSON: In·Out can overflow int, to a count an
+		// empty weight slice "matches", and allocScratch would then size
+		// its buffers by the bogus In and Out.
+		if l.In > math.MaxInt/l.Out {
+			return nil, fmt.Errorf("nn: layer %d shape %dx%d overflows", li, l.In, l.Out)
 		}
 		if l.Act != Linear && l.Act != ReLU && l.Act != Tanh {
 			return nil, fmt.Errorf("nn: layer %d has unknown activation %d", li, int(l.Act))

@@ -161,7 +161,7 @@ func TestAdamKernelMatchesScalarBitwise(t *testing.T) {
 			forEachKernel(t, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(37))
 				net := NewMLP(rng, ReLU, Tanh, 13, 7, 6, 8, 1)
-				ref := net.Clone()
+				ref := withTrainState(net.Clone())
 				opt, refOpt := NewAdam(3e-3), NewAdam(3e-3)
 				opt.MaxNorm, refOpt.MaxNorm = maxNorm, maxNorm
 				for step := 0; step < 3; step++ {

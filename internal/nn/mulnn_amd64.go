@@ -39,6 +39,20 @@ func mulTiles(c, a, b []float64, m4, p, k, ldb, ars, acs int) {
 	}
 }
 
+// gemvTiles adds W·x to y over its first o outputs and first n columns,
+// both multiples of 4, on the ymm kernel (gemv_amd64.s), which both SIMD
+// tiers run: y[r] += Σ_{i<n} W[r][i]·x[i], W row-major with rows in values
+// apart.
+func gemvTiles(y, w, x []float64, o, n, in int) {
+	// The kernel trusts its arguments: touch the last value it reads or
+	// writes in each operand, so a short slice panics here instead.
+	_, _, _ = y[o-1], w[(o-1)*in+n-1], x[n-1]
+	gemv4x4(&y[0], &w[0], &x[0], o, n, in)
+}
+
+//go:noescape
+func gemv4x4(y, w, x *float64, out4, in4, in int)
+
 //go:noescape
 func mulNN4x8(c, a, b *float64, m4, p, k, ldb, ars, acs int)
 

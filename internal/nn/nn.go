@@ -72,21 +72,17 @@ type Dense struct {
 	W       []float64 // row-major [Out][In]
 	B       []float64
 
-	// Adam state
+	// Adam state and gradient accumulators: nil in a network that has not
+	// trained (a Clone, a loaded policy) until trainState allocates them.
 	mW, vW, mB, vB []float64
-	// gradient accumulators
-	gW, gB []float64
+	gW, gB         []float64
 }
 
 // NewDense builds a layer with He/Xavier-style initialization drawn from
-// rng.
+// rng, its optimizer state allocated: a new layer is built to train.
 func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
-	d := &Dense{In: in, Out: out, Act: act,
-		W: make([]float64, in*out), B: make([]float64, out),
-		mW: make([]float64, in*out), vW: make([]float64, in*out),
-		mB: make([]float64, out), vB: make([]float64, out),
-		gW: make([]float64, in*out), gB: make([]float64, out),
-	}
+	d := &Dense{In: in, Out: out, Act: act, W: make([]float64, in*out), B: make([]float64, out)}
+	d.trainState()
 	scale := math.Sqrt(2.0 / float64(in))
 	if act == Tanh || act == Linear {
 		scale = math.Sqrt(1.0 / float64(in))
@@ -97,16 +93,38 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 	return d
 }
 
-// forward computes the layer output into out, and the pre-activation into
-// preact. Each output starts from its bias and takes W[o][i]·x[i] over i
-// ascending, one fused multiply-add per term, as ForwardBatch does. Four
-// outputs run at once: one sum's chain is bound by the multiply-add
-// latency, and four independent ones hide it without reordering any sum.
-// The last Out mod 4 run one at a time.
-func (d *Dense) forward(x []float64, preact, out []float64) {
+// trainState allocates the layer's Adam moments and gradient accumulators,
+// zeroed, if it has none yet. Backward, BackwardBatch with accumulate and
+// Adam.Step call it, so a network that only runs forward (a target network,
+// a rollout snapshot, a served policy) never carries three times its
+// weights in optimizer state.
+func (d *Dense) trainState() {
+	if d.gW != nil {
+		return
+	}
+	nW, nB := len(d.W), len(d.B)
+	buf := make([]float64, 3*(nW+nB))
+	d.mW, buf = buf[:nW:nW], buf[nW:]
+	d.vW, buf = buf[:nW:nW], buf[nW:]
+	d.gW, buf = buf[:nW:nW], buf[nW:]
+	d.mB, buf = buf[:nB:nB], buf[nB:]
+	d.vB, d.gB = buf[:nB:nB], buf[nB:]
+}
+
+// forward computes the layer output into out. Each output starts from its
+// bias and takes W[o][i]·x[i] over i ascending, one fused multiply-add per
+// term, as ForwardBatch does. Where useAVX2 is set the vector kernel takes
+// the leading outputs (forwardTiled); the rest, and every output on the
+// portable path, run here four at a time: one sum's chain is bound by the
+// multiply-add latency, and four independent ones hide it without
+// reordering any sum. The last Out mod 4 run one at a time.
+func (d *Dense) forward(x, out []float64) {
 	in := d.In
 	x = x[:in]
 	o := 0
+	if useAVX2 {
+		o = d.forwardTiled(x, out)
+	}
 	for ; o+4 <= d.Out; o += 4 {
 		r0 := d.W[o*in : (o+1)*in]
 		r1 := d.W[(o+1)*in : (o+2)*in]
@@ -119,8 +137,7 @@ func (d *Dense) forward(x []float64, preact, out []float64) {
 			s2 = math.FMA(r2[i], xi, s2)
 			s3 = math.FMA(r3[i], xi, s3)
 		}
-		preact[o], preact[o+1], preact[o+2], preact[o+3] = s0, s1, s2, s3
-		out[o], out[o+1], out[o+2], out[o+3] = d.Act.apply(s0), d.Act.apply(s1), d.Act.apply(s2), d.Act.apply(s3)
+		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
 	}
 	for ; o < d.Out; o++ {
 		sum := d.B[o]
@@ -128,9 +145,40 @@ func (d *Dense) forward(x []float64, preact, out []float64) {
 		for i, xi := range x {
 			sum = math.FMA(row[i], xi, sum)
 		}
-		preact[o] = sum
-		out[o] = d.Act.apply(sum)
+		out[o] = sum
 	}
+	switch d.Act {
+	case Linear:
+	case ReLU:
+		relu(out)
+	default:
+		for o, v := range out {
+			out[o] = d.Act.apply(v)
+		}
+	}
+}
+
+// forwardTiled sets y[o] = B[o] + Σ_i W[o][i]·x[i] on the vector kernel
+// (gemvTiles) for the leading outputs, whole blocks of 4, and returns how
+// many it set; forward runs the rest. The kernel takes whole blocks of
+// columns too: the last In mod 4 terms of each sum continue here, in i
+// order, one math.FMA each.
+func (d *Dense) forwardTiled(x, y []float64) int {
+	in := d.In
+	o, n := d.Out&^3, in&^3
+	if o == 0 || n == 0 {
+		return 0
+	}
+	copy(y[:o], d.B)
+	gemvTiles(y, d.W, x, o, n, in)
+	for r := 0; n < in && r < o; r++ {
+		s := y[r]
+		for j, v := range d.W[r*in+n : (r+1)*in] {
+			s = math.FMA(v, x[n+j], s)
+		}
+		y[r] = s
+	}
+	return o
 }
 
 // MLP is a stack of Dense layers.
@@ -139,9 +187,8 @@ type MLP struct {
 
 	// scratch per-layer activations for forward/backward; MLP is not safe
 	// for concurrent use.
-	acts    [][]float64 // acts[0] = input copy, acts[i] = output of layer i-1
-	preacts [][]float64
-	grads   [][]float64 // backward scratch, same shapes as acts
+	acts  [][]float64 // acts[0] = input copy, acts[i] = output of layer i-1
+	grads [][]float64 // backward scratch, same shapes as acts
 
 	// Batch-major scratch for ForwardBatch/BackwardBatch (batch.go), grown
 	// on first use: bacts[0] aliases the caller's input, bacts[i] is the
@@ -176,13 +223,11 @@ func NewMLP(rng *rand.Rand, hiddenAct, outAct Activation, sizes ...int) *MLP {
 func (m *MLP) allocScratch() {
 	m.bacts, m.bgrads = nil, nil // batch scratch follows the layer count; regrown on use
 	m.acts = make([][]float64, len(m.Layers)+1)
-	m.preacts = make([][]float64, len(m.Layers))
 	m.grads = make([][]float64, len(m.Layers)+1)
 	m.acts[0] = make([]float64, m.Layers[0].In)
 	m.grads[0] = make([]float64, m.Layers[0].In)
 	for i, l := range m.Layers {
 		m.acts[i+1] = make([]float64, l.Out)
-		m.preacts[i] = make([]float64, l.Out)
 		m.grads[i+1] = make([]float64, l.Out)
 	}
 }
@@ -201,7 +246,7 @@ func (m *MLP) Forward(x []float64) []float64 {
 	}
 	copy(m.acts[0], x)
 	for i, l := range m.Layers {
-		l.forward(m.acts[i], m.preacts[i], m.acts[i+1])
+		l.forward(m.acts[i], m.acts[i+1])
 	}
 	return m.acts[len(m.Layers)]
 }
@@ -215,6 +260,7 @@ func (m *MLP) Backward(dOut []float64) []float64 {
 	copy(grad, dOut)
 	for li := n - 1; li >= 0; li-- {
 		l := m.Layers[li]
+		l.trainState()
 		in := m.acts[li]
 		out := m.acts[li+1]
 		next := m.grads[li]
@@ -240,12 +286,8 @@ func (m *MLP) Backward(dOut []float64) []float64 {
 // ZeroGrad clears accumulated gradients.
 func (m *MLP) ZeroGrad() {
 	for _, l := range m.Layers {
-		for i := range l.gW {
-			l.gW[i] = 0
-		}
-		for i := range l.gB {
-			l.gB[i] = 0
-		}
+		clear(l.gW)
+		clear(l.gB)
 	}
 }
 
@@ -275,6 +317,9 @@ func (a *Adam) Step(m *MLP, batchScale float64) {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 
+	for _, l := range m.Layers {
+		l.trainState()
+	}
 	inv := 1 / batchScale
 	clip := 1.0
 	if a.MaxNorm > 0 {
@@ -333,19 +378,16 @@ func (k *adamConsts) update(w, g, m, v []float64) {
 	}
 }
 
-// Clone returns a deep copy of the network (weights only; optimizer and
-// gradient state reset).
+// Clone returns a deep copy of the network's weights. It carries no
+// optimizer or gradient state: that is allocated, zeroed, if the clone
+// ever trains (trainState).
 func (m *MLP) Clone() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
-		nl := &Dense{In: l.In, Out: l.Out, Act: l.Act,
-			W:  append([]float64(nil), l.W...),
-			B:  append([]float64(nil), l.B...),
-			mW: make([]float64, len(l.W)), vW: make([]float64, len(l.W)),
-			mB: make([]float64, len(l.B)), vB: make([]float64, len(l.B)),
-			gW: make([]float64, len(l.W)), gB: make([]float64, len(l.B)),
-		}
-		c.Layers = append(c.Layers, nl)
+		c.Layers = append(c.Layers, &Dense{In: l.In, Out: l.Out, Act: l.Act,
+			W: append([]float64(nil), l.W...),
+			B: append([]float64(nil), l.B...),
+		})
 	}
 	c.allocScratch()
 	return c
@@ -430,13 +472,7 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("nn: layer %d input %d does not match previous output %d", li, jl.In, prevOut)
 		}
 		prevOut = jl.Out
-		m.Layers = append(m.Layers, &Dense{
-			In: jl.In, Out: jl.Out, Act: act,
-			W: jl.W, B: jl.B,
-			mW: make([]float64, len(jl.W)), vW: make([]float64, len(jl.W)),
-			mB: make([]float64, len(jl.B)), vB: make([]float64, len(jl.B)),
-			gW: make([]float64, len(jl.W)), gB: make([]float64, len(jl.B)),
-		})
+		m.Layers = append(m.Layers, &Dense{In: jl.In, Out: jl.Out, Act: act, W: jl.W, B: jl.B})
 	}
 	m.allocScratch()
 	return nil

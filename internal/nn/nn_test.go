@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ckpt"
 )
 
 // numericalGrad estimates dLoss/dW[i] for a scalar loss by central
@@ -147,6 +149,61 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// A clone or a loaded network carries weights only: its optimizer state
+// appears, zeroed, at its first Backward, accumulating BackwardBatch or
+// Adam step, and until then it encodes the same bytes as a network holding
+// that zeroed state. Training it from there matches training a network
+// whose state was allocated up front.
+func TestTrainStateAllocatedOnFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	m := NewMLP(rng, ReLU, Tanh, 3, 5, 2)
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded MLP
+	if err := json.Unmarshal(data, &loaded); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(m *MLP) string {
+		var e ckpt.Encoder
+		m.Encode(&e)
+		return string(e.Payload())
+	}
+	x, dOut := []float64{0.4, -0.3, 0.8}, []float64{0.5, -1}
+	for name, first := range map[string]func(m *MLP){
+		"Backward":                  func(m *MLP) { m.Forward(x); m.Backward(dOut) },
+		"BackwardBatch(accumulate)": func(m *MLP) { m.ForwardBatch(x, 1); m.BackwardBatch(dOut, true, true) },
+		"Adam.Step":                 func(m *MLP) { NewAdam(0.01).Step(m, 1) },
+	} {
+		for src, c := range map[string]*MLP{"clone": m.Clone(), "JSON": loaded.Clone()} {
+			eager := withTrainState(c.Clone())
+			c.Forward(x)
+			c.ForwardBatch(x, 1)
+			c.BackwardBatch(dOut, false, true)
+			c.ZeroGrad()
+			for li, l := range c.Layers {
+				if l.mW != nil || l.vW != nil || l.mB != nil || l.vB != nil || l.gW != nil || l.gB != nil {
+					t.Fatalf("%s %s: layer %d holds optimizer state before training", name, src, li)
+				}
+			}
+			if encode(c) != encode(eager) {
+				t.Fatalf("%s %s: untrained network encodes differently from one with zeroed state", name, src)
+			}
+			first(c)
+			first(eager)
+			for li, l := range c.Layers {
+				if len(l.mW) != len(l.W) || len(l.gB) != len(l.B) {
+					t.Fatalf("%s %s: layer %d has no optimizer state after training", name, src, li)
+				}
+			}
+			if encode(c) != encode(eager) {
+				t.Fatalf("%s %s: training from lazily allocated state diverged", name, src)
+			}
+		}
+	}
+}
+
 func TestSoftUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := NewMLP(rng, ReLU, Linear, 2, 3, 1)
@@ -209,6 +266,27 @@ func TestUnmarshalRejectsHostileShapes(t *testing.T) {
 		if err := json.Unmarshal([]byte(data), &m); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// The binary codec's counterpart of the overflowing-product case above: a
+// one-layer payload of shape 2^62 × 4, whose In·Out wraps to 0 so that its
+// four empty weight-shaped slices "match" (and its four bias-shaped ones
+// hold the 4 values they should), must be refused, not panic in
+// allocScratch sizing its buffers by In.
+func TestDecodeMLPRejectsHostileShapes(t *testing.T) {
+	const in, out = 1 << 62, 4
+	var e ckpt.Encoder
+	e.Int(1) // layers
+	e.Int64(in)
+	e.Int64(out)
+	e.Int(int(ReLU))
+	bias := make([]float64, out)
+	for _, v := range [][]float64{nil, bias, nil, nil, bias, bias, nil, bias} { // W B mW vW mB vB gW gB
+		e.Float64s(v)
+	}
+	if _, err := DecodeMLP(ckpt.NewDecoder(e.Payload())); err == nil {
+		t.Fatal("overflowing 2^62×4 layer accepted")
 	}
 }
 

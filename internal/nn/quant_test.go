@@ -287,9 +287,13 @@ func TestQuantizedTanhLayerAgreesWithFloat(t *testing.T) {
 }
 
 // TestQuantizedSpeedup enforces the headline property — the fixed-point
-// pass beats the float oracle by ≥4x on the paper's actor shape (the
-// recorded run shows ~12x; see DESIGN.md §12). Skips under the race
-// detector, where instrumentation swamps the contrast.
+// pass beats the float oracle by ≥4x on the paper's actor shape — against
+// the portable float pass, the scalar arithmetic the floor was set on (the
+// recorded runs show ~9x; see DESIGN.md §12). On the SIMD tiers the float
+// Forward is itself vectorized and about 4x faster, so there the
+// fixed-point pass must still win by ≥1.3x, a floor under every recorded
+// reading (1.8–2.0x here, 1.6–2.0x cold in `figures -only fig16`).
+// Skips under the race detector, where instrumentation swamps the contrast.
 func TestQuantizedSpeedup(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("timing contrast is meaningless under the race detector")
@@ -304,21 +308,34 @@ func TestQuantizedSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := calSamples(rng, 1, 40, 4)[0]
-	fl := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Forward(x)
-		}
-	})
-	qz := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q.Forward(x)
-		}
-	})
-	ratio := float64(fl.NsPerOp()) / float64(qz.NsPerOp())
-	t.Logf("float %v/op, quantized %v/op: %.1fx", fl.NsPerOp(), qz.NsPerOp(), ratio)
+	bench := func(f func()) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+		}).NsPerOp()
+	}
+	// Best of three alternating rounds per arm, so one noisy second on a
+	// shared host does not decide the ratio.
+	var fl, host, qz int64 = math.MaxInt64, math.MaxInt64, math.MaxInt64
+	for round := 0; round < 3; round++ {
+		host = min(host, bench(func() { m.Forward(x) }))
+		restore, _ := useTier("portable")
+		fl = min(fl, bench(func() { m.Forward(x) }))
+		restore()
+		qz = min(qz, bench(func() { q.Forward(x) }))
+	}
+	ratio := float64(fl) / float64(qz)
+	hostRatio := float64(host) / float64(qz)
+	t.Logf("portable float %v/op, %s float %v/op, quantized %v/op: %.1fx and %.1fx",
+		fl, hostTier(), host, qz, ratio, hostRatio)
 	if ratio < 4 {
-		t.Fatalf("quantized speedup %.2fx below the 4x floor (float %d ns/op, quantized %d ns/op)",
-			ratio, fl.NsPerOp(), qz.NsPerOp())
+		t.Fatalf("quantized speedup %.2fx over the portable float pass below the 4x floor (float %d ns/op, quantized %d ns/op)",
+			ratio, fl, qz)
+	}
+	if hostRatio < 1.3 {
+		t.Fatalf("quantized speedup %.2fx over the %s float pass below the 1.3x floor (float %d ns/op, quantized %d ns/op)",
+			hostRatio, hostTier(), host, qz)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/nn"
 )
 
@@ -273,6 +274,32 @@ func TestTD3UpdateZeroAlloc(t *testing.T) {
 			t.Fatalf("Update allocates %.1f times per op in steady state, want 0", n)
 		}
 	})
+}
+
+// TestUpdateLeavesGradientsZero pins what lets Update skip clearing
+// gradients before it accumulates them: after every update, actor step or
+// not, every gradient accumulator of all six networks is zero, since each
+// Adam step clears what it applies. A network's encoding, which carries its
+// accumulators, must not change when ZeroGrad runs on it.
+func TestUpdateLeavesGradientsZero(t *testing.T) {
+	cfg := td3Shapes[0].cfg
+	rb := filledReplay(cfg, 21, 600)
+	tr := NewTrainer(cfg, 5)
+	encode := func(m *nn.MLP) string {
+		var e ckpt.Encoder
+		m.Encode(&e)
+		return string(e.Payload())
+	}
+	for step := 1; step <= 4; step++ {
+		tr.Update(rb)
+		for name, m := range tr.networks() {
+			before := encode(m)
+			m.ZeroGrad()
+			if encode(m) != before {
+				t.Fatalf("update %d left non-zero gradients in %s", step, name)
+			}
+		}
+	}
 }
 
 // TestTD3UpdateForksOnlyLargeNetworks pins which side of forkMinMACs the

@@ -8,9 +8,11 @@ package rl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/nn"
+	"repro/internal/rng"
 )
 
 // Encode appends the trainer's complete state to e.
@@ -51,7 +53,10 @@ func (t *Trainer) Encode(e *ckpt.Encoder) {
 
 // DecodeTrainer reads a trainer written by Encode. The restored trainer
 // continues the exact update stream of the saved one: same batch samples,
-// same noise draws, same delayed-actor schedule.
+// same noise draws, same delayed-actor schedule. It is built around the
+// decoded networks, each checked against the layer widths the config
+// implies, so what it allocates is bounded by the payload and not by the
+// widths the config declares.
 func DecodeTrainer(d *ckpt.Decoder) (*Trainer, error) {
 	cfg := Config{
 		StateDim:  d.Int(),
@@ -75,37 +80,32 @@ func DecodeTrainer(d *ckpt.Decoder) (*Trainer, error) {
 		return nil, fmt.Errorf("rl: implausible decoded config %+v", cfg)
 	}
 
-	t := NewTrainer(cfg, 0) // allocates scratch; all stateful fields overwritten below
-	nets := []**nn.MLP{
-		&t.Actor, &t.Critic1, &t.Critic2,
-		&t.actorTarget, &t.critic1Target, &t.critic2Target,
-	}
-	for i, slot := range nets {
+	var nets [6]*nn.MLP // actor, Critic1, Critic2, then their targets
+	for i := range nets {
 		m, err := nn.DecodeMLP(d)
 		if err != nil {
 			return nil, fmt.Errorf("rl: network %d: %w", i, err)
 		}
-		*slot = m
+		want, role := criticSizes(cfg), "critic"
+		if i%3 == 0 {
+			want, role = actorSizes(cfg), "actor"
+		}
+		if got := layerSizes(m); !slices.Equal(got, want) {
+			return nil, fmt.Errorf("rl: decoded %s network %d has widths %v, config wants %v", role, i, got, want)
+		}
+		nets[i] = m
 	}
-	if t.Actor.InDim() != cfg.StateDim || t.Actor.OutDim() != cfg.ActionDim {
-		return nil, fmt.Errorf("rl: decoded actor is %dx%d, config wants %dx%d",
-			t.Actor.InDim(), t.Actor.OutDim(), cfg.StateDim, cfg.ActionDim)
-	}
-	criticIn := cfg.GlobalDim + cfg.StateDim + cfg.ActionDim
-	if t.Critic1.InDim() != criticIn || t.Critic1.OutDim() != 1 {
-		return nil, fmt.Errorf("rl: decoded critic is %dx%d, config wants %dx1",
-			t.Critic1.InDim(), t.Critic1.OutDim(), criticIn)
-	}
-	opts := []**nn.Adam{&t.actorOpt, &t.critic1Opt, &t.critic2Opt}
-	for i, slot := range opts {
+	var opts [3]*nn.Adam
+	for i := range opts {
 		a, err := nn.DecodeAdam(d)
 		if err != nil {
 			return nil, fmt.Errorf("rl: optimizer %d: %w", i, err)
 		}
-		*slot = a
+		opts[i] = a
 	}
-	hi, lo := d.Uint64(), d.Uint64()
-	t.rng.SetState(hi, lo)
+	r := rng.New(0)
+	r.SetState(d.Uint64(), d.Uint64())
+	t := assemble(cfg, r, nets, opts)
 	t.updates = d.Int()
 	t.LastCriticLoss = d.Float64()
 	t.LastActorObjective = d.Float64()
@@ -118,12 +118,21 @@ func DecodeTrainer(d *ckpt.Decoder) (*Trainer, error) {
 	return t, nil
 }
 
+// layerSizes is m's layer widths, input first, as NewMLP takes them.
+func layerSizes(m *nn.MLP) []int {
+	sizes := []int{m.InDim()}
+	for _, l := range m.Layers {
+		sizes = append(sizes, l.Out)
+	}
+	return sizes
+}
+
 // Encode appends the replay ring to e. Only live transitions are written
 // (a freshly-started run's mostly-empty 200k-slot ring costs nothing), but
 // ring geometry — capacity, write cursor, wrap flag — is preserved exactly
 // so eviction order after a resume matches the uninterrupted run.
 func (rb *ReplayBuffer) Encode(e *ckpt.Encoder) {
-	e.Int(len(rb.buf))
+	e.Int(rb.capacity)
 	e.Int(rb.next)
 	e.Bool(rb.full)
 	live := rb.Len()
@@ -140,7 +149,9 @@ func (rb *ReplayBuffer) Encode(e *ckpt.Encoder) {
 	}
 }
 
-// DecodeReplayBuffer reads a buffer written by Encode.
+// DecodeReplayBuffer reads a buffer written by Encode. The ring grows as
+// transitions decode, so what it allocates is bounded by the payload, not
+// by the capacity it declares.
 func DecodeReplayBuffer(d *ckpt.Decoder) (*ReplayBuffer, error) {
 	capacity := d.Int()
 	next := d.Int()
@@ -162,9 +173,9 @@ func DecodeReplayBuffer(d *ckpt.Decoder) (*ReplayBuffer, error) {
 	if live != wantLive {
 		return nil, fmt.Errorf("rl: replay has %d live transitions, geometry implies %d", live, wantLive)
 	}
-	rb := &ReplayBuffer{buf: make([]Transition, capacity), next: next, full: full}
+	rb := &ReplayBuffer{capacity: capacity, next: next, full: full}
 	for i := 0; i < live; i++ {
-		rb.buf[i] = Transition{
+		tr := Transition{
 			Global:     d.Float64s(),
 			State:      d.Float64s(),
 			Action:     d.Float64s(),
@@ -173,9 +184,10 @@ func DecodeReplayBuffer(d *ckpt.Decoder) (*ReplayBuffer, error) {
 			NextState:  d.Float64s(),
 			Done:       d.Bool(),
 		}
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		rb.push(tr)
 	}
 	return rb, nil
 }

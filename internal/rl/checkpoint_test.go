@@ -32,7 +32,9 @@ func randomTransition(rnd *rand.Rand, stateDim, globalDim int) Transition {
 }
 
 // Property test: replay rings of random fill levels — empty, partial, and
-// wrapped — round-trip exactly, including eviction-cursor position.
+// wrapped — round-trip exactly, including eviction-cursor position, and the
+// decoded ring then evicts in the same order as the original: the same
+// further adds leave both holding the same transitions in the same slots.
 func TestReplayCodecRoundTripProperty(t *testing.T) {
 	rnd := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 50; trial++ {
@@ -52,7 +54,7 @@ func TestReplayCodecRoundTripProperty(t *testing.T) {
 		if err := d.Finish(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if rb2.Len() != rb.Len() || rb2.next != rb.next || rb2.full != rb.full || len(rb2.buf) != len(rb.buf) {
+		if rb2.Len() != rb.Len() || rb2.next != rb.next || rb2.full != rb.full || rb2.capacity != rb.capacity {
 			t.Fatalf("trial %d: geometry mismatch", trial)
 		}
 		live := rb.Len()
@@ -61,6 +63,57 @@ func TestReplayCodecRoundTripProperty(t *testing.T) {
 				t.Fatalf("trial %d: transition %d mutated", trial, i)
 			}
 		}
+		for i, more := 0, 1+rnd.Intn(2*capacity); i < more; i++ {
+			tr := randomTransition(rnd, 2, 1)
+			rb.Add(tr)
+			rb2.Add(tr)
+		}
+		if !reflect.DeepEqual(rb.buf, rb2.buf) || rb2.next != rb.next || rb2.full != rb.full {
+			t.Fatalf("trial %d: decoded ring evicts in a different order", trial)
+		}
+	}
+}
+
+// A replay payload's geometry is attacker-controlled, and the ring is sized
+// by what decodes, not by what the payload declares. A 25-byte payload
+// (capacity 2^40, cursor 0, not wrapped, no transitions) used to allocate
+// the whole declared ring up front and kill the process with an
+// out-of-memory fatal error no recover catches; it must decode to an empty
+// ring that works. The same capacity claimed full must fail on its first
+// missing transition, having allocated nothing for the rest.
+func TestDecodeReplayHostileCapacity(t *testing.T) {
+	const capacity = 1 << 40
+	empty := &ckpt.Encoder{}
+	empty.Int64(capacity)
+	empty.Int(0)
+	empty.Bool(false)
+	empty.Int(0)
+	if n := len(empty.Payload()); n != 25 {
+		t.Fatalf("payload is %d bytes, want 25", n)
+	}
+	rb, err := DecodeReplayBuffer(ckpt.NewDecoder(empty.Payload()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Len() != 0 || rb.capacity != capacity || cap(rb.buf) != 0 {
+		t.Fatalf("decoded ring holds %d of %d, %d slots allocated", rb.Len(), rb.capacity, cap(rb.buf))
+	}
+	rnd := rand.New(rand.NewSource(3))
+	for i := 0; i < 100; i++ {
+		rb.Add(randomTransition(rnd, 2, 1))
+	}
+	if rb.Len() != 100 || cap(rb.buf) > 128 {
+		t.Fatalf("after 100 adds: %d held, %d slots allocated", rb.Len(), cap(rb.buf))
+	}
+	rb.Sample(rnd, 8, nil)
+
+	full := &ckpt.Encoder{}
+	full.Int64(capacity)
+	full.Int(0)
+	full.Bool(true)
+	full.Int64(capacity)
+	if _, err := DecodeReplayBuffer(ckpt.NewDecoder(full.Payload())); err == nil {
+		t.Fatal("a full 2^40-slot ring with no transitions decoded")
 	}
 }
 

@@ -44,38 +44,52 @@ func (tr *Transition) checkWidths(cfg Config) {
 }
 
 // ReplayBuffer is a fixed-capacity ring of transitions with uniform
-// sampling (the experience-replay memory of Appendix A).
+// sampling (the experience-replay memory of Appendix A). The ring holds
+// only what has been added: it grows toward its capacity as transitions
+// arrive, so a 200k-slot ring that has seen 300 holds 300.
 type ReplayBuffer struct {
-	buf  []Transition
-	next int
-	full bool
+	buf      []Transition // the stored transitions; len(buf) == Len()
+	capacity int
+	next     int // the slot the next Add writes
+	full     bool
 }
 
-// NewReplayBuffer allocates a buffer holding up to capacity transitions.
+// NewReplayBuffer returns an empty buffer holding up to capacity
+// transitions.
 func NewReplayBuffer(capacity int) *ReplayBuffer {
 	if capacity <= 0 {
 		panic("rl: replay capacity must be positive")
 	}
-	return &ReplayBuffer{buf: make([]Transition, capacity)}
+	return &ReplayBuffer{capacity: capacity}
 }
 
 // Add stores a transition, evicting the oldest when full.
 func (rb *ReplayBuffer) Add(t Transition) {
-	rb.buf[rb.next] = t
+	if rb.full {
+		rb.buf[rb.next] = t
+	} else {
+		rb.push(t)
+	}
 	rb.next++
-	if rb.next == len(rb.buf) {
+	if rb.next == rb.capacity {
 		rb.next = 0
 		rb.full = true
 	}
 }
 
-// Len returns the number of stored transitions.
-func (rb *ReplayBuffer) Len() int {
-	if rb.full {
-		return len(rb.buf)
+// push appends t to a ring that has not wrapped, doubling the backing
+// array when it is full but never past the capacity.
+func (rb *ReplayBuffer) push(t Transition) {
+	if len(rb.buf) == cap(rb.buf) {
+		grown := make([]Transition, len(rb.buf), min(max(2*cap(rb.buf), 64), rb.capacity))
+		copy(grown, rb.buf)
+		rb.buf = grown
 	}
-	return rb.next
+	rb.buf = append(rb.buf, t)
 }
+
+// Len returns the number of stored transitions.
+func (rb *ReplayBuffer) Len() int { return len(rb.buf) }
 
 // Sample draws n transitions uniformly with replacement into out (resized
 // as needed) and returns it. It panics on an empty buffer.

@@ -37,6 +37,37 @@ func TestReplayBufferRing(t *testing.T) {
 	}
 }
 
+// The ring allocates only what it holds: it grows with its contents, never
+// past its capacity, and once wrapped overwrites in place.
+func TestReplayBufferGrowsOnDemand(t *testing.T) {
+	rb := NewReplayBuffer(200_000)
+	if cap(rb.buf) != 0 {
+		t.Fatalf("new buffer allocated %d slots", cap(rb.buf))
+	}
+	for i := 0; i < 300; i++ {
+		rb.Add(Transition{Reward: float64(i)})
+	}
+	if rb.Len() != 300 || cap(rb.buf) > 512 {
+		t.Fatalf("300 adds: Len %d, %d slots allocated", rb.Len(), cap(rb.buf))
+	}
+	small := NewReplayBuffer(100)
+	for i := 0; i < 250; i++ {
+		small.Add(Transition{Reward: float64(i)})
+	}
+	if small.Len() != 100 || cap(small.buf) != 100 || small.next != 50 || !small.full {
+		t.Fatalf("250 adds to 100 slots: Len %d, cap %d, next %d, full %v", small.Len(), cap(small.buf), small.next, small.full)
+	}
+	for i, tr := range small.buf { // slots 0–49 rewritten by adds 200–249
+		want := float64(100 + i)
+		if i < 50 {
+			want = float64(200 + i)
+		}
+		if tr.Reward != want {
+			t.Fatalf("slot %d holds add %v, want %v", i, tr.Reward, want)
+		}
+	}
+}
+
 func TestReplaySampleEmptyPanics(t *testing.T) {
 	rb := NewReplayBuffer(2)
 	defer func() {

@@ -114,26 +114,36 @@ func (t *Trainer) Instrument(reg *telemetry.Registry) {
 // action]; the actor input is [state] and its tanh output lies in (-1,1).
 func NewTrainer(cfg Config, seed int64) *Trainer {
 	r := rng.New(seed)
-	actorSizes := append([]int{cfg.StateDim}, cfg.Hidden...)
-	actorSizes = append(actorSizes, cfg.ActionDim)
-	criticIn := cfg.GlobalDim + cfg.StateDim + cfg.ActionDim
-	criticSizes := append([]int{criticIn}, cfg.Hidden...)
-	criticSizes = append(criticSizes, 1)
+	actor := nn.NewMLP(r.Rand, nn.ReLU, nn.Tanh, actorSizes(cfg)...)
+	critic1 := nn.NewMLP(r.Rand, nn.ReLU, nn.Linear, criticSizes(cfg)...)
+	critic2 := nn.NewMLP(r.Rand, nn.ReLU, nn.Linear, criticSizes(cfg)...)
+	return assemble(cfg, r,
+		[6]*nn.MLP{actor, critic1, critic2, actor.Clone(), critic1.Clone(), critic2.Clone()},
+		[3]*nn.Adam{nn.NewAdam(cfg.ActorLR), nn.NewAdam(cfg.CriticLR), nn.NewAdam(cfg.CriticLR)})
+}
 
+// actorSizes and criticSizes are the layer widths NewMLP builds the actor
+// and each critic (and their targets) with, input first.
+func actorSizes(cfg Config) []int {
+	return append(append([]int{cfg.StateDim}, cfg.Hidden...), cfg.ActionDim)
+}
+
+func criticSizes(cfg Config) []int {
+	return append(append([]int{cfg.GlobalDim + cfg.StateDim + cfg.ActionDim}, cfg.Hidden...), 1)
+}
+
+// assemble builds a trainer around existing networks — actor, Critic1,
+// Critic2 and their three targets, in that order — and optimizers (actor,
+// Critic1, Critic2), drawing from r.
+func assemble(cfg Config, r *rng.Rand, nets [6]*nn.MLP, opts [3]*nn.Adam) *Trainer {
 	t := &Trainer{
-		Cfg:        cfg,
-		Actor:      nn.NewMLP(r.Rand, nn.ReLU, nn.Tanh, actorSizes...),
-		Critic1:    nn.NewMLP(r.Rand, nn.ReLU, nn.Linear, criticSizes...),
-		Critic2:    nn.NewMLP(r.Rand, nn.ReLU, nn.Linear, criticSizes...),
-		actorOpt:   nn.NewAdam(cfg.ActorLR),
-		critic1Opt: nn.NewAdam(cfg.CriticLR),
-		critic2Opt: nn.NewAdam(cfg.CriticLR),
-		rng:        r,
+		Cfg:   cfg,
+		Actor: nets[0], Critic1: nets[1], Critic2: nets[2],
+		actorTarget: nets[3], critic1Target: nets[4], critic2Target: nets[5],
+		actorOpt: opts[0], critic1Opt: opts[1], critic2Opt: opts[2],
+		rng:    r,
+		actBuf: make([]float64, cfg.ActionDim),
 	}
-	t.actorTarget = t.Actor.Clone()
-	t.critic1Target = t.Critic1.Clone()
-	t.critic2Target = t.Critic2.Clone()
-	t.actBuf = make([]float64, cfg.ActionDim)
 	t.forwardHalf, t.backwardHalf = t.helperForward, t.helperBackward
 	macs := 0
 	for _, l := range t.Critic1.Layers {
@@ -263,7 +273,9 @@ func (t *Trainer) Update(rb *ReplayBuffer) {
 	}
 	t.startHalf(t.backwardHalf)
 	defer t.wg.Wait()
-	t.Critic1.ZeroGrad()
+	// Every gradient accumulator is zero here: each Adam step clears the
+	// gradients it applies, and the actor step's pass back through Critic1
+	// does not accumulate.
 	t.Critic1.BackwardBatch(t.err1, true, false)
 	t.critic1Opt.Step(t.Critic1, float64(n))
 	t.LastCriticLoss = closs / float64(n)
@@ -293,7 +305,6 @@ func (t *Trainer) Update(rb *ReplayBuffer) {
 			t.dAct = append(t.dAct, -d)
 		}
 	}
-	t.Actor.ZeroGrad()
 	t.Actor.BackwardBatch(t.dAct, true, false)
 	t.actorOpt.Step(t.Actor, float64(n))
 	t.LastActorObjective = obj / float64(n)
@@ -325,7 +336,6 @@ func (t *Trainer) helperForward() {
 // Adam step and, on an actor step, its target's soft update.
 func (t *Trainer) helperBackward() {
 	defer t.wg.Done()
-	t.Critic2.ZeroGrad()
 	t.Critic2.BackwardBatch(t.err2, true, false)
 	t.critic2Opt.Step(t.Critic2, float64(len(t.batch)))
 	if t.actorStep {

@@ -281,11 +281,14 @@ go test -fuzz=FuzzCodecRead       -fuzztime="$FUZZTIME" -run=NONE ./internal/nn
 go test -fuzz=FuzzQuantizedDecode -fuzztime="$FUZZTIME" -run=NONE ./internal/nn
 go test -fuzz=FuzzTraceParse      -fuzztime="$FUZZTIME" -run=NONE ./internal/trace
 go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/core
+go test -fuzz=FuzzTrainCheckpoint -fuzztime="$FUZZTIME" -run=NONE ./internal/rl
 
 # The batch-major training path's bitwise contract, named: the three
 # products, the transpose, the elementwise passes (ReLU, Δ, the gB column
 # sum) and the vector Adam step against their scalar forms with guard
-# words, ForwardBatch/BackwardBatch vs looped Forward/Backward, every
+# words, the per-sample Forward kernels vs the portable forward (special
+# values included, guard words around the bare kernels),
+# ForwardBatch/BackwardBatch vs looped Forward/Backward, every
 # product term one fused multiply-add (TestProductsAreFused; all on every
 # kernel tier this machine runs: portable, avx2, avx512), the CPUID table
 # that picks the tier, batched Update vs the per-sample reference, the
@@ -299,13 +302,13 @@ go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/cor
 # machine selects: the tests skip, with the reason, the tiers it lacks, so
 # a box without AVX-512 says so here.
 go test -count=1 -v -run 'TestKernelTier$' ./internal/nn | grep 'kernel tier'
-go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKernel|TestBatch|TestTD3Update|TestProductsAreFused|TestCPUTier' ./internal/nn ./internal/rl
+go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKernel|TestBatch|TestForward|TestGemv|TestTD3Update|TestProductsAreFused|TestCPUTier' ./internal/nn ./internal/rl
 # The same bits from a different build of the scalar paths: at GOAMD64=v3
 # math.FMA is one VFMADD231SD with no runtime feature check. The Go spec
 # lets a compiler fuse x*y + z (gc does on arm64, ppc64le, s390x and
 # riscv64), so the contract names every fusion itself instead of relying
 # on what a build happens to do.
-GOAMD64=v3 go test -count=1 -run 'TestBatch|TestMulNN|TestProductsAreFused|TestTD3UpdateGoldenDigest' ./internal/nn ./internal/rl
+GOAMD64=v3 go test -count=1 -run 'TestBatch|TestMulNN|TestForward|TestProductsAreFused|TestTD3UpdateGoldenDigest' ./internal/nn ./internal/rl
 # The checkpoint/resume bitwise-determinism guarantee, the one-worker
 # golden (the serial trajectory, pinned) and the parallel learner get their
 # own named race pass so a regression is attributable at a glance (the

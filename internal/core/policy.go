@@ -17,6 +17,18 @@ type Policy interface {
 	Action(state []float64) float64
 }
 
+// BatchPolicy is implemented by policies that evaluate many states in one
+// call: ActionBatch sets actions[i] to exactly what Action would return for
+// the i-th of the n states packed row-major in states ([n][StateDim]).
+// Service's evaluator answers a pulled chunk with one such call. A policy
+// whose Action carries state from one call to the next (ReferencePolicy's
+// mode detector) does not implement it, and neither does a wrapper that
+// only forwards Action: those keep the per-request path.
+type BatchPolicy interface {
+	Policy
+	ActionBatch(states []float64, n int, actions []float64)
+}
+
 // PolicyCloner is implemented by policies that can produce an independent
 // instance of themselves. Policies keep internal scratch or detector state
 // and serialize Action calls behind a service's evalMu; a sharded server
@@ -48,8 +60,29 @@ func (p *MLPPolicy) ClonePolicy() Policy {
 
 // Action implements Policy.
 func (p *MLPPolicy) Action(state []float64) float64 {
-	out := p.Net.Forward(state)
-	a := out[0]
+	return clampAction(p.Net.Forward(state)[0])
+}
+
+// ActionBatch implements BatchPolicy: whole groups of four states go
+// through nn.MLP.ForwardBatch, which gives each row Forward's bits
+// (DESIGN.md §16's summation contract), and the last n mod 4 through
+// Action. ForwardBatch's vector tiles take rows four at a time and leave
+// the rest to a scalar loop that is slower than the per-sample Forward.
+func (p *MLPPolicy) ActionBatch(states []float64, n int, actions []float64) {
+	n4, dim := n&^3, p.Net.InDim()
+	if n4 > 0 {
+		out, w := p.Net.ForwardBatch(states[:n4*dim], n4), p.Net.OutDim()
+		for i := range actions[:n4] {
+			actions[i] = clampAction(out[i*w])
+		}
+	}
+	for i := n4; i < n; i++ {
+		actions[i] = p.Action(states[i*dim : (i+1)*dim])
+	}
+}
+
+// clampAction limits a network output to the action range [-1, 1].
+func clampAction(a float64) float64 {
 	if a > 1 {
 		a = 1
 	}

@@ -119,8 +119,9 @@ func TestMLPPolicyActionZeroAllocs(t *testing.T) {
 }
 
 // TestQuantizedPolicyCloneConcurrent: clones must evaluate independently
-// and identically — the property sharded serving relies on. Run under
-// -race this also proves the shared compiled arrays are read-only.
+// and identically, per request and in batches — the property sharded
+// serving relies on. Run under -race this also proves the shared compiled
+// arrays are read-only and each clone's batch scratch its own.
 func TestQuantizedPolicyCloneConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	qp, err := QuantizeMLPPolicy(testActor(t, cfg, 7), cfg)
@@ -128,10 +129,12 @@ func TestQuantizedPolicyCloneConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := make([][]float64, 64)
+	var packed []float64
 	rng := rand.New(rand.NewSource(8))
 	want := make([]float64, len(states))
 	for i := range states {
 		states[i] = sampleState(cfg, rng)
+		packed = append(packed, states[i]...)
 		want[i] = qp.Action(states[i])
 	}
 	var wg sync.WaitGroup
@@ -143,10 +146,21 @@ func TestQuantizedPolicyCloneConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i, s := range states {
-				if got := c.Action(s); got != want[i] {
-					t.Errorf("clone diverges on state %d: %v vs %v", i, got, want[i])
-					return
+			got := make([]float64, len(states))
+			for round := 0; round < 3; round++ {
+				for i, s := range states {
+					if a := c.Action(s); a != want[i] {
+						t.Errorf("clone diverges on state %d: %v vs %v", i, a, want[i])
+						return
+					}
+				}
+				n := len(states) - 13*round // 64, 51, 38: whole and partial blocks
+				c.(BatchPolicy).ActionBatch(packed[:n*cfg.StateDim()], n, got)
+				for i := range got[:n] {
+					if got[i] != want[i] {
+						t.Errorf("clone's batch of %d diverges on state %d: %v vs %v", n, i, got[i], want[i])
+						return
+					}
 				}
 			}
 		}()

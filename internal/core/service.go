@@ -19,6 +19,10 @@ import (
 // it, and parks only when nothing is pending. A lone request is therefore
 // answered at once, and batches form by themselves exactly while the
 // evaluator is busy — there is no window to wait out and no size trigger.
+// A chunk of a pull is evaluated in one call when the policy is a
+// BatchPolicy (QuantizedPolicy and MLPPolicy are: one forward pass for up
+// to MaxBatch states, each answer bitwise what Action gives), and one
+// Action per request otherwise.
 //
 // NewSyncService selects the synchronous mode instead: every request is
 // evaluated on its submitter's goroutine under a mutex, which is what the
@@ -60,9 +64,15 @@ type Service struct {
 	closed      bool
 	evalOn      bool // the evaluator goroutine was started (lazily, by submit)
 
-	// evalMu serializes all policy.Action calls (stateful policies).
+	// evalMu serializes all policy.Action and ActionBatch calls (stateful
+	// policies, policy scratch) and guards the batch scratch below.
 	evalMu sync.Mutex
 	evalWG sync.WaitGroup
+
+	// Evaluator scratch for BatchPolicy chunks, under evalMu: the chunk's
+	// states packed row-major, sized to MaxBatch on first use, and their
+	// actions.
+	states, actions []float64
 
 	// Telemetry instruments; nil (no-op) unless Instrument was called.
 	m serviceMetrics
@@ -79,6 +89,7 @@ type serviceMetrics struct {
 	batches   *telemetry.Counter
 	batchSize *telemetry.Histogram
 	queueWait *telemetry.Histogram
+	evalTime  *telemetry.Histogram
 }
 
 // Stats returns the request and batch counts under the service lock. Plain
@@ -174,7 +185,10 @@ func (s *Service) Policy() Policy {
 // served, batches evaluated, the batch-size distribution (the quantity
 // behind Fig. 16b's sub-linear scaling), and how long requests waited for
 // the evaluator. Queue wait is wall-clock (the evaluator runs in real time,
-// not simulated time).
+// not simulated time), and so is the time each chunk takes to evaluate: its
+// forward passes and handing their answers over, the one view of the
+// policy's serving cost that a wrapper around the policy (which hides
+// BatchPolicy) does not change.
 func (s *Service) Instrument(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,6 +199,8 @@ func (s *Service) Instrument(reg *telemetry.Registry) {
 			telemetry.ExponentialBuckets(1, 2, 11)), // 1..1024
 		queueWait: reg.Histogram("core_infer_queue_wait_seconds", "wall-clock wait from request arrival to its batch's evaluation",
 			telemetry.ExponentialBuckets(1e-5, 4, 10)), // 10 µs .. 2.6 s
+		evalTime: reg.Histogram("core_infer_eval_seconds", "wall-clock time to evaluate one batch and deliver its answers",
+			telemetry.ExponentialBuckets(1e-6, 4, 10)), // 1 µs .. 0.26 s
 	}
 }
 
@@ -307,25 +323,63 @@ func (s *Service) evaluator() {
 	}
 }
 
-// evaluate answers every request of one chunk. No lock except evalMu is
-// held, so arrivals keep flowing into the next pull during the forward
-// passes.
+// evaluate answers every request of one chunk, in request order: with one
+// ActionBatch call when p is a BatchPolicy and the chunk holds more than
+// one state, all of one width, and with one Action per request otherwise.
+// No lock except evalMu is held, so arrivals keep flowing into the next
+// pull during the forward passes.
 func (s *Service) evaluate(chunk []inferReq, p Policy, m serviceMetrics) {
 	m.batches.Inc()
 	m.batchSize.Observe(float64(len(chunk)))
-	now := time.Time{}
-	if m.queueWait != nil {
-		now = time.Now()
+	var start time.Time
+	if m.queueWait != nil || m.evalTime != nil {
+		start = time.Now()
+	}
+	for i := range chunk {
+		if r := &chunk[i]; !r.enqueued.IsZero() {
+			m.queueWait.Observe(start.Sub(r.enqueued).Seconds())
+		}
 	}
 	s.evalMu.Lock()
-	for i := range chunk {
-		r := &chunk[i]
-		if !r.enqueued.IsZero() {
-			m.queueWait.Observe(now.Sub(r.enqueued).Seconds())
+	if bp, ok := p.(BatchPolicy); ok && len(chunk) > 1 && s.pack(chunk) {
+		actions := s.actions[:len(chunk)]
+		bp.ActionBatch(s.states, len(chunk), actions)
+		for i := range chunk {
+			chunk[i].deliver(actions[i])
 		}
-		r.deliver(p.Action(r.state))
+	} else {
+		for i := range chunk {
+			r := &chunk[i]
+			r.deliver(p.Action(r.state))
+		}
 	}
 	s.evalMu.Unlock()
+	if m.evalTime != nil {
+		m.evalTime.Observe(time.Since(start).Seconds())
+	}
+}
+
+// pack copies the chunk's states row-major into s.states and reports
+// whether they share one width (a request of another width keeps the
+// per-request path, where the policy rejects it as it always has). The
+// scratch is sized to MaxBatch rows when first used, so steady-state
+// packing allocates nothing. Called under evalMu.
+func (s *Service) pack(chunk []inferReq) bool {
+	dim := len(chunk[0].state)
+	for i := range chunk {
+		if len(chunk[i].state) != dim {
+			return false
+		}
+	}
+	if n := len(chunk); cap(s.states) < n*dim || cap(s.actions) < n {
+		rows := max(n, s.MaxBatch)
+		s.states, s.actions = make([]float64, rows*dim), make([]float64, rows)
+	}
+	s.states = s.states[:len(chunk)*dim]
+	for i := range chunk {
+		copy(s.states[i*dim:], chunk[i].state)
+	}
+	return true
 }
 
 // Close waits for every outstanding request to be answered, stops the

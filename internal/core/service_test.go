@@ -1,10 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/nn"
+	"repro/internal/telemetry"
 )
 
 type constPolicy struct{ v float64 }
@@ -310,5 +316,191 @@ func TestServiceDefaultPolicy(t *testing.T) {
 	// nil policy selects the reference policy; a no-signal state probes up.
 	if got := svc.Action(make([]float64, cfg.StateDim())); got != 1 {
 		t.Fatalf("default-policy Action = %v, want 1", got)
+	}
+}
+
+// collect is an allocation-free Completion: it records the action it
+// receives into its slot of a shared answer slice.
+type collect struct {
+	out []float64
+	i   int
+}
+
+func (c *collect) Complete(a float64) { c.out[c.i] = a }
+
+// chunkOf builds one evaluator chunk over states whose answers land in out.
+func chunkOf(states [][]float64, out []float64) []inferReq {
+	chunk := make([]inferReq, len(states))
+	for i, st := range states {
+		chunk[i] = inferReq{state: st, comp: &collect{out: out, i: i}}
+	}
+	return chunk
+}
+
+// servingStates draws n stacked states from the calibration sampler, every
+// fifth one made hostile: NaN, ±Inf and far out-of-range features.
+func servingStates(cfg Config, rng *rand.Rand, n int) [][]float64 {
+	states := make([][]float64, n)
+	for i := range states {
+		st := sampleState(cfg, rng)
+		if i%5 == 4 {
+			st[i%len(st)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e9}[i/5%4]
+		}
+		states[i] = st
+	}
+	return states
+}
+
+// TestServiceBatchPolicyMatchesAction: for both batched policies, the
+// answers the evaluator delivers for a chunk are bitwise what Action gives
+// each request alone, at chunk sizes across the policies' blocking (groups
+// of 4 for MLPPolicy, blocks of 16 for QuantizedPolicy) up to MaxBatch, and
+// likewise when the chunks form by themselves behind a busy evaluator.
+func TestServiceBatchPolicyMatchesAction(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(46))
+	actor := &MLPPolicy{Net: nn.NewMLP(rng, nn.ReLU, nn.Tanh, cfg.StateDim(), 256, 128, 64, 1)}
+	quant, err := QuantizeMLPPolicy(actor, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]Policy{"quantized": quant, "float": actor} {
+		if _, ok := p.(BatchPolicy); !ok {
+			t.Fatalf("%s policy is not a BatchPolicy", name)
+		}
+		oracle := ClonePolicy(p)
+		s := newService(ClonePolicy(p), 256, false)
+		for _, n := range []int{2, 3, 4, 5, 15, 16, 17, 33, 255, 256} {
+			states := servingStates(cfg, rng, n)
+			got := make([]float64, n)
+			s.evaluate(chunkOf(states, got), s.policy, serviceMetrics{})
+			for i, st := range states {
+				if want := oracle.Action(st); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%s chunk of %d, request %d: %v, Action %v", name, n, i, got[i], want)
+				}
+			}
+		}
+		s.Close()
+
+		// Through the evaluator itself: submitted back to back, the
+		// requests are pulled in batches of whatever size the evaluator
+		// finds; every answer is still its own.
+		svc := NewService(cfg, ClonePolicy(p))
+		states := servingStates(cfg, rng, 600)
+		got := make([]float64, len(states))
+		for i, st := range states {
+			svc.SubmitTo(st, &collect{out: got, i: i})
+		}
+		svc.Close()
+		for i, st := range states {
+			if want := oracle.Action(st); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s submitted request %d: %v, Action %v", name, i, got[i], want)
+			}
+		}
+	}
+}
+
+// batchSpy is a BatchPolicy that records how it was called.
+type batchSpy struct {
+	actions int   // Action calls
+	batches []int // ActionBatch sizes
+}
+
+func (p *batchSpy) Action(s []float64) float64 { p.actions++; return s[0] }
+
+func (p *batchSpy) ActionBatch(states []float64, n int, actions []float64) {
+	p.batches = append(p.batches, n)
+	for i := range actions[:n] {
+		actions[i] = states[i*len(states)/n]
+	}
+}
+
+// actionOnly forwards Action and nothing else, as a wrapper around a
+// policy does: it hides BatchPolicy.
+type actionOnly struct{ inner Policy }
+
+func (p actionOnly) Action(s []float64) float64 { return p.inner.Action(s) }
+
+// TestServiceBatchPathSelection pins which path a chunk takes: one
+// ActionBatch for a BatchPolicy chunk of two or more states of one width,
+// one Action per request for a lone request, for a chunk of mixed widths
+// and for a policy without the batched method — with the answers in
+// request order either way.
+func TestServiceBatchPathSelection(t *testing.T) {
+	mk := func(widths ...int) ([][]float64, []float64) {
+		states := make([][]float64, len(widths))
+		for i, w := range widths {
+			states[i] = make([]float64, w)
+			states[i][0] = float64(i + 1)
+		}
+		return states, make([]float64, len(widths))
+	}
+	check := func(what string, got []float64) {
+		t.Helper()
+		for i, v := range got {
+			if v != float64(i+1) {
+				t.Fatalf("%s: request %d answered %v, want %d", what, i, v, i+1)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		widths  []int
+		actions int
+		batches []int
+	}{
+		{"chunk of five", []int{3, 3, 3, 3, 3}, 0, []int{5}},
+		{"lone request", []int{3}, 1, nil},
+		{"mixed widths", []int{3, 3, 4, 3}, 4, nil},
+	} {
+		spy := &batchSpy{}
+		states, got := mk(c.widths...)
+		s := newService(spy, 256, false)
+		s.evaluate(chunkOf(states, got), spy, serviceMetrics{})
+		if spy.actions != c.actions || fmt.Sprint(spy.batches) != fmt.Sprint(c.batches) {
+			t.Fatalf("%s: %d Action calls and ActionBatch sizes %v, want %d and %v",
+				c.name, spy.actions, spy.batches, c.actions, c.batches)
+		}
+		check(c.name, got)
+	}
+
+	spy := &batchSpy{}
+	states, got := mk(3, 3, 3, 3)
+	s := newService(actionOnly{spy}, 256, false)
+	s.evaluate(chunkOf(states, got), s.policy, serviceMetrics{})
+	if spy.actions != 4 || len(spy.batches) != 0 {
+		t.Fatalf("wrapped policy: %d Action calls and ActionBatch sizes %v, want 4 and none", spy.actions, spy.batches)
+	}
+	check("wrapped policy", got)
+}
+
+// TestServiceEvaluateBatchZeroAllocs pins a steady-state batched chunk —
+// packing the states, one quantized forward pass, delivery — at zero
+// allocations, with telemetry off and on (batch size, queue wait and eval
+// time observed).
+func TestServiceEvaluateBatchZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(9))
+	qp, err := QuantizeMLPPolicy(&MLPPolicy{Net: nn.NewMLP(rng, nn.ReLU, nn.Tanh, cfg.StateDim(), 256, 128, 64, 1)}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := servingStates(cfg, rng, 256)
+	got := make([]float64, len(states))
+	chunk := chunkOf(states, got)
+	for _, instrumented := range []bool{false, true} {
+		s := newService(qp, 256, false)
+		if instrumented {
+			s.Instrument(telemetry.NewRegistry())
+			for i := range chunk {
+				chunk[i].enqueued = time.Now()
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() { s.evaluate(chunk, qp, s.m) }); n != 0 {
+			t.Fatalf("instrumented %v: a batched chunk allocates %.1f times, want 0", instrumented, n)
+		}
+		if instrumented && s.m.evalTime.Count() == 0 {
+			t.Fatal("core_infer_eval_seconds observed nothing")
+		}
 	}
 }

@@ -30,12 +30,18 @@
 // lookup table covering [-8, 8] (beyond which tanh is 1 to within the
 // output resolution).
 //
-// The multiply-accumulate work runs through a tiled kernel over weights
-// padded to 16-column × 4-row tiles: SSE2 PMADDWD on amd64 (eight
-// int16×int16→int32 pairwise products per instruction, baseline on every
-// amd64 so no feature detection), a blocked-scalar loop elsewhere — the
-// int16 layout is what makes that instruction applicable at all, and is
-// where the ≥4× speedup over the float64 path comes from.
+// The multiply-accumulate work runs through one tiled kernel per tier over
+// weights padded to 16-column × 4-row tiles, batched over samples
+// (ForwardBatch; Forward is a batch of one): on the AVX2 tier (useAVX2,
+// which the float kernels use too) VPMADDWD, sixteen int16×int16→int32
+// products summed in pairs per instruction, with each group of four
+// weight rows held in registers while the samples pass it two at a time,
+// and the requantization below eight outputs per step in AVX2 as well; on
+// the portable tier (other CPUs, other GOARCHes) a blocked-scalar Go loop.
+// The int16 layout is what makes VPMADDWD applicable at all. Per sample
+// on the paper's actor the fixed-point pass takes a fraction of the
+// vector float64 forward's time, and a batch of them less again per
+// sample (DESIGN.md §12 has the measurements).
 //
 // # Why the int32 accumulator cannot wrap
 //
@@ -48,7 +54,11 @@
 // (the in/2 term bounds per-weight rounding, the +1 the bias rounding).
 // DecodeQuantized re-checks the realized inequality Σ_i|wq[o,i]|·32768 +
 // |bq[o]| ≤ 2^31−1 for every row, so the guarantee holds for hostile blobs
-// too, not only for nets we quantized ourselves.
+// too, not only for nets we quantized ourselves. Every int32 lane a kernel
+// forms sums a column subset of one row, so the inequality bounds the
+// lanes as well; that includes a VPMADDWD pair, whose two products of
+// −32768·−32768 would wrap, and which the inequality rejects (a row
+// holding two −32768 weights has mass 65536·32768 > 2^31−1).
 package nn
 
 import (
@@ -94,13 +104,54 @@ var tanhTab = func() [1025]int16 {
 type quantLayer struct {
 	in, out       int
 	padIn, padOut int // kernel dims: in padded to 16 cols, out to 4 rows
+	padSums       int // out padded to 8: sums per sample, epilogue width
 	act           Activation
 	wOff, bOff    int   // offsets into the canonical (codec) arrays
-	kOff          int   // offset into the padded kernel weight array
+	kOff, kbOff   int   // offsets into the padded kernel weights and biases
 	mult          int64 // requantization multiplier, ∈ [0, 2^30]
 	rnd           int64 // rounding bias, 1 << (shift-1)
 	shift         uint8 // requantization shift, ∈ [1, 62]
 	outBits       int8  // Q-format of this layer's int16 output
+	rq            requantConsts
+}
+
+// requantConsts are a layer's requantization constants in the form the
+// AVX2 epilogue (requantQ15AVX2) broadcasts, all int64 for fixed offsets.
+// That kernel has no 64-bit arithmetic shift and no 64-bit clamp, so:
+//   - it shifts p + 2^62 logically and subtracts 2^(62−shift) after: p =
+//     s·mult + rnd ∈ [−2^61, 2^62) for an int32 sum s, so p + 2^62 is
+//     positive and below 2^63, and 2^62 divides evenly by 2^shift;
+//   - it clamps s to [lo, hi] before the multiply, where hi is the least
+//     sum whose output reaches 32767 and lo the greatest whose output
+//     reaches −32768. f(s) = (s·mult + rnd) >> shift never decreases in s,
+//     so the clamp leaves every saturated output saturated and every
+//     other one unchanged, and in [lo, hi] f passes either int16 bound
+//     by at most one step, mult/2^shift + 1 ≤ 2^29 + 1: it fits int32,
+//     which the kernel's saturating int32→int16 pack needs.
+//
+// floor is −32768, or 0 for ReLU (the max with it is ReLU).
+type requantConsts struct {
+	mult, bias, unbias, shift, lo, hi, floor int64
+}
+
+// newRequantConsts derives l's epilogue constants. Without a multiplier
+// every output is rnd >> shift = 0, and from shift 47 on |f| ≤ 2^62 >>
+// 47 = 2^15: either way f fits int32 unclamped.
+func newRequantConsts(l *quantLayer) requantConsts {
+	k := requantConsts{
+		mult: l.mult, bias: l.rnd + 1<<62, unbias: 1 << (62 - l.shift), shift: int64(l.shift),
+		lo: math.MinInt32, hi: math.MaxInt32, floor: int16Min,
+	}
+	if l.act == ReLU {
+		k.floor = 0
+	}
+	if l.mult > 0 && l.shift < 47 {
+		top := int64(int16Max) << l.shift
+		// f(s) ≥ 32767 ⟺ s·mult ≥ top − rnd; f(s) ≤ −32768 ⟺ s·mult < −(top + rnd).
+		k.hi = min((top-l.rnd+l.mult-1)/l.mult, math.MaxInt32)
+		k.lo = max(-((top+l.rnd)/l.mult)-1, math.MinInt32)
+	}
+	return k
 }
 
 // QuantizedMLP is the fixed-point compiled form of a trained MLP: flat
@@ -108,21 +159,38 @@ type quantLayer struct {
 // constants. Forward runs in pure integer arithmetic with zero allocations.
 //
 // The compiled arrays are immutable after Quantize/DecodeQuantized, so
-// Clone shares them and duplicates only the scratch buffers; a QuantizedMLP
+// Clone shares them and allocates only scratch of its own; a QuantizedMLP
 // is not safe for concurrent use, but clones evaluate independently.
 type QuantizedMLP struct {
+	quantNet
+
+	// Scratch, per instance: activations and layer sums for rows samples,
+	// grown by ForwardBatch up to quantBlock rows. Clone reads none of it,
+	// so a server may clone a policy its evaluator is running.
+	rows       int
+	bufA, bufB []int16
+	acc        []int32
+	out        []float64
+}
+
+// quantNet is the compiled network: written once by Quantize or
+// DecodeQuantized, then only read, and shared by every clone.
+type quantNet struct {
 	layers  []quantLayer
 	weights []int16 // canonical row-major weights (what the codec carries)
 	biases  []int32
 	inScale []float64 // per-feature input quantization scale
 	outInv  float64   // final dequantization factor, 2^-outBits of last layer
-	kernelW []int16   // padded row-major weights fed to the matvec kernel
-
-	// scratch (per instance; everything above is shared across clones)
-	bufA, bufB []int16
-	acc        []int32
-	out        []float64
+	kernelW []int16   // padded row-major weights fed to matmulQ15
+	kernelB []int32   // biases, each layer's padded with zeros to padSums
+	maxDim  int       // widest padded activation row, in int16s
+	maxAcc  int       // widest padded layer output (padSums), in int32s
 }
+
+// quantBlock is how many samples ForwardBatch carries through the network
+// together: each weight row is then read once per block, while the block's
+// activations (≤ 16 × 256 int16s on the paper's actor) stay in L1.
+const quantBlock = 16
 
 // QuantizeOptions configures Quantize.
 type QuantizeOptions struct {
@@ -175,7 +243,7 @@ func Quantize(m *MLP, opts QuantizeOptions) (*QuantizedMLP, error) {
 		}
 	}
 
-	q := &QuantizedMLP{inScale: make([]float64, in)}
+	q := &QuantizedMLP{quantNet: quantNet{inScale: make([]float64, in)}}
 	for i, a := range aIn {
 		if a < 1e-9 {
 			a = 1e-9 // dead feature: any scale works, avoid dividing by zero
@@ -276,39 +344,44 @@ func Quantize(m *MLP, opts QuantizeOptions) (*QuantizedMLP, error) {
 }
 
 // finish derives the padded kernel layout, scratch buffers, and the output
-// dequantization factor from the compiled canonical form. The matvec kernel
+// dequantization factor from the compiled canonical form. The kernel
 // consumes weights padded to 16-column × 4-row tiles; padding weights are
 // zero, so whatever stale int16s sit in the padded tail of an activation
-// buffer contribute exactly nothing.
+// row contribute exactly nothing.
 func (q *QuantizedMLP) finish() {
-	kernelLen, maxDim, maxAcc := 0, 0, 0
+	kernelLen, biasLen := 0, 0
+	q.maxDim, q.maxAcc = 0, 0
 	for i := range q.layers {
 		l := &q.layers[i]
 		l.padIn = (l.in + 15) &^ 15
 		l.padOut = (l.out + 3) &^ 3
-		l.kOff = kernelLen
+		l.padSums = (l.out + 7) &^ 7
+		l.kOff, l.kbOff = kernelLen, biasLen
 		kernelLen += l.padIn * l.padOut
-		if l.padIn > maxDim {
-			maxDim = l.padIn
-		}
-		if l.padOut > maxDim {
-			maxDim = l.padOut
-		}
-		if l.padOut > maxAcc {
-			maxAcc = l.padOut
-		}
+		biasLen += l.padSums
+		l.rq = newRequantConsts(l)
+		q.maxDim = max(q.maxDim, l.padIn, (l.out+15)&^15)
+		q.maxAcc = max(q.maxAcc, l.padSums)
 	}
 	q.kernelW = make([]int16, kernelLen)
+	q.kernelB = make([]int32, biasLen)
 	for _, l := range q.layers {
 		for o := 0; o < l.out; o++ {
 			copy(q.kernelW[l.kOff+o*l.padIn:], q.weights[l.wOff+o*l.in:l.wOff+(o+1)*l.in])
 		}
+		copy(q.kernelB[l.kbOff:], q.biases[l.bOff:l.bOff+l.out])
 	}
-	q.bufA = make([]int16, maxDim)
-	q.bufB = make([]int16, maxDim)
-	q.acc = make([]int32, maxAcc)
-	q.out = make([]float64, q.layers[len(q.layers)-1].out)
 	q.outInv = math.Ldexp(1, -int(q.layers[len(q.layers)-1].outBits))
+	q.scratch(1)
+}
+
+// scratch sizes the per-instance buffers for rows samples at a time.
+func (q *QuantizedMLP) scratch(rows int) {
+	q.rows = rows
+	q.bufA = make([]int16, rows*q.maxDim)
+	q.bufB = make([]int16, rows*q.maxDim)
+	q.acc = make([]int32, rows*q.maxAcc)
+	q.out = make([]float64, rows*q.OutDim())
 }
 
 // checkAccBounds verifies the realized no-wrap inequality for every output
@@ -354,61 +427,131 @@ func (q *QuantizedMLP) NumLayers() int { return len(q.layers) }
 func (q *QuantizedMLP) ParamBytes() int { return 2*len(q.weights) + 4*len(q.biases) }
 
 // Clone returns an independently evaluable copy sharing the immutable
-// compiled arrays; only the scratch buffers are duplicated. Use one clone
-// per goroutine.
+// compiled arrays, with scratch of its own for one sample (ForwardBatch
+// grows it). Use one clone per goroutine.
 func (q *QuantizedMLP) Clone() *QuantizedMLP {
-	c := *q
-	c.bufA = make([]int16, len(q.bufA))
-	c.bufB = make([]int16, len(q.bufB))
-	c.acc = make([]int32, len(q.acc))
-	c.out = make([]float64, len(q.out))
-	return &c
+	c := &QuantizedMLP{quantNet: q.quantNet}
+	c.scratch(1)
+	return c
 }
 
-// Forward evaluates the compiled network. The returned slice is scratch
-// owned by the QuantizedMLP (valid until the next call); the pass performs
-// no allocations. Inputs beyond 2x their calibrated range saturate; NaN
-// quantizes to zero.
+// Forward evaluates the compiled network on one sample: ForwardBatch(x, 1).
+// The returned slice is scratch owned by the QuantizedMLP (valid until the
+// next call); the pass performs no allocations. Inputs beyond 2x their
+// calibrated range saturate; NaN quantizes to zero.
 func (q *QuantizedMLP) Forward(x []float64) []float64 {
-	if len(x) != q.layers[0].in {
-		panic(fmt.Sprintf("nn: input dim %d, want %d", len(x), q.layers[0].in))
+	return q.ForwardBatch(x, 1)
+}
+
+// ForwardBatch evaluates the n samples packed row-major in x ([n][InDim])
+// and returns the [n][OutDim] outputs, scratch owned by the QuantizedMLP
+// and valid until the next call. Every output is bitwise what Forward gives
+// for its row: the sums are exact integer arithmetic, whatever the tiling.
+// The samples go through the network quantBlock at a time; once the
+// scratch has grown to a block (and the output to n rows), a pass
+// allocates nothing.
+func (q *QuantizedMLP) ForwardBatch(x []float64, n int) []float64 {
+	in, outDim := q.InDim(), q.OutDim()
+	if n < 1 || len(x) != n*in {
+		panic(fmt.Sprintf("nn: quantized batch input has %d values, want %d rows of %d", len(x), n, in))
 	}
+	if rows := min(n, quantBlock); rows > q.rows {
+		q.scratch(rows)
+	}
+	if cap(q.out) < n*outDim {
+		q.out = make([]float64, n*outDim)
+	}
+	out := q.out[:n*outDim]
+	for s := 0; s < n; s += quantBlock {
+		rows := min(n-s, quantBlock)
+		q.forwardBlock(x[s*in:(s+rows)*in], out[s*outDim:(s+rows)*outDim], rows)
+	}
+	return out
+}
+
+// forwardBlock runs rows ≤ q.rows samples through every layer, writing
+// their outputs to out. A layer reads its input rows l.padIn int16s apart,
+// forms its sums l.padSums int32s apart in q.acc, and writes its output
+// rows 16-padded (the next layer's padIn) into the other buffer.
+func (q *QuantizedMLP) forwardBlock(x, out []float64, rows int) {
+	in := q.InDim()
 	cur, nxt := q.bufA, q.bufB
-	for i, v := range x {
-		cur[i] = satRound16(v * q.inScale[i])
+	stride := q.layers[0].padIn
+	for s := 0; s < rows; s++ {
+		row := cur[s*stride : s*stride+in]
+		for i, v := range x[s*in : (s+1)*in] {
+			row[i] = satRound16(v * q.inScale[i])
+		}
 	}
 	for li := range q.layers {
 		l := &q.layers[li]
 		// All multiply-accumulate work happens in the tiled int16×int16→
-		// int32 kernel (PMADDWD on amd64, blocked scalar elsewhere); every
-		// partial lane is bounded by its subset of the row's L1 budget, so
-		// no intermediate can wrap (see checkAccBounds).
-		matvecQ15(q.kernelW[l.kOff:], cur, q.acc, l.padOut>>2, l.padIn)
-		bs := q.biases[l.bOff : l.bOff+l.out]
-		for o := 0; o < l.out; o++ {
-			acc := q.acc[o] + bs[o]
-			t := (int64(acc)*l.mult + l.rnd) >> l.shift
-			if t > int16Max {
-				t = int16Max
-			} else if t < int16Min {
-				t = int16Min
-			}
-			v := int32(t)
-			switch l.act {
-			case ReLU:
-				v &^= v >> 31
-			case Tanh:
-				v = tanhQ12(v)
-			}
-			nxt[o] = int16(v)
-		}
+		// int32 kernel; every partial lane is bounded by its subset of the
+		// row's L1 budget, so no intermediate can wrap (see checkAccBounds).
+		matmulQ15(q.kernelW[l.kOff:l.kOff+l.padIn*l.padOut], cur, q.acc, l.padOut>>2, l.padIn, rows, l.padSums)
+		stride = (l.out + 15) &^ 15
+		q.requantize(l, nxt, stride, rows)
 		cur, nxt = nxt, cur
 	}
-	last := &q.layers[len(q.layers)-1]
-	for o := 0; o < last.out; o++ {
-		q.out[o] = float64(cur[o]) * q.outInv
+	outDim := q.OutDim()
+	for s := 0; s < rows; s++ {
+		for o, v := range cur[s*stride : s*stride+outDim] {
+			out[s*outDim+o] = float64(v) * q.outInv
+		}
 	}
-	return q.out
+}
+
+// matmulQ15 forms acc[s·accStride + r] = Σ_c w[r][c]·x[s][c] for n samples
+// x (cols16 int16s apart) and rows4 groups of four weight rows: on the AVX2
+// kernel where useAVX2 is set, on the portable one otherwise.
+func matmulQ15(w, x []int16, acc []int32, rows4, cols16, n, accStride int) {
+	if useAVX2 {
+		matmulQ15Tiles(w, x, acc, rows4, cols16, n, accStride)
+		return
+	}
+	matmulQ15Generic(w, x, acc, rows4, cols16, n, accStride)
+}
+
+// requantize maps layer l's sums for rows samples onto its int16 output
+// activations, rows stride apart in dst: act(sat16(((acc + b)·mult + rnd)
+// >> shift)). Where useAVX2 is set the AVX2 epilogue takes eight outputs
+// at a time (and the tanh lookup follows it here); otherwise each output
+// runs the formula as written, with the activation chosen once per layer.
+func (q *QuantizedMLP) requantize(l *quantLayer, dst []int16, stride, rows int) {
+	if useAVX2 {
+		requantTiles(dst, q.acc, q.kernelB[l.kbOff:l.kbOff+l.padSums], l.padSums>>3, rows, stride, l.padSums, &l.rq)
+		if l.act == Tanh {
+			for s := 0; s < rows; s++ {
+				d := dst[s*stride : s*stride+l.out]
+				for o, v := range d {
+					d[o] = int16(tanhQ12(int32(v)))
+				}
+			}
+		}
+		return
+	}
+	bias := q.kernelB[l.kbOff : l.kbOff+l.out]
+	mult, rnd, shift := l.mult, l.rnd, l.shift&63
+	for s := 0; s < rows; s++ {
+		acc := q.acc[s*l.padSums:][:len(bias)]
+		d := dst[s*stride:][:len(bias)]
+		switch l.act {
+		case ReLU:
+			for o, a := range acc {
+				t := min(max((int64(a+bias[o])*mult+rnd)>>shift, int16Min), int16Max)
+				d[o] = int16(t &^ (t >> 63))
+			}
+		case Tanh:
+			for o, a := range acc {
+				t := min(max((int64(a+bias[o])*mult+rnd)>>shift, int16Min), int16Max)
+				d[o] = int16(tanhQ12(int32(t)))
+			}
+		default:
+			for o, a := range acc {
+				d[o] = int16(min(max((int64(a+bias[o])*mult+rnd)>>shift, int16Min), int16Max))
+			}
+		}
+	}
 }
 
 // tanhQ12 evaluates tanh on a Q12 argument (int16 range spans [-8, 8)) by
@@ -421,8 +564,12 @@ func tanhQ12(v int32) int32 {
 	return lo + (int32(tanhTab[idx+1])-lo)*frac>>6
 }
 
-// satRound16 rounds to the nearest int16, saturating at the type bounds and
-// mapping NaN to zero.
+// satRound16 rounds to the nearest int16, ties away from zero (as
+// math.Round), saturating at the type bounds and mapping NaN to zero.
+// In range it adds the largest double below ½, signed like v, and
+// truncates: below a tie the sum stays short of the next integer by more
+// than half its spacing, and at a tie it rounds up onto it, so the result
+// is math.Round's without its branches on the exponent.
 func satRound16(v float64) int16 {
 	if !(v > float64(int16Min)) { // also catches NaN
 		if v != v {
@@ -433,7 +580,7 @@ func satRound16(v float64) int16 {
 	if v > float64(int16Max) {
 		return int16Max
 	}
-	return int16(math.Round(v))
+	return int16(v + math.Copysign(0.49999999999999994, v))
 }
 
 // satRound32 rounds to the nearest int32, saturating one short of the type
@@ -492,34 +639,36 @@ func requantParams(ratio float64) (int64, uint8) {
 	return mult, uint8(shift)
 }
 
-// matvecQ15Generic is the portable tiled int16 mat-vec kernel: rows4 groups
-// of four padded rows against one padded activation vector, int32 results.
-// It is the reference the amd64 PMADDWD kernel is differentially tested
-// against (both are exact integer arithmetic, so they agree bitwise), and
-// the implementation used on other architectures. The four row accumulators
-// share each loaded activation, so the scalar loop runs at roughly one load
-// per multiply instead of two.
-func matvecQ15Generic(w, x []int16, acc []int32, rows4, cols16 int) {
-	for g := 0; g < rows4; g++ {
-		base := g * 4 * cols16
-		r0 := w[base : base+cols16]
-		r1 := w[base+cols16 : base+2*cols16]
-		r2 := w[base+2*cols16 : base+3*cols16]
-		r3 := w[base+3*cols16 : base+4*cols16]
-		xx := x[:cols16]
-		var a0, a1, a2, a3 int32
-		for i := range xx {
-			xv := int32(xx[i])
-			a0 += int32(r0[i]) * xv
-			a1 += int32(r1[i]) * xv
-			a2 += int32(r2[i]) * xv
-			a3 += int32(r3[i]) * xv
+// matmulQ15Generic is the portable tiled int16 kernel: rows4 groups of four
+// padded rows against n padded activation rows (cols16 apart), each
+// sample's 4·rows4 int32 sums accStride apart. It is the reference the
+// AVX2 kernel is differentially tested against (both are exact integer arithmetic, so
+// they agree bitwise), and the kernel of the portable tier. The four row
+// accumulators share each loaded activation, so the scalar loop runs at
+// roughly one load per multiply instead of two.
+func matmulQ15Generic(w, x []int16, acc []int32, rows4, cols16, n, accStride int) {
+	for s := 0; s < n; s++ {
+		xx := x[s*cols16 : (s+1)*cols16]
+		sums := acc[s*accStride : s*accStride+4*rows4]
+		for g := range rows4 {
+			sums[4*g], sums[4*g+1], sums[4*g+2], sums[4*g+3] = dot4Q15(w[4*g*cols16:], xx)
 		}
-		acc[4*g] = a0
-		acc[4*g+1] = a1
-		acc[4*g+2] = a2
-		acc[4*g+3] = a3
 	}
+}
+
+// dot4Q15 returns the dot products of x with the four rows of w, len(x)
+// apart. It is its own function so that the four sums live in registers.
+func dot4Q15(w, x []int16) (a0, a1, a2, a3 int32) {
+	n := len(x)
+	r0, r1, r2, r3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
+	for i, v := range x {
+		xv := int32(v)
+		a0 += int32(r0[i]) * xv
+		a1 += int32(r1[i]) * xv
+		a2 += int32(r2[i]) * xv
+		a3 += int32(r3[i]) * xv
+	}
+	return a0, a1, a2, a3
 }
 
 // defaultCalibration synthesizes a deterministic input sweep for callers

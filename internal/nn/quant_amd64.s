@@ -2,98 +2,190 @@
 
 #include "textflag.h"
 
-// func matvecQ15SSE(w, x *int16, acc *int32, rows4, cols16 int)
+// QSUM4 reduces four 8-lane int32 accumulators, one per weight row, to the
+// four row sums [a b c d] in the low xmm of A, using T as scratch. Integer
+// addition is exact, so the order the lanes are combined in is immaterial.
+#define QSUM4(A, B, C, D, T, XA, XT) \
+	VPHADDD      B, A, A; \
+	VPHADDD      D, C, T; \
+	VPHADDD      T, A, A; \
+	VEXTRACTI128 $1, A, XT; \
+	VPADDD       XT, XA, XA
+
+// QMAC accumulates one 16-column step of weight row W (already loaded)
+// against sample X into ACC: VPMADDWD forms eight int32 lanes, each the sum
+// of two adjacent int16×int16 products of that row.
+#define QMAC(X, W, ACC) \
+	VPMADDWD X, W, Y15; \
+	VPADDD   Y15, ACC, ACC
+
+// func matmulQ15AVX2(w, x *int16, acc *int32, rows4, cols16, n, accStride int)
 //
-// Tiled int16 matrix-vector product: rows4 groups of four weight rows
-// (each cols16 int16s, cols16 a multiple of 16) against one activation
-// vector, writing 4*rows4 int32 results to acc.
+// Tiled int16 matrix product, the batched form of a mat-vec: rows4 groups of
+// four weight rows (each cols16 int16s, cols16 a multiple of 16) against n
+// activation rows (cols16 int16s apart). Sample s's 4·rows4 int32 sums
+// Σ_c w[r][c]·x[s][c] land accStride bytes after sample s-1's.
 //
-// Per 16-column step each row issues two PMADDWL (eight int16×int16
-// products with pairwise int32 adds each) and two PADDD into its four-lane
-// accumulator. Lanes accumulate disjoint column subsets, so the caller's
-// row-L1 bound (Σ|w|·32768 + |b| ≤ 2^31−1) guarantees no lane ever wraps.
-TEXT ·matvecQ15SSE(SB), NOSPLIT, $0-40
+// Each group of four weight rows is held while the samples stream past it
+// two at a time (a 4×2 tile, eight ymm accumulators), then one at a time
+// for an odd last sample, so a weight row is loaded once per two samples.
+// Every accumulator lane sums a column subset of one row (two adjacent
+// columns per VPMADDWD, every 16th pair after that), so the row-L1 bound
+// the caller enforces (Σ|w|·32768 + |b| ≤ 2^31−1, checkAccBounds) bounds
+// every intermediate lane too: none can wrap.
+TEXT ·matmulQ15AVX2(SB), NOSPLIT, $0-56
 	MOVQ w+0(FP), SI
 	MOVQ x+8(FP), DX
-	MOVQ acc+16(FP), DI
 	MOVQ rows4+24(FP), CX
-	MOVQ cols16+32(FP), BX
-	MOVQ BX, R8
-	SHLQ $1, R8               // R8 = row stride in bytes
+	MOVQ cols16+32(FP), R8
+	SHLQ $1, R8                  // R8 = row stride in bytes, weights and samples alike
 
-rowloop:
-	PXOR X4, X4               // row 0 accumulator
-	PXOR X5, X5               // row 1
-	PXOR X6, X6               // row 2
-	PXOR X7, X7               // row 3
-	MOVQ DX, R9               // activation cursor
-	MOVQ SI, R10              // row 0 cursor
-	LEAQ (SI)(R8*1), R11      // row 1
-	LEAQ (SI)(R8*2), R12      // row 2
-	LEAQ (R11)(R8*2), R13     // row 3
-	MOVQ BX, AX               // columns remaining
+group:
+	LEAQ (SI)(R8*1), R9          // weight rows 1, 2, 3
+	LEAQ (SI)(R8*2), R10
+	LEAQ (R9)(R8*2), R11
+	MOVQ acc+16(FP), DI          // sample 0's sums for this group
+	MOVQ DX, R12                 // sample cursors
+	LEAQ (DX)(R8*1), R13
+	MOVQ n+40(FP), BX            // samples remaining
+	CMPQ BX, $2
+	JLT  single
 
-colloop:
-	MOVOU (R9), X0            // x[0:8]
-	MOVOU 16(R9), X1          // x[8:16]
+pair:
+	VPXOR Y0, Y0, Y0             // rows 0-3 × sample 0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4             // rows 0-3 × sample 1
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ  AX, AX                 // byte offset along the row
 
-	MOVOU (R10), X2
-	PMADDWL X0, X2
-	PADDD X2, X4
-	MOVOU 16(R10), X2
-	PMADDWL X1, X2
-	PADDD X2, X4
+pairk:
+	VMOVDQU (R12)(AX*1), Y8
+	VMOVDQU (R13)(AX*1), Y9
+	VMOVDQU (SI)(AX*1), Y10
+	QMAC(Y8, Y10, Y0)
+	QMAC(Y9, Y10, Y4)
+	VMOVDQU (R9)(AX*1), Y10
+	QMAC(Y8, Y10, Y1)
+	QMAC(Y9, Y10, Y5)
+	VMOVDQU (R10)(AX*1), Y10
+	QMAC(Y8, Y10, Y2)
+	QMAC(Y9, Y10, Y6)
+	VMOVDQU (R11)(AX*1), Y10
+	QMAC(Y8, Y10, Y3)
+	QMAC(Y9, Y10, Y7)
+	ADDQ $32, AX
+	CMPQ AX, R8
+	JNE  pairk
 
-	MOVOU (R11), X2
-	PMADDWL X0, X2
-	PADDD X2, X5
-	MOVOU 16(R11), X2
-	PMADDWL X1, X2
-	PADDD X2, X5
+	QSUM4(Y0, Y1, Y2, Y3, Y8, X0, X8)
+	VMOVDQU X0, (DI)
+	ADDQ    accStride+48(FP), DI
+	QSUM4(Y4, Y5, Y6, Y7, Y8, X4, X8)
+	VMOVDQU X4, (DI)
+	ADDQ    accStride+48(FP), DI
 
-	MOVOU (R12), X2
-	PMADDWL X0, X2
-	PADDD X2, X6
-	MOVOU 16(R12), X2
-	PMADDWL X1, X2
-	PADDD X2, X6
+	LEAQ (R12)(R8*2), R12
+	LEAQ (R13)(R8*2), R13
+	SUBQ $2, BX
+	CMPQ BX, $2
+	JGE  pair
 
-	MOVOU (R13), X2
-	PMADDWL X0, X2
-	PADDD X2, X7
-	MOVOU 16(R13), X2
-	PMADDWL X1, X2
-	PADDD X2, X7
+single:
+	TESTQ BX, BX
+	JE    nextgroup
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ  AX, AX
 
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, R12
-	ADDQ $32, R13
-	SUBQ $16, AX
-	JNE  colloop
+singlek:
+	VMOVDQU (R12)(AX*1), Y8
+	VPMADDWD (SI)(AX*1), Y8, Y4
+	VPADDD   Y4, Y0, Y0
+	VPMADDWD (R9)(AX*1), Y8, Y5
+	VPADDD   Y5, Y1, Y1
+	VPMADDWD (R10)(AX*1), Y8, Y6
+	VPADDD   Y6, Y2, Y2
+	VPMADDWD (R11)(AX*1), Y8, Y7
+	VPADDD   Y7, Y3, Y3
+	ADDQ $32, AX
+	CMPQ AX, R8
+	JNE  singlek
 
-	// Transpose-reduce the four 4-lane accumulators into one register and
-	// store all four row sums with a single 16-byte write. (Per-row 4-byte
-	// stores are a trap here: Go's assembler has no 32-bit XMM store — MOVD
-	// emits MOVQ, whose 8-byte write would run past the end of acc on the
-	// final group.)
-	MOVO      X4, X0
-	PUNPCKLLQ X5, X0          // [a0 b0 a1 b1]
-	PUNPCKHLQ X5, X4          // [a2 b2 a3 b3]
-	PADDD     X0, X4          // [a02 b02 a13 b13]
-	MOVO      X6, X1
-	PUNPCKLLQ X7, X1          // [c0 d0 c1 d1]
-	PUNPCKHLQ X7, X6          // [c2 d2 c3 d3]
-	PADDD     X1, X6          // [c02 d02 c13 d13]
-	MOVO      X4, X2
-	PUNPCKLQDQ X6, X2         // [a02 b02 c02 d02]
-	PUNPCKHQDQ X6, X4         // [a13 b13 c13 d13]
-	PADDD     X2, X4          // [sumA sumB sumC sumD]
-	MOVOU     X4, (DI)
+	QSUM4(Y0, Y1, Y2, Y3, Y8, X0, X8)
+	VMOVDQU X0, (DI)
 
-	ADDQ $16, DI
-	LEAQ (SI)(R8*4), SI       // advance four rows
+nextgroup:
+	ADDQ $16, acc+16(FP)         // the next group's four sums
+	LEAQ (SI)(R8*4), SI          // and its four weight rows
 	DECQ CX
-	JNE  rowloop
+	JNE  group
+	VZEROUPPER
+	RET
+
+// func requantQ15AVX2(dst *int16, acc, bias *int32, groups8, rows, dstStride, accStride int, k *requantConsts)
+//
+// The layer epilogue: for rows samples (their sums accStride bytes apart in
+// acc, their outputs dstStride bytes apart in dst) and groups8 groups of
+// eight outputs, dst = max(floor, sat16(((s·mult + rnd) >> shift))) with
+// s = acc + bias, eight outputs per step. AVX2 has neither a 64-bit
+// arithmetic shift nor a 64-bit clamp, so (see requantConsts) s is clamped
+// to [lo, hi] first, past which the output saturates anyway and within
+// which the result fits int32, and the shift is taken logically on
+// p + 2^62 > 0, subtracting 2^(62−shift) after: floor division either way.
+// VPACKSSDW then saturates to int16 exactly as sat16 does.
+TEXT ·requantQ15AVX2(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ acc+8(FP), SI
+	MOVQ bias+16(FP), DX
+	MOVQ rows+32(FP), CX
+	MOVQ k+56(FP), AX
+	VPBROADCASTQ 0(AX), Y10      // mult
+	VPBROADCASTQ 8(AX), Y11      // rnd + 2^62
+	VPBROADCASTQ 16(AX), Y12     // 2^(62−shift)
+	VMOVQ        24(AX), X13     // shift
+	VPBROADCASTD 32(AX), Y14     // lo
+	VPBROADCASTD 40(AX), Y15     // hi
+	VPBROADCASTW 48(AX), X9      // floor
+
+rqrow:
+	XORQ BX, BX                  // byte offset into this sample's sums and the biases
+	XORQ R8, R8                  // byte offset into its outputs
+	MOVQ groups8+24(FP), R9
+
+rqcol:
+	VMOVDQU   (SI)(BX*1), Y0
+	VPADDD    (DX)(BX*1), Y0, Y0
+	VPMAXSD   Y14, Y0, Y0
+	VPMINSD   Y15, Y0, Y0
+	VPSRLQ    $32, Y0, Y1        // odd lanes into the low dwords
+	VPMULDQ   Y10, Y0, Y0        // even lanes · mult, int64
+	VPMULDQ   Y10, Y1, Y1        // odd lanes · mult
+	VPADDQ    Y11, Y0, Y0
+	VPADDQ    Y11, Y1, Y1
+	VPSRLQ    X13, Y0, Y0
+	VPSRLQ    X13, Y1, Y1
+	VPSUBQ    Y12, Y0, Y0
+	VPSUBQ    Y12, Y1, Y1
+	VPSLLQ    $32, Y1, Y1
+	VPBLENDD  $0xAA, Y1, Y0, Y0  // eight int32 results in order
+	VPACKSSDW Y0, Y0, Y0         // [r0-3 r0-3 | r4-7 r4-7], saturated
+	VPERMQ    $0x08, Y0, Y0      // [r0-3 r4-7] in the low half
+	VPMAXSW   X9, X0, X0
+	VMOVDQU   X0, (DI)(R8*1)
+	ADDQ $32, BX
+	ADDQ $16, R8
+	DECQ R9
+	JNE  rqcol
+
+	ADDQ accStride+48(FP), SI
+	ADDQ dstStride+40(FP), DI
+	DECQ CX
+	JNE  rqrow
+	VZEROUPPER
 	RET

@@ -2,9 +2,11 @@
 
 package nn
 
-// matvecQ15 falls back to the portable blocked-scalar kernel on
-// architectures without a hand-written SIMD path. Results are bitwise
-// identical to the amd64 kernel (exact integer arithmetic either way).
-func matvecQ15(w, x []int16, acc []int32, rows4, cols16 int) {
-	matvecQ15Generic(w, x, acc, rows4, cols16)
+// The AVX2 quantized kernels exist on amd64 only; useAVX2 is never set
+// elsewhere, so these are never called.
+
+func matmulQ15Tiles(w, x []int16, acc []int32, rows4, cols16, n, accStride int) { panic(noAVX2) }
+
+func requantTiles(dst []int16, acc, bias []int32, groups8, rows, dstStride, accStride int, k *requantConsts) {
+	panic(noAVX2)
 }

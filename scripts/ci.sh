@@ -298,17 +298,24 @@ go test -fuzz=FuzzTrainCheckpoint -fuzztime="$FUZZTIME" -run=NONE ./internal/rl
 # forks a helper goroutine per phase (the reference test forces the fork
 # on every shape, and the inline path small networks take): at -cpu 1 the
 # helper interleaves with the learner, at 2 the two run in parallel, and
-# both schedules must give the same bits. First, log the tier this
+# both schedules must give the same bits. The quantized serving path
+# rides along: the batched int16 kernel and the AVX2 requantization
+# epilogue against the portable ones, ForwardBatch against per-row
+# Forward (hostile inputs, rows on the accumulator bound), clones driven
+# concurrently, and core.Service's one-call chunk against per-request
+# Action, with its zero-alloc pin. First, log the tier this
 # machine selects: the tests skip, with the reason, the tiers it lacks, so
 # a box without AVX-512 says so here.
 go test -count=1 -v -run 'TestKernelTier$' ./internal/nn | grep 'kernel tier'
-go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKernel|TestBatch|TestForward|TestGemv|TestTD3Update|TestProductsAreFused|TestCPUTier' ./internal/nn ./internal/rl
+go test -race -cpu 1,2 -run 'TestMulNN|TestTranspose|TestElementwise|TestAdamKernel|TestBatch|TestForward|TestGemv|TestTD3Update|TestProductsAreFused|TestCPUTier|TestQuantizedForwardBatch|TestRequantKernel|TestMatvecKernel|TestQuantizedCloneIndependence|TestServiceBatch|TestServiceEvaluateBatch|TestQuantizedPolicyCloneConcurrent' ./internal/nn ./internal/rl ./internal/core
 # The same bits from a different build of the scalar paths: at GOAMD64=v3
 # math.FMA is one VFMADD231SD with no runtime feature check. The Go spec
 # lets a compiler fuse x*y + z (gc does on arm64, ppc64le, s390x and
 # riscv64), so the contract names every fusion itself instead of relying
-# on what a build happens to do.
-GOAMD64=v3 go test -count=1 -run 'TestBatch|TestMulNN|TestForward|TestProductsAreFused|TestTD3UpdateGoldenDigest' ./internal/nn ./internal/rl
+# on what a build happens to do. The quantized tests run here too: at v3
+# the compiler may use BMI2 and CMOV forms in the scalar requantization
+# that the AVX2 epilogue is held to.
+GOAMD64=v3 go test -count=1 -run 'TestBatch|TestMulNN|TestForward|TestProductsAreFused|TestTD3UpdateGoldenDigest|TestQuantizedForwardBatch|TestRequantKernel|TestMatvecKernel|TestQuantizedCloneIndependence|TestServiceBatch|TestServiceEvaluateBatch|TestQuantizedPolicyCloneConcurrent' ./internal/nn ./internal/rl ./internal/core
 # The checkpoint/resume bitwise-determinism guarantee, the one-worker
 # golden (the serial trajectory, pinned) and the parallel learner get their
 # own named race pass so a regression is attributable at a glance (the

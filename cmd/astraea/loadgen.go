@@ -36,7 +36,7 @@ import (
 //	astraea loadgen -addr tcp:127.0.0.1:9000 -knee -conns 8 -flows
 func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("loadgen", stderr)
-	addr := fs.String("addr", "tcp:127.0.0.1:9000", "endpoint to drive, network:address (tcp or unix stream)")
+	addr := fs.String("addr", "tcp:127.0.0.1:9000", "endpoint to drive, network:address (tcp, unix, udp or unixgram)")
 	rate := fs.Float64("rate", 1000, "target aggregate request rate (req/s); 0 = closed-loop saturation")
 	duration := fs.Duration("duration", time.Second, "run length (per step in -knee mode)")
 	conns := fs.Int("conns", 4, "connections to spread load over")

@@ -21,9 +21,9 @@ import (
 // senders on udp or unixgram endpoints get the same admission, deadlines
 // and fallback as framed stream clients.
 //
-// Transports: TCP and unix stream sockets speak the length-prefixed
-// framing of internal/serve; udp and unixgram endpoints speak the bare
-// datagram codec, so core.ServiceClient senders talk to them directly.
+// Transports: TCP and unix stream sockets carry internal/serve's wire
+// payloads in length-prefixed frames; udp and unixgram endpoints carry one
+// bare payload per datagram. serve.Dial speaks both.
 //
 // Policy artifacts: -policy accepts "reference" or a file that
 // core.LoadPolicy sniffs — JSON actor weights, a sealed generation

@@ -10,6 +10,11 @@ import (
 	"repro/internal/transport"
 )
 
+// constPolicy answers every state with v.
+type constPolicy struct{ v float64 }
+
+func (p constPolicy) Action([]float64) float64 { return p.v }
+
 // runAgentOnLink runs cc as the only flow of a dumbbell and returns the
 // flow and its result.
 func runAgentOnLink(t *testing.T, cc transport.CongestionControl, rate, rtt float64, queueBytes int, dur float64) (*transport.Flow, *runner.FlowResult) {

@@ -2,26 +2,41 @@ package serve
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
 
-// Client talks to a serve.Server over a stream transport (tcp or unix)
-// with length-prefixed framing. It is safe for concurrent use: calls are
+// DefaultInferTimeout bounds each Infer when the caller does not choose a
+// timeout: datagrams are lossy and servers die, and an unanswered request
+// must surface as an error, not a goroutine parked forever.
+const DefaultInferTimeout = 5 * time.Second
+
+// ErrInferTimeout is returned by Client.Infer when no response arrives
+// within the client's Timeout (the request or reply datagram was lost, or
+// the server is gone).
+var ErrInferTimeout = errors.New("serve: inference request timed out")
+
+// ErrClientClosed is returned by Client.Infer when the connection closes
+// (locally or by the peer) while the call is outstanding.
+var ErrClientClosed = errors.New("serve: connection closed with inference call outstanding")
+
+// Client talks to a serve.Server. It is safe for concurrent use: calls are
 // pipelined over one connection and matched to responses by request ID,
 // which is how a sender process multiplexes many flows over one socket.
 // Requests issued through InferFlow carry the flow ID on the wire, so the
 // server keeps each flow's requests ordered on one shard even when the
 // flow's traffic spreads over several connections.
 type Client struct {
-	conn net.Conn
+	conn      net.Conn
+	datagram  bool   // one bare payload per datagram, no frame prefix
+	localPath string // unixgram client socket file, removed on Close
 
-	// Timeout bounds each Infer call (default core.DefaultInferTimeout;
-	// 0 waits forever). Adjust before issuing calls.
+	// Timeout bounds each Infer call (default DefaultInferTimeout; 0 waits
+	// forever). Adjust before issuing calls.
 	Timeout time.Duration
 
 	wmu  sync.Mutex // serializes request frames
@@ -49,19 +64,31 @@ type clientCall struct {
 	timer *time.Timer // nil until a call with a Timeout first uses it
 }
 
-// Dial connects to a serve.Server stream endpoint.
+// Dial connects to a serve.Server endpoint: tcp, tcp4, tcp6 or unix (framed
+// payloads on a stream), or udp, udp4, udp6 or unixgram (one bare payload
+// per datagram). A unixgram client binds its own socket next to the
+// server's path, so the server has an address to answer; Close removes it.
 func Dial(network, address string) (*Client, error) {
+	c := &Client{Timeout: DefaultInferTimeout, calls: make(map[uint64]*clientCall)}
+	var err error
 	switch network {
 	case "tcp", "tcp4", "tcp6", "unix":
+		c.conn, err = net.Dial(network, address)
+	case "udp", "udp4", "udp6":
+		c.datagram = true
+		c.conn, err = net.Dial(network, address)
+	case "unixgram":
+		c.datagram = true
+		c.localPath = fmt.Sprintf("%s.client-%d-%d", address, os.Getpid(), connSeq.Add(1))
+		c.conn, err = net.DialUnix(network, &net.UnixAddr{Name: c.localPath, Net: network},
+			&net.UnixAddr{Name: address, Net: network})
 	default:
-		return nil, fmt.Errorf("serve: dial: unsupported network %q (stream transports only)", network)
+		return nil, fmt.Errorf("serve: dial: unsupported network %q", network)
 	}
-	conn, err := net.Dial(network, address)
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s %s: %w", network, address, err)
 	}
-	return &Client{conn: conn, Timeout: core.DefaultInferTimeout,
-		calls: make(map[uint64]*clientCall)}, nil
+	return c, nil
 }
 
 func (c *Client) getCall() *clientCall {
@@ -84,15 +111,28 @@ func (c *Client) putCall(call *clientCall) {
 }
 
 func (c *Client) readLoop() {
-	br := bufio.NewReaderSize(c.conn, 16<<10)
+	var br *bufio.Reader
 	var rbuf []byte
+	if c.datagram {
+		rbuf = make([]byte, servedResponseSize) // the kernel truncates a longer datagram
+	} else {
+		br = bufio.NewReaderSize(c.conn, 16<<10)
+	}
 	for {
-		payload, err := readFrameInto(br, &rbuf)
+		var payload []byte
+		var err error
+		if c.datagram {
+			var n int
+			n, err = c.conn.Read(rbuf)
+			payload = rbuf[:n]
+		} else {
+			payload, err = readFrameInto(br, &rbuf)
+		}
 		if err != nil {
 			c.mu.Lock()
-			c.dead = core.ErrClientClosed
+			c.dead = ErrClientClosed
 			for id, call := range c.calls {
-				call.ch <- clientResult{err: core.ErrClientClosed}
+				call.ch <- clientResult{err: ErrClientClosed}
 				delete(c.calls, id)
 			}
 			c.mu.Unlock()
@@ -100,7 +140,7 @@ func (c *Client) readLoop() {
 		}
 		reqID, res, err := decodeServedResponse(payload)
 		if err != nil {
-			continue // malformed response payload: skip, stream stays framed
+			continue // malformed response payload: skip (a stream stays framed)
 		}
 		c.mu.Lock()
 		if call, ok := c.calls[reqID]; ok {
@@ -144,7 +184,11 @@ func (c *Client) infer(state []float64, flow uint64, tagged bool) (Result, error
 
 	c.wmu.Lock()
 	c.wbuf = appendFlowRequest(c.wbuf[:0], id, state, flow, tagged)
-	_, err := c.conn.Write(c.wbuf)
+	out := c.wbuf
+	if c.datagram {
+		out = out[4:] // the datagram is the frame
+	}
+	_, err := c.conn.Write(out)
 	c.wmu.Unlock()
 	if err != nil {
 		c.dropCall(id, call)
@@ -155,7 +199,7 @@ func (c *Client) infer(state []float64, flow uint64, tagged bool) (Result, error
 	if ok {
 		c.putCall(call)
 	} else if r, ok = c.dropCall(id, call); !ok { // ok: the response raced the timer into the buffer
-		return Result{}, fmt.Errorf("serve: request %d after %v: %w", id, c.Timeout, core.ErrInferTimeout)
+		return Result{}, fmt.Errorf("serve: request %d after %v: %w", id, c.Timeout, ErrInferTimeout)
 	}
 	return r.res, r.err
 }
@@ -203,7 +247,11 @@ func (c *Client) dropCall(id uint64, call *clientCall) (clientResult, bool) {
 }
 
 // Close tears down the connection; outstanding Infer calls return
-// core.ErrClientClosed.
+// ErrClientClosed.
 func (c *Client) Close() error {
-	return c.conn.Close()
+	err := c.conn.Close()
+	if c.localPath != "" {
+		os.Remove(c.localPath)
+	}
+	return err
 }

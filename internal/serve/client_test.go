@@ -6,8 +6,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // scriptedPeer is a stream endpoint that reads request frames and answers
@@ -70,7 +68,7 @@ func TestClientTimeoutThenReuse(t *testing.T) {
 
 	t0 := time.Now()
 	_, err = client.Infer(make([]float64, 4)) // request 1: never answered in time
-	if !errors.Is(err, core.ErrInferTimeout) {
+	if !errors.Is(err, ErrInferTimeout) {
 		t.Fatalf("unanswered request: err = %v, want ErrInferTimeout", err)
 	}
 	if d := time.Since(t0); d < client.Timeout {

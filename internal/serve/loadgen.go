@@ -15,9 +15,12 @@ import (
 )
 
 // LoadOptions configures one load-generation run against a serve.Server
-// stream endpoint.
+// endpoint.
 type LoadOptions struct {
-	Network string // "tcp" or "unix"
+	// Network is any network Dial accepts: tcp, tcp4, tcp6 or unix, or the
+	// datagram networks udp, udp4, udp6 or unixgram, where a lost datagram
+	// counts as a failed (timed-out) request.
+	Network string
 	Address string
 
 	// Rate is the target aggregate request rate (req/s) in open-loop mode.

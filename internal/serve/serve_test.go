@@ -87,29 +87,28 @@ func TestServeRoundTripUnix(t *testing.T) {
 	}
 }
 
-// TestServeDatagramTransport keeps the legacy datagram path working against
-// the new server: a core.ServiceClient (bare codec, no framing) gets a
-// correct action; the serve trailer on the reply is invisible to it.
+// TestServeDatagramTransport: one server listening on a stream and a
+// datagram endpoint gives the one client the same answer on both — framed
+// or bare, the payloads are the same wire format.
 func TestServeDatagramTransport(t *testing.T) {
-	cfg := core.DefaultConfig()
-	svc := core.NewService(cfg, constPolicy{0.75})
-	srv := NewServer(svc, cfg, Options{})
-	defer srv.Close()
-	addr, err := srv.Listen("udp", "127.0.0.1:0")
+	srv, tcpAddr := newTestServer(t, constPolicy{0.75}, Options{}, nil)
+	udpAddr, err := srv.Listen("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := core.DialService("udp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	got, err := client.Infer(make([]float64, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.75 {
-		t.Fatalf("datagram Infer = %v", got)
+	for _, ep := range [][2]string{{"tcp", tcpAddr}, {"udp", udpAddr.String()}} {
+		client, err := Dial(ep[0], ep[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := client.InferFlow(9, make([]float64, 8))
+		client.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", ep[0], err)
+		}
+		if res != (Result{Action: 0.75, Version: 1}) {
+			t.Fatalf("%s: Infer = %+v", ep[0], res)
+		}
 	}
 }
 

@@ -164,7 +164,8 @@ type dirtySet struct {
 	spare []*streamConn
 }
 
-// connSeq seeds per-connection flow identities.
+// connSeq numbers connections: the server's per-connection flow identities
+// and the names of unixgram client sockets.
 var connSeq atomic.Uint64
 
 // Server fans network clients into a ShardedService: N per-shard batching
@@ -289,9 +290,8 @@ func (s *Server) PolicyVersion() uint32 { return s.sharded.PolicyVersion() }
 
 // Listen opens one serving endpoint and starts its I/O loop. Stream
 // networks (tcp, tcp4, tcp6, unix) use length-prefixed framing; datagram
-// networks (udp, udp4, udp6, unixgram) speak the bare core codec: this is
-// the datagram server core.ServiceClient senders talk to.
-// Returns the bound address (useful with port/path 0).
+// networks (udp, udp4, udp6, unixgram) carry one bare payload per datagram
+// (see wire.go). Returns the bound address (useful with port/path 0).
 func (s *Server) Listen(network, address string) (net.Addr, error) {
 	s.mu.Lock()
 	if s.draining || s.closed {
@@ -410,11 +410,13 @@ func (s *Server) connLoop(sc *streamConn) {
 	}
 }
 
-// packetLoop reads bare-codec datagrams. During drain it stops reading (the
-// socket stays open so queued replies can still go out).
+// packetLoop reads bare-payload datagrams. During drain it stops reading
+// (the socket stays open so queued replies can still go out). A datagram
+// from an unbound unixgram socket arrives with no sender address: it cannot
+// be answered, so it is counted as a read error and dropped.
 func (s *Server) packetLoop(pc net.PacketConn) {
 	defer s.ioWG.Done()
-	buf := make([]byte, core.RequestSize(core.MaxStateDim)+flowTrailerSize)
+	buf := make([]byte, maxFramePayload)
 	for {
 		n, from, err := pc.ReadFrom(buf)
 		if err != nil {
@@ -424,6 +426,10 @@ func (s *Server) packetLoop(pc net.PacketConn) {
 			if stop || errors.Is(err, net.ErrClosed) {
 				return
 			}
+			continue
+		}
+		if from == nil {
+			s.mReadErr.Inc()
 			continue
 		}
 		s.handlePayload(buf[:n], nil, pc, from)
@@ -454,7 +460,7 @@ func (s *Server) putReq(r *servedReq) {
 // law is pure, so this is cheap and needs no coordination.
 func (s *Server) handlePayload(payload []byte, sc *streamConn, pc net.PacketConn, from net.Addr) {
 	r := s.getReq()
-	reqID, state, err := core.DecodeRequestInto(payload, r.state[:0])
+	reqID, state, err := decodeRequestInto(payload, r.state[:0])
 	if err != nil {
 		s.mReadErr.Inc()
 		s.putReq(r)

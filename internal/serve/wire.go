@@ -7,6 +7,9 @@
 // §4 — the architectural property Fig. 16b measures — hardened the way
 // deployment-oriented RL-CC systems require: a sender always receives a
 // safe answer within a bounded time, whatever the model is doing.
+//
+// The package owns the inference wire format (this file) and its one
+// client, Client, on every transport the server listens on.
 package serve
 
 import (
@@ -14,32 +17,29 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"repro/internal/core"
+	"math"
 )
 
-// Stream transports (TCP, unix) carry the core wire codec inside
-// length-prefixed frames:
+// The wire format, little-endian throughout:
 //
-//	frame:    [len uint32][payload]
-//	request:  payload = core request codec  (reqID, state)
+//	request:  [reqID uint64][n uint32][n × float64 state]
 //	          + optional trailer [flowID uint64]
-//	response: payload = core response codec (reqID, action)
+//	response: [reqID uint64][action float64]
 //	          + trailer [flags uint32][version uint32]
 //
+// Stream transports (tcp, unix) carry each payload in a length-prefixed
+// frame, [len uint32][payload]; datagram transports (udp, unixgram) carry
+// one bare payload per datagram.
+//
 // The response trailer is how the fallback answer travels in-band: a sender
-// that understands it learns whether the action came from the live policy
-// or the fallback law (and which policy version answered); a sender that
-// only speaks the base codec still gets a usable action, because
-// core.DecodeResponse ignores trailing bytes. Datagram transports reuse the
-// same payloads without the frame prefix.
+// learns whether the action came from the live policy or the fallback law,
+// and which policy version answered.
 //
 // The request trailer carries the flow identity for sharded admission: all
 // requests tagged with one flow ID hash to one shard and are answered in
 // order, whichever connection they arrive on. An untagged request inherits
-// a per-connection flow identity, so plain senders (one flow per socket)
-// keep strict ordering too. core.DecodeRequest ignores trailing bytes, so
-// tagged requests remain readable by base-codec servers.
+// a per-connection flow identity (per sender address on a datagram
+// socket), so plain senders (one flow per socket) keep strict ordering too.
 
 // Response flag bits.
 const (
@@ -70,74 +70,109 @@ func (r Result) Shed() bool { return r.Flags&FlagShed != 0 }
 // policy answered.
 func (r Result) DeadlineMissed() bool { return r.Flags&FlagDeadline != 0 }
 
-// servedResponseSize is the response payload size: base codec + trailer.
-const servedResponseSize = core.ResponseSize + 8
+// maxStateDim bounds the accepted request size: a request declaring a huge
+// n must not cause a huge allocation.
+const maxStateDim = 4096
+
+// requestSize returns the encoded size of a request carrying dim features,
+// without the flow trailer.
+func requestSize(dim int) int { return 12 + 8*dim }
+
+// baseResponseSize is the response up to its trailer: reqID and action.
+const baseResponseSize = 16
+
+// servedResponseSize is the response payload size, trailer included.
+const servedResponseSize = baseResponseSize + 8
 
 // flowTrailerSize is the optional request trailer carrying the flow ID.
 const flowTrailerSize = 8
 
-// maxFramePayload bounds what either side will read in one frame: the
-// largest request the core codec admits plus the flow trailer (responses
+// maxFramePayload bounds what either side will read in one frame or
+// datagram: the largest request admitted plus the flow trailer (responses
 // are far smaller).
-const maxFramePayload = 12 + 8*core.MaxStateDim + flowTrailerSize
+const maxFramePayload = 12 + 8*maxStateDim + flowTrailerSize
 
-// encodeServedResponse builds a response payload with the serve trailer.
-func encodeServedResponse(reqID uint64, action float64, flags, version uint32) []byte {
-	return appendServedResponse(make([]byte, 0, servedResponseSize), reqID, action, flags, version)
+// decodeRequestInto parses a request payload. The decoded state appends
+// into dst (typically a recycled slice trimmed to length 0), so a
+// steady-state reader allocates nothing once the buffer has grown to the
+// request width. Bytes past the request are left to requestFlow.
+func decodeRequestInto(buf []byte, dst []float64) (reqID uint64, state []float64, err error) {
+	if len(buf) < 12 {
+		return 0, nil, fmt.Errorf("serve: request too short (%d bytes)", len(buf))
+	}
+	reqID = binary.LittleEndian.Uint64(buf[0:8])
+	n := binary.LittleEndian.Uint32(buf[8:12])
+	if n > maxStateDim {
+		return 0, nil, fmt.Errorf("serve: state dim %d exceeds limit", n)
+	}
+	if len(buf) < requestSize(int(n)) {
+		return 0, nil, fmt.Errorf("serve: truncated request: %d bytes for dim %d", len(buf), n)
+	}
+	state = dst
+	for i := 0; i < int(n); i++ {
+		state = append(state, math.Float64frombits(binary.LittleEndian.Uint64(buf[12+8*i:])))
+	}
+	return reqID, state, nil
 }
 
-// appendServedResponse appends a response payload (base codec + serve
-// trailer) to dst — the allocation-free form for reusable write arenas.
+// appendServedResponse appends a response payload, trailer included, to
+// dst — the allocation-free form for reusable write arenas.
 func appendServedResponse(dst []byte, reqID uint64, action float64, flags, version uint32) []byte {
-	dst = core.AppendResponse(dst, reqID, action)
+	dst = binary.LittleEndian.AppendUint64(dst, reqID)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(action))
 	dst = binary.LittleEndian.AppendUint32(dst, flags)
 	return binary.LittleEndian.AppendUint32(dst, version)
 }
 
-// appendServedFrame appends one framed response to dst: length prefix, base
-// codec, trailer — a single append chain into a per-connection arena.
+// appendServedFrame appends one framed response to dst: length prefix,
+// payload — a single append chain into a per-connection arena.
 func appendServedFrame(dst []byte, reqID uint64, action float64, flags, version uint32) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, servedResponseSize)
 	return appendServedResponse(dst, reqID, action, flags, version)
 }
 
-// requestFlow extracts the flow-ID trailer from a request payload whose
-// core-codec portion decoded to dim state features. ok is false when the
-// request carries no trailer.
+// requestFlow extracts the flow-ID trailer from a request payload that
+// decoded to dim state features. ok is false when the request carries no
+// trailer.
 func requestFlow(payload []byte, dim int) (flow uint64, ok bool) {
-	base := core.RequestSize(dim)
+	base := requestSize(dim)
 	if len(payload) < base+flowTrailerSize {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint64(payload[base:]), true
 }
 
-// appendFlowRequest appends a framed, flow-tagged request to dst: length
-// prefix, core request codec, flow trailer.
+// appendFlowRequest appends a framed request to dst: length prefix,
+// request, and the flow trailer when tagged. A datagram sender sends the
+// result without its 4-byte prefix.
 func appendFlowRequest(dst []byte, reqID uint64, state []float64, flow uint64, tagged bool) []byte {
-	n := core.RequestSize(len(state))
+	n := requestSize(len(state))
 	if tagged {
 		n += flowTrailerSize
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = core.AppendRequest(dst, reqID, state)
+	dst = binary.LittleEndian.AppendUint64(dst, reqID)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(state)))
+	for _, v := range state {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
 	if tagged {
 		dst = binary.LittleEndian.AppendUint64(dst, flow)
 	}
 	return dst
 }
 
-// decodeServedResponse parses a response payload. The trailer is optional
-// (a plain core responder yields zero flags and version 0).
+// decodeServedResponse parses a response payload. A payload cut after the
+// action decodes with zero flags and version 0.
 func decodeServedResponse(buf []byte) (reqID uint64, res Result, err error) {
-	reqID, action, err := core.DecodeResponse(buf)
-	if err != nil {
-		return 0, Result{}, err
+	if len(buf) < baseResponseSize {
+		return 0, Result{}, fmt.Errorf("serve: response too short (%d bytes)", len(buf))
 	}
-	res = Result{Action: action}
+	reqID = binary.LittleEndian.Uint64(buf[0:8])
+	res = Result{Action: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:16]))}
 	if len(buf) >= servedResponseSize {
-		res.Flags = binary.LittleEndian.Uint32(buf[core.ResponseSize:])
-		res.Version = binary.LittleEndian.Uint32(buf[core.ResponseSize+4:])
+		res.Flags = binary.LittleEndian.Uint32(buf[baseResponseSize:])
+		res.Version = binary.LittleEndian.Uint32(buf[baseResponseSize+4:])
 	}
 	return reqID, res, nil
 }

@@ -69,7 +69,7 @@ func BenchmarkWireDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, decoded, err := core.DecodeRequestInto(payload, dst[:0])
+		_, decoded, err := decodeRequestInto(payload, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 	reqPayload := reqBuf[4:] // strip the length prefix
 	dst := make([]float64, 0, len(state))
 	if n := testing.AllocsPerRun(200, func() {
-		_, decoded, err := core.DecodeRequestInto(reqPayload, dst[:0])
+		_, decoded, err := decodeRequestInto(reqPayload, dst[:0])
 		if err != nil || len(decoded) != len(state) {
 			t.Fatal("decode failed")
 		}

@@ -281,6 +281,7 @@ go test -fuzz=FuzzCodecRead       -fuzztime="$FUZZTIME" -run=NONE ./internal/nn
 go test -fuzz=FuzzQuantizedDecode -fuzztime="$FUZZTIME" -run=NONE ./internal/nn
 go test -fuzz=FuzzTraceParse      -fuzztime="$FUZZTIME" -run=NONE ./internal/trace
 go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/core
+go test -fuzz=FuzzServedRequest   -fuzztime="$FUZZTIME" -run=NONE ./internal/serve
 go test -fuzz=FuzzTrainCheckpoint -fuzztime="$FUZZTIME" -run=NONE ./internal/rl
 
 # The batch-major training path's bitwise contract, named: the three
@@ -324,10 +325,11 @@ GOAMD64=v3 go test -count=1 -run 'TestBatch|TestMulNN|TestForward|TestProductsAr
 # goroutine, Update's helper and the rollout workers run all at once here.
 go test -race -cpu 1,2 -run 'TestParallelLearner|TestResumeDeterminismBitwise|TestOneWorkerMatchesSerialGolden' ./internal/env
 # The batching core and the admission accounting around it, named: the
-# deterministic pull-semantics tests (gate policy, no sleeps), the datagram
-# server tests (TestServiceOver*, TestServer*: core.ServiceClient against
-# serve.Server's udp and unixgram endpoints) and the slot-leak / queue-bound
-# / fallback-lateness regressions all turn on cross-goroutine hand-offs the
+# deterministic pull-semantics tests (core's TestService*: gate policy, no
+# sleeps), the datagram transport tests (serve's TestServiceOver*,
+# TestServer*: serve.Dial against serve.Server's udp and unixgram
+# endpoints) and the slot-leak / queue-bound / fallback-lateness
+# regressions (TestAdmission*) all turn on cross-goroutine hand-offs the
 # detector should watch.
 go test -race -run 'TestService|TestServer|TestAdmission' ./internal/core ./internal/serve
 # Property-based invariant sweep under the race detector: 200+ seeded

@@ -8,7 +8,7 @@
 //	train       train an actor: multi-agent TD3 or distillation
 //	serve       the batched policy inference daemon
 //	loadgen     drive a serve endpoint; report throughput and latency
-//	quantize    compile actor weights into the fixed-point serving artifact
+//	quantize    check an actor's fixed-point compile against its float weights
 //	pilot       closed loop: train, gate, promote into serve, roll back
 //	tournament  rank schemes across a grid of scenario families
 //	fairlab     reward-strategy ablation
@@ -52,7 +52,7 @@ var commands = []struct {
 	{"train", "train an actor: multi-agent TD3 or distillation", cmdTrain},
 	{"serve", "the batched policy inference daemon", cmdServe},
 	{"loadgen", "drive a serve endpoint; report throughput and latency", cmdLoadgen},
-	{"quantize", "compile actor weights into the fixed-point serving artifact", cmdQuantize},
+	{"quantize", "check an actor's fixed-point compile against its float weights", cmdQuantize},
 	{"pilot", "closed loop: train, gate, promote into serve, roll back", cmdPilot},
 	{"tournament", "rank schemes across a grid of scenario families", cmdTournament},
 	{"fairlab", "reward-strategy ablation", cmdFairlab},

@@ -36,7 +36,7 @@ func TestSubcommandUsage(t *testing.T) {
 		want string
 	}{
 		{[]string{"pilot"}, "-promote is required"},
-		{[]string{"quantize", "-out", "x.aqp"}, "both -in and -out are required"},
+		{[]string{"quantize", "-tol", "0.1"}, "-in is required"},
 		{[]string{"train", "-mode", "sarsa"}, `unknown mode "sarsa"`},
 		{[]string{"loadgen", "-addr", "nocolon"}, "bad -addr"},
 		{[]string{"tournament", "-actors", "noequals"}, "want name=path"},

@@ -6,80 +6,53 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 )
 
-// cmdQuantize compiles trained actor weights (JSON from `astraea train`,
-// or a sealed generation artifact from `astraea pilot`) into the
-// fixed-point serving artifact: int16 weights, int32 accumulators,
-// precomputed per-layer requantization constants. The artifact is emitted
-// either as a CRC-sealed binary blob (the default; what `astraea serve`
-// loads and hot-reloads) or, with -go, as a generated Go source file
-// embedding the same blob for binaries that ship their policy compiled in.
-// A quantized blob is refused as input: it is already compiled.
+// cmdQuantize checks, before a deploy, what `astraea serve` will do with a
+// trained actor (JSON from `astraea train`, or a sealed generation artifact
+// from `astraea pilot`): it compiles the actor to the fixed-point serving
+// form exactly as serve does at load (core.QuantizeMLPPolicy), replays a
+// sampled state sweep through both the float network and the compiled one,
+// prints the worst action divergence, and exits 1 when it exceeds -tol. It
+// writes nothing: the float weights are the deployable artifact, and
+// compilation is deterministic, so a file that passes here serves exactly
+// these actions.
 //
-// Before writing anything the tool replays a sampled state sweep through
-// both the float network and its compiled form and refuses to emit an
-// artifact whose worst action divergence exceeds -tol — quantization is
-// deterministic, so an artifact that passes here serves exactly these
-// actions in production.
-//
-//	astraea quantize -in actor.json -out actor.aqp
-//	astraea quantize -in actor.json -go -out policyblob.go -pkg policyblob -var ActorBlob
+//	astraea quantize -in actor.json
+//	astraea quantize -in gen-7.policy -check 5000 -tol 0.01
 func cmdQuantize(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("quantize", stderr)
 	in := fs.String("in", "", "trained actor weights (JSON from astraea train, or a sealed artifact from astraea pilot)")
-	out := fs.String("out", "", "output path (blob, or Go source with -go)")
-	goOut := fs.Bool("go", false, "emit a generated Go source file embedding the blob instead of the raw blob")
-	pkg := fs.String("pkg", "policyblob", "package name for -go output")
-	varName := fs.String("var", "ActorBlob", "variable name for -go output")
-	checkN := fs.Int("check", 2000, "sampled states for the pre-emit equivalence check (0 disables)")
+	checkN := fs.Int("check", 2000, "sampled states replayed through both forms (0 only compiles)")
 	tol := fs.Float64("tol", 0.02, "max |float action − quantized action| the check tolerates")
 	if err := fs.Parse(args); err != nil {
 		return parseStatus(err)
 	}
-	if *in == "" || *out == "" {
-		return usageError(fs, "both -in and -out are required")
+	if *in == "" {
+		return usageError(fs, "-in is required")
 	}
 
 	cfg := core.DefaultConfig()
-	p, _, err := core.LoadPolicy(*in, cfg)
+	fp, _, err := core.LoadPolicy(*in, cfg)
 	if err != nil {
 		return failed(fs, err)
-	}
-	fp, ok := p.(*core.MLPPolicy)
-	if !ok {
-		return failed(fs, fmt.Errorf("%s is a quantized policy blob, already compiled; -in takes float weights (JSON or a sealed artifact)", *in))
 	}
 	qp, err := core.QuantizeMLPPolicy(fp, cfg)
 	if err != nil {
 		return failed(fs, err)
 	}
-
-	if *checkN > 0 {
-		worst := worstDivergence(fp, qp, cfg, *checkN)
-		fmt.Fprintf(stdout, "astraea quantize: worst |Δaction| over %d sampled states: %.5f (tolerance %.5f)\n",
-			*checkN, worst, *tol)
-		if worst > *tol {
-			return failed(fs, fmt.Errorf("quantized policy diverges from the float oracle by %.5f (> %.5f); artifact not written", worst, *tol))
-		}
-	}
-
-	blob := qp.Q.QuantizedBlob()
-	if *goOut {
-		if err := ckpt.WriteAtomic(*out, goSource(*pkg, *varName, *in, blob), 0o644); err != nil {
-			return failed(fs, err)
-		}
-		fmt.Fprintf(stdout, "astraea quantize: wrote %s (package %s, var %s, %d-byte blob, %d parameter bytes)\n",
-			*out, *pkg, *varName, len(blob), qp.Q.ParamBytes())
+	fmt.Fprintf(stdout, "astraea quantize: %s compiles to %d layers, %d parameter bytes\n",
+		*in, qp.Q.NumLayers(), qp.Q.ParamBytes())
+	if *checkN <= 0 {
 		return 0
 	}
-	if err := core.SaveQuantizedPolicy(*out, qp); err != nil {
-		return failed(fs, err)
+	worst := worstDivergence(fp, qp, cfg, *checkN)
+	fmt.Fprintf(stdout, "astraea quantize: worst |Δaction| over %d sampled states: %.5f (tolerance %.5f)\n",
+		*checkN, worst, *tol)
+	if worst > *tol {
+		return failed(fs, fmt.Errorf("quantized policy diverges from the float oracle by %.5f (> %.5f)", worst, *tol))
 	}
-	fmt.Fprintf(stdout, "astraea quantize: wrote %s (%d bytes, %d parameter bytes, %d layers)\n",
-		*out, len(blob), qp.Q.ParamBytes(), qp.Q.NumLayers())
 	return 0
 }
 
@@ -95,26 +68,4 @@ func worstDivergence(fp *core.MLPPolicy, qp *core.QuantizedPolicy, cfg core.Conf
 		}
 	}
 	return worst
-}
-
-// goSource renders the blob as a generated Go file. The embedded bytes are
-// the exact sealed container, so the variable decodes through
-// nn.OpenQuantizedBlob with full CRC verification.
-func goSource(pkg, varName, in string, blob []byte) []byte {
-	var b []byte
-	b = append(b, "// Code generated by astraea quantize. DO NOT EDIT.\n"...)
-	b = append(b, fmt.Sprintf("//\n// Source weights: %s\n\npackage %s\n\n", in, pkg)...)
-	b = append(b, fmt.Sprintf("// %s is a quantized policy artifact (CRC-sealed container);\n", varName)...)
-	b = append(b, "// decode it with nn.OpenQuantizedBlob and serve it as a core.QuantizedPolicy.\n"...)
-	b = append(b, fmt.Sprintf("var %s = []byte{", varName)...)
-	for i, v := range blob {
-		if i%16 == 0 {
-			b = append(b, "\n\t"...)
-		} else {
-			b = append(b, ' ')
-		}
-		b = append(b, fmt.Sprintf("0x%02x,", v)...)
-	}
-	b = append(b, "\n}\n"...)
-	return b
 }

@@ -26,19 +26,19 @@ import (
 // bare payload per datagram. serve.Dial speaks both.
 //
 // Policy artifacts: -policy accepts "reference" or a file that
-// core.LoadPolicy sniffs — JSON actor weights, a sealed generation
-// artifact from the pilot, or a quantized blob from `astraea quantize`.
-// Float artifacts are compiled to the fixed-point serving form at load by
-// default (several times faster per inference, see DESIGN.md §12); -float
-// keeps the float64 network — the equivalence oracle — instead. Blobs
-// always serve quantized. Boot and hot reload load through the same
-// serve.Reloader, so a sealed artifact's generation shows on
+// core.LoadPolicy sniffs — JSON actor weights, or a sealed generation
+// artifact from the pilot. Either holds float weights, which are compiled
+// to the fixed-point serving form at load by default (several times faster
+// per inference, see DESIGN.md §12; `astraea quantize -in <file>` reports
+// the compile's divergence beforehand); -float keeps the float64 network —
+// the equivalence oracle — instead. Boot and hot reload load through the
+// same serve.Reloader, so a sealed artifact's generation shows on
 // serve_policy_generation from the first scrape of -pprof's /metrics.
 //
 //	astraea serve -listen tcp:127.0.0.1:9000 -policy reference
 //	astraea serve -listen tcp::9000,unixgram:/tmp/astraea.sock \
 //	    -policy actor.json -reload 1s -deadline 10ms -pprof :9090
-//	astraea serve -listen udp:127.0.0.1:9000 -policy actor.aqp
+//	astraea serve -listen udp:127.0.0.1:9000 -policy gen-7.policy
 //
 // Signals: SIGHUP reloads the policy file in place (version bump, no
 // dropped requests); SIGINT/SIGTERM drain gracefully.
@@ -46,8 +46,8 @@ func cmdServe(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("serve", stderr)
 	listen := fs.String("listen", "tcp:127.0.0.1:9000",
 		"comma-separated endpoints, each network:address (tcp:host:port, unix:/path, udp:host:port, unixgram:/path)")
-	policyArg := fs.String("policy", "reference", `"reference", or a policy file: JSON actor weights, a sealed generation artifact, or a quantized blob (astraea quantize)`)
-	floatPath := fs.Bool("float", false, "serve float artifacts as float64 instead of compiling them to the quantized fixed-point form")
+	policyArg := fs.String("policy", "reference", `"reference", or a policy file: JSON actor weights or a sealed generation artifact, compiled to fixed point at load`)
+	floatPath := fs.Bool("float", false, "serve the policy file's float64 network instead of compiling it to the quantized fixed-point form")
 	reload := fs.Duration("reload", 0,
 		"poll the -policy file at this interval and hot-reload on change (0 disables; SIGHUP always reloads)")
 	shards := fs.Int("shards", 0, "policy shards, each with its own evaluator and cloned policy (default GOMAXPROCS, capped at 16)")

@@ -8,10 +8,11 @@
 // serve_policy_generation telemetry, so every response-path version bump is
 // attributable to a training generation.
 //
-// Plain JSON weights (SavePolicy) and quantized blobs (SaveQuantizedPolicy)
-// remain first-class serving artifacts; sealing adds integrity (a torn or
-// bit-flipped promotion is rejected by CRC before any field is parsed) and
-// identity, both of which the promotion/rollback state machine depends on.
+// Plain JSON weights (SavePolicy) remain a first-class serving artifact, and
+// the sealed artifact is the one binary policy format; sealing adds
+// integrity (a torn or bit-flipped promotion is rejected by CRC before any
+// field is parsed) and identity, both of which the promotion/rollback state
+// machine depends on.
 
 package core
 
@@ -24,8 +25,9 @@ import (
 )
 
 // sealedPolicyTag is the payload discriminator of a sealed policy artifact
-// inside the ckpt container, distinguishing it from the quantized blob
-// payload (which leads with its own tag). Spells "POL1".
+// inside the ckpt container, distinguishing it from every other payload
+// that container carries (a training checkpoint, or the compiled "AQP1"
+// blob older builds wrote). Spells "POL1".
 const sealedPolicyTag = int64(0x314C4F50)
 
 // PolicyMeta identifies one promoted policy generation: where the weights

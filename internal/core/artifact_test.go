@@ -29,16 +29,12 @@ func TestSealedPolicyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, got, err := LoadPolicy(path, cfg)
+	mp, got, err := LoadPolicy(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got == nil || *got != meta {
 		t.Fatalf("meta round trip: got %+v want %+v", got, meta)
-	}
-	mp, ok := p.(*MLPPolicy)
-	if !ok {
-		t.Fatalf("sealed artifact loaded as %T, want *MLPPolicy", p)
 	}
 	state := make([]float64, cfg.StateDim())
 	if a, b := mp.Action(state), (&MLPPolicy{Net: net}).Action(state); a != b {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -132,23 +133,30 @@ func parsePolicyWeights(data []byte, path string, cfg Config) (*MLPPolicy, error
 	return &MLPPolicy{Net: &net}, nil
 }
 
-// LoadPolicy reads a policy artifact from path, sniffing its format, and
-// returns it in the form it was saved in:
+// ErrNotSealedPolicy rejects a ckpt container that holds something other
+// than a sealed policy: a training checkpoint, or a compiled "AQP1" blob
+// from an older `astraea quantize`. Neither carries float actor weights,
+// and a compiled network is no longer a file format (servers compile at
+// load), so the remedy is to load the float weights instead.
+var ErrNotSealedPolicy = errors.New("ckpt container does not hold a sealed policy " +
+	"(a training checkpoint, or a quantized blob from an older astraea quantize); " +
+	"give the float actor weights instead (serve -policy, quantize -in): " +
+	"JSON from astraea train, or a sealed artifact from astraea pilot")
+
+// LoadPolicy reads a float actor from path in either policy format, sniffed
+// by the ckpt magic:
 //
-//   - JSON weights (SavePolicy): an *MLPPolicy and nil metadata;
-//   - a sealed generation artifact (SaveSealedPolicy): an *MLPPolicy and
-//     its PolicyMeta;
-//   - a quantized blob (SaveQuantizedPolicy): a *QuantizedPolicy and nil
-//     metadata.
+//   - JSON weights (SavePolicy): nil metadata;
+//   - a sealed generation artifact (SaveSealedPolicy): its PolicyMeta.
 //
-// Both binary formats are ckpt containers, so corruption anywhere in them is
-// rejected by the CRC before a field is parsed. Every format is validated
-// against cfg by validatePolicyShape: an actor whose input width does not
-// match cfg.StateDim(), or that does not emit exactly one action, is
-// rejected with the same error whichever format carried it. Callers that
-// serve compile an *MLPPolicy with QuantizeMLPPolicy; callers that need the
-// float network reject a *QuantizedPolicy.
-func LoadPolicy(path string, cfg Config) (Policy, *PolicyMeta, error) {
+// A sealed artifact is a ckpt container, so corruption anywhere in it is
+// rejected by the CRC before a field is parsed, and a container with any
+// other payload is rejected with ErrNotSealedPolicy. Both formats are
+// validated against cfg by validatePolicyShape: an actor whose input width
+// does not match cfg.StateDim(), or that does not emit exactly one action,
+// is rejected with the same error whichever format carried it. Callers
+// that serve compile the result with QuantizeMLPPolicy.
+func LoadPolicy(path string, cfg Config) (*MLPPolicy, *PolicyMeta, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -160,27 +168,14 @@ func LoadPolicy(path string, cfg Config) (Policy, *PolicyMeta, error) {
 		}
 		return mp, nil, nil
 	}
-	// A ckpt container holds either a sealed float artifact or a quantized
-	// blob; the payload's leading tag discriminates.
 	payload, err := ckpt.Open(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: policy artifact %s: %w", path, err)
 	}
-	if tag := ckpt.NewDecoder(payload).Int64(); tag == sealedPolicyTag {
-		mp, meta, err := decodeSealedPolicy(payload, path, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return mp, meta, nil
+	if tag := ckpt.NewDecoder(payload).Int64(); tag != sealedPolicyTag {
+		return nil, nil, fmt.Errorf("core: policy artifact %s (payload tag %#x): %w", path, tag, ErrNotSealedPolicy)
 	}
-	qm, err := nn.OpenQuantizedBlob(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: parse quantized policy %s: %w", path, err)
-	}
-	if err := validatePolicyShape(path, qm.InDim(), qm.OutDim(), cfg); err != nil {
-		return nil, nil, err
-	}
-	return &QuantizedPolicy{Q: qm}, nil, nil
+	return decodeSealedPolicy(payload, path, cfg)
 }
 
 // ReferencePolicy is the distilled rendering of the converged Astraea

@@ -1,12 +1,13 @@
 // Quantized policy deployment: the glue between nn's fixed-point compiler
-// and the serving stack. A trained actor (JSON float weights) is compiled
-// with QuantizeMLPPolicy against a calibration sweep of plausible stacked
-// states, persisted as a CRC-sealed binary blob (SaveQuantizedPolicy /
-// `astraea quantize`), and loaded back by the format-sniffing LoadPolicy.
-// The serving layer (internal/serve's Reloader) compiles float artifacts on
-// load unless asked for the float network, which stays available as the
-// equivalence oracle (internal/check pins the two within tolerance on the
-// 220-seed sweep).
+// and the serving stack. A trained actor is deployed as its float weights
+// (JSON, or a sealed generation artifact) and compiled here, by
+// QuantizeMLPPolicy, against a calibration sweep of plausible stacked
+// states. Compilation is deterministic and tier-independent, so there is no
+// compiled file format: internal/serve's Reloader compiles at boot and at
+// every hot reload unless asked for the float network, which stays
+// available as the equivalence oracle (internal/check pins the two within
+// tolerance on the 220-seed sweep), and `astraea quantize` compiles the
+// same way to report the divergence before a deploy.
 
 package core
 
@@ -14,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/ckpt"
 	"repro/internal/nn"
 )
 
@@ -51,7 +51,7 @@ func (p *QuantizedPolicy) ClonePolicy() Policy {
 
 // calibrationStates builds the quantization calibration sweep: n plausible
 // stacked states from the distillation sampler (fixed seed — quantizing the
-// same net twice yields bitwise-identical artifacts) plus two corner
+// same net twice yields bitwise-identical networks) plus two corner
 // states: all features at their operating bounds, and all zeros. The bounds
 // frame keeps every per-feature range wide enough that no state the
 // transport can produce saturates the input quantizer (the quantizer holds
@@ -85,26 +85,20 @@ func calibrationStates(cfg Config, n int) [][]float64 {
 // SampleCalibrationState draws one plausible stacked state from the
 // distillation sampler — the distribution quantization calibrates against.
 // Exposed for tools (`astraea quantize`) that replay a sweep through both
-// policy forms to report divergence before deploying an artifact.
+// policy forms to report divergence before deploying the weights.
 func SampleCalibrationState(cfg Config, rng *rand.Rand) []float64 {
 	return sampleState(cfg, rng)
 }
 
 // QuantizeMLPPolicy compiles a float actor into its fixed-point serving
-// form, calibrated against sampled stacked states for cfg. The compilation
-// is deterministic: the same weights and config always produce the same
-// artifact.
+// form, calibrated against sampled stacked states for cfg. It is the one
+// place a served network is compiled. The compilation is deterministic:
+// the same weights and config always produce the same network, on every
+// kernel tier.
 func QuantizeMLPPolicy(p *MLPPolicy, cfg Config) (*QuantizedPolicy, error) {
 	q, err := nn.Quantize(p.Net, nn.QuantizeOptions{Calibration: calibrationStates(cfg, 512)})
 	if err != nil {
 		return nil, fmt.Errorf("core: quantize policy: %w", err)
 	}
 	return &QuantizedPolicy{Q: q}, nil
-}
-
-// SaveQuantizedPolicy writes the compiled policy to path as a CRC-sealed
-// binary blob, atomically — the deployable artifact `astraea quantize`
-// emits and `astraea serve` hot-reloads.
-func SaveQuantizedPolicy(path string, p *QuantizedPolicy) error {
-	return ckpt.WriteAtomic(path, p.Q.QuantizedBlob(), 0o644)
 }

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/nn"
 )
 
@@ -45,9 +48,9 @@ func TestQuantizedPolicyMatchesFloat(t *testing.T) {
 	}
 }
 
-// TestQuantizeIsDeterministic: same weights + config must compile to a
-// byte-identical artifact, so redeploying a policy never produces a
-// different blob hash.
+// TestQuantizeIsDeterministic: same weights + config must compile to the
+// same network, field for field, so a server that compiles at load always
+// serves the same actions for one weights file.
 func TestQuantizeIsDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	fp := testActor(t, cfg, 2)
@@ -59,35 +62,45 @@ func TestQuantizeIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a.Q.QuantizedBlob()) != string(b.Q.QuantizedBlob()) {
-		t.Fatal("quantizing the same network twice produced different blobs")
+	if !reflect.DeepEqual(a.Q, b.Q) {
+		t.Fatal("quantizing the same network twice produced different compiled nets")
 	}
 }
 
-// TestQuantizedPolicySaveLoadBitwise round-trips the blob through disk and
-// requires bitwise-identical actions (the pipeline is pure integer).
+// TestQuantizedPolicySaveLoadBitwise: a quantized policy is deployed as its
+// float weights. Saved in either format, loaded and compiled as serve does
+// at load, it must give bitwise the actions of the in-process compile (the
+// pipeline is pure integer and the compile deterministic).
 func TestQuantizedPolicySaveLoadBitwise(t *testing.T) {
 	cfg := DefaultConfig()
-	qp, err := QuantizeMLPPolicy(testActor(t, cfg, 3), cfg)
+	fp := testActor(t, cfg, 3)
+	qp, err := QuantizeMLPPolicy(fp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "actor.aqp")
-	if err := SaveQuantizedPolicy(path, qp); err != nil {
+	dir := t.TempDir()
+	jsonPath, sealedPath := filepath.Join(dir, "actor.json"), filepath.Join(dir, "gen.policy")
+	if err := SavePolicy(jsonPath, fp.Net); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := LoadPolicy(path, cfg)
-	if err != nil {
+	if err := SaveSealedPolicy(sealedPath, fp.Net, PolicyMeta{Generation: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := back.(*QuantizedPolicy); !ok {
-		t.Fatalf("blob loaded as %T, want *QuantizedPolicy", back)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ {
-		s := sampleState(cfg, rng)
-		if a, b := qp.Action(s), back.Action(s); a != b {
-			t.Fatalf("loaded policy diverges bitwise: %v vs %v", b, a)
+	for _, path := range []string{jsonPath, sealedPath} {
+		mp, _, err := LoadPolicy(path, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := QuantizeMLPPolicy(mp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < 200; i++ {
+			s := sampleState(cfg, rng)
+			if a, b := qp.Action(s), back.Action(s); a != b {
+				t.Fatalf("%s: compiled at load diverges bitwise: %v vs %v", path, b, a)
+			}
 		}
 	}
 }
@@ -170,10 +183,10 @@ func TestQuantizedPolicyCloneConcurrent(t *testing.T) {
 
 // TestLoaderValidationParity is the bugfix regression: LoadPolicy must
 // reject a dimension-mismatched artifact with the IDENTICAL error text
-// (modulo the artifact path) whether it arrives as JSON weights, a sealed
-// artifact or a quantized blob, because every format goes through
-// validatePolicyShape. A drift here means an operator debugging a
-// mis-deployed policy sees different stories for one mistake.
+// (modulo the artifact path) whether it arrives as JSON weights or a sealed
+// artifact, because both formats go through validatePolicyShape. A drift
+// here means an operator debugging a mis-deployed policy sees different
+// stories for one mistake.
 func TestLoaderValidationParity(t *testing.T) {
 	cfg := DefaultConfig()
 	for name, shape := range map[string][]int{
@@ -185,40 +198,42 @@ func TestLoaderValidationParity(t *testing.T) {
 
 		pathF := filepath.Join(t.TempDir(), "actor")
 		pathS := filepath.Join(t.TempDir(), "actor")
-		pathQ := filepath.Join(t.TempDir(), "actor")
 		if err := SavePolicy(pathF, net); err != nil {
 			t.Fatal(err)
 		}
 		if err := SaveSealedPolicy(pathS, net, PolicyMeta{Generation: 1}); err != nil {
 			t.Fatal(err)
 		}
-		qm, err := nn.Quantize(net, nn.QuantizeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(pathQ, qm.QuantizedBlob(), 0o644); err != nil {
-			t.Fatal(err)
-		}
 
 		var msgs []string
-		for _, path := range []string{pathF, pathS, pathQ} {
+		for _, path := range []string{pathF, pathS} {
 			_, _, err := LoadPolicy(path, cfg)
 			if err == nil {
 				t.Fatalf("%s: %s accepted", name, path)
 			}
 			msgs = append(msgs, strings.ReplaceAll(err.Error(), path, "PATH"))
 		}
-		if msgs[0] != msgs[1] || msgs[0] != msgs[2] {
-			t.Errorf("%s: formats disagree on the error:\n  json:      %s\n  sealed:    %s\n  quantized: %s",
-				name, msgs[0], msgs[1], msgs[2])
+		if msgs[0] != msgs[1] {
+			t.Errorf("%s: formats disagree on the error:\n  json:   %s\n  sealed: %s", name, msgs[0], msgs[1])
 		}
 	}
 }
 
-// TestLoadPolicySniffsFormat covers the one loader's format sniffing: a
-// blob loads as the compiled *QuantizedPolicy it contains, JSON weights as
-// the float *MLPPolicy, both without metadata; compiling the JSON weights
-// equals the precompiled blob bitwise; garbage is an error.
+// legacyAQP1Container is the head of the compiled-network file older builds
+// of `astraea quantize` wrote: a ckpt container whose payload opens with
+// the "AQP1" tag.
+func legacyAQP1Container() []byte {
+	var e ckpt.Encoder
+	e.Int64(0x41515031) // "AQP1"
+	e.Int(1)
+	return ckpt.Seal(e.Payload())
+}
+
+// TestLoadPolicySniffsFormat covers the one loader's format sniffing: JSON
+// weights load without metadata, a sealed artifact with its PolicyMeta,
+// both as the same float actor; a ckpt container holding anything else
+// (a quantized blob from an older build, a training checkpoint) is refused
+// with ErrNotSealedPolicy, naming the file; garbage is an error.
 func TestLoadPolicySniffsFormat(t *testing.T) {
 	cfg := DefaultConfig()
 	fp := testActor(t, cfg, 10)
@@ -228,44 +243,43 @@ func TestLoadPolicySniffsFormat(t *testing.T) {
 	if err := SavePolicy(jsonPath, fp.Net); err != nil {
 		t.Fatal(err)
 	}
-	qp, err := QuantizeMLPPolicy(fp, cfg)
-	if err != nil {
+	sealedPath := filepath.Join(dir, "gen.policy")
+	if err := SaveSealedPolicy(sealedPath, fp.Net, PolicyMeta{Generation: 4}); err != nil {
 		t.Fatal(err)
 	}
-	blobPath := filepath.Join(dir, "actor.aqp")
-	if err := SaveQuantizedPolicy(blobPath, qp); err != nil {
-		t.Fatal(err)
+	fromJSON, meta, err := LoadPolicy(jsonPath, cfg)
+	if err != nil || meta != nil {
+		t.Fatalf("JSON: meta %v, err %v; want none and nil", meta, err)
 	}
-
-	p, meta, err := LoadPolicy(blobPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, ok := p.(*QuantizedPolicy)
-	if !ok || meta != nil {
-		t.Fatalf("blob loaded as %T with meta %v, want *QuantizedPolicy and none", p, meta)
-	}
-	p, meta, err = LoadPolicy(jsonPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, ok := p.(*MLPPolicy)
-	if !ok || meta != nil {
-		t.Fatalf("JSON loaded as %T with meta %v, want *MLPPolicy and none", p, meta)
-	}
-
-	// Compiling on load must equal the precompiled artifact bitwise
-	// (deterministic compilation), so both deployment styles serve the
-	// same actions.
-	fromJSON, err := QuantizeMLPPolicy(mp, cfg)
-	if err != nil {
-		t.Fatal(err)
+	fromSealed, meta, err := LoadPolicy(sealedPath, cfg)
+	if err != nil || meta == nil || meta.Generation != 4 {
+		t.Fatalf("sealed: meta %v, err %v; want generation 4", meta, err)
 	}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
 		s := sampleState(cfg, rng)
-		if a, b := pre.Action(s), fromJSON.Action(s); a != b {
-			t.Fatalf("precompiled and quantize-on-load disagree: %v vs %v", b, a)
+		if a, b := fromJSON.Action(s), fromSealed.Action(s); a != b {
+			t.Fatalf("JSON and sealed forms of one actor disagree: %v vs %v", b, a)
+		}
+	}
+
+	// A training checkpoint's payload opens with a length-prefixed config.
+	var ckptPayload ckpt.Encoder
+	ckptPayload.Bytes([]byte(`{"HistoryLen":5}`))
+	for name, data := range map[string][]byte{
+		"quantized blob":      legacyAQP1Container(),
+		"training checkpoint": ckpt.Seal(ckptPayload.Payload()),
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-"))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := LoadPolicy(path, cfg)
+		if !errors.Is(err, ErrNotSealedPolicy) {
+			t.Fatalf("%s: err %v, want ErrNotSealedPolicy", name, err)
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "-policy") {
+			t.Fatalf("%s: error %q should name the file and the -policy remedy", name, err)
 		}
 	}
 

@@ -25,10 +25,11 @@ import (
 // Action per request otherwise.
 //
 // NewSyncService selects the synchronous mode instead: every request is
-// evaluated on its submitter's goroutine under a mutex, which is what the
-// single-threaded simulator and the deterministic zero-alloc pins use. The
-// batching path is exercised by the scalability benchmarks, the tests, and
-// the network-facing server in internal/serve.
+// evaluated on its submitter's goroutine under a mutex. Only tests use it,
+// for a deterministic single-goroutine service (the simulator's agents call
+// their policy directly). The batching path is exercised by the
+// scalability benchmarks, the tests, and the network-facing server in
+// internal/serve.
 //
 // Concurrency model: s.mu guards only queue bookkeeping (pending slice,
 // counters). Policy evaluation happens on the evaluator goroutine, never
@@ -141,7 +142,7 @@ func NewService(cfg Config, policy Policy) *Service {
 
 // NewSyncService is NewService in synchronous mode: no evaluator goroutine,
 // every request is evaluated on its submitter's goroutine before Submit
-// returns. Deterministic and single-goroutine, for the simulator and tests.
+// returns. Deterministic and single-goroutine, for tests.
 func NewSyncService(cfg Config, policy Policy) *Service {
 	s := NewService(cfg, policy)
 	s.synchronous = true

@@ -52,9 +52,11 @@
 //	32768·(sw·maxRowL1 + in/2) + sw·Sin·maxB + 1 ≤ 2^31 − 1
 //
 // (the in/2 term bounds per-weight rounding, the +1 the bias rounding).
-// DecodeQuantized re-checks the realized inequality Σ_i|wq[o,i]|·32768 +
-// |bq[o]| ≤ 2^31−1 for every row, so the guarantee holds for hostile blobs
-// too, not only for nets we quantized ourselves. Every int32 lane a kernel
+// Quantize then checks the realized inequality Σ_i|wq[o,i]|·32768 +
+// |bq[o]| ≤ 2^31−1 on every row of the int16 weights it produced, and
+// refuses to return a net that breaks it. Quantize is the only way to build
+// a QuantizedMLP, so every compiled net carries the guarantee: there is no
+// serialized form to smuggle one in. Every int32 lane a kernel
 // forms sums a column subset of one row, so the inequality bounds the
 // lanes as well; that includes a VPMADDWD pair, whose two products of
 // −32768·−32768 would wrap, and which the inequality rejects (a row
@@ -106,7 +108,7 @@ type quantLayer struct {
 	padIn, padOut int // kernel dims: in padded to 16 cols, out to 4 rows
 	padSums       int // out padded to 8: sums per sample, epilogue width
 	act           Activation
-	wOff, bOff    int   // offsets into the canonical (codec) arrays
+	wOff, bOff    int   // offsets into the canonical arrays
 	kOff, kbOff   int   // offsets into the padded kernel weights and biases
 	mult          int64 // requantization multiplier, ∈ [0, 2^30]
 	rnd           int64 // rounding bias, 1 << (shift-1)
@@ -158,7 +160,7 @@ func newRequantConsts(l *quantLayer) requantConsts {
 // int16 weights, int32 biases, and precomputed per-layer requantization
 // constants. Forward runs in pure integer arithmetic with zero allocations.
 //
-// The compiled arrays are immutable after Quantize/DecodeQuantized, so
+// The compiled arrays are immutable after Quantize, so
 // Clone shares them and allocates only scratch of its own; a QuantizedMLP
 // is not safe for concurrent use, but clones evaluate independently.
 type QuantizedMLP struct {
@@ -173,11 +175,11 @@ type QuantizedMLP struct {
 	out        []float64
 }
 
-// quantNet is the compiled network: written once by Quantize or
-// DecodeQuantized, then only read, and shared by every clone.
+// quantNet is the compiled network: written once by Quantize, then only
+// read, and shared by every clone.
 type quantNet struct {
 	layers  []quantLayer
-	weights []int16 // canonical row-major weights (what the codec carries)
+	weights []int16 // canonical row-major weights, unpadded
 	biases  []int32
 	inScale []float64 // per-feature input quantization scale
 	outInv  float64   // final dequantization factor, 2^-outBits of last layer
@@ -338,7 +340,7 @@ func Quantize(m *MLP, opts QuantizeOptions) (*QuantizedMLP, error) {
 
 	q.finish()
 	if err := q.checkAccBounds(); err != nil {
-		return nil, err // unreachable by construction; kept as a hard guard
+		return nil, err // unreachable by the scale cap; kept as a hard guard
 	}
 	return q, nil
 }
@@ -385,8 +387,8 @@ func (q *QuantizedMLP) scratch(rows int) {
 }
 
 // checkAccBounds verifies the realized no-wrap inequality for every output
-// row: Σ|wq|·32768 + |bq| ≤ 2^31−1. Quantize guarantees it by construction;
-// DecodeQuantized enforces it on hostile blobs.
+// row: Σ|wq|·32768 + |bq| ≤ 2^31−1. Quantize's weight-scale cap guarantees
+// it; this is the check on what the rounding actually produced.
 func (q *QuantizedMLP) checkAccBounds() error {
 	for li, l := range q.layers {
 		for o := 0; o < l.out; o++ {
@@ -599,7 +601,7 @@ func satRound32(v float64) int32 {
 }
 
 // chooseBits picks the largest Q-format whose span covers amax, clamped to
-// the range the codec accepts.
+// Q−16..Q15.
 func chooseBits(amax float64) int8 {
 	if !(amax > 0) {
 		return 15

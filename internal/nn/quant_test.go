@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
-
-	"repro/internal/ckpt"
 )
 
 // quantTestShapes covers the policy/critic shapes the repo actually uses
@@ -192,105 +191,6 @@ func TestQuantizedCloneIndependence(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQuantizedCodecRoundTrip: the integer pipeline must survive the blob
-// codec bitwise — encode, seal, open, decode, and every output is exactly
-// equal, not merely close.
-func TestQuantizedCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := NewMLP(rng, ReLU, Tanh, 40, 64, 32, 1)
-	q, err := Quantize(m, QuantizeOptions{Calibration: calSamples(rng, 128, 40, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := q.QuantizedBlob()
-	q2, err := OpenQuantizedBlob(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.InDim() != q.InDim() || q2.OutDim() != q.OutDim() || q2.NumLayers() != q.NumLayers() {
-		t.Fatalf("round trip changed shape: %dx%d/%d vs %dx%d/%d",
-			q2.InDim(), q2.OutDim(), q2.NumLayers(), q.InDim(), q.OutDim(), q.NumLayers())
-	}
-	if q2.ParamBytes() != q.ParamBytes() {
-		t.Fatalf("round trip changed parameter footprint: %d vs %d", q2.ParamBytes(), q.ParamBytes())
-	}
-	for trial := 0; trial < 100; trial++ {
-		x := calSamples(rng, 1, 40, 6)[0]
-		if a, b := q.Forward(x)[0], q2.Forward(x)[0]; a != b {
-			t.Fatalf("trial %d: decoded net diverges bitwise: %v vs %v", trial, b, a)
-		}
-	}
-	// Corruption anywhere in the blob must be rejected by the container CRC.
-	for _, off := range []int{0, 8, len(blob) / 2, len(blob) - 1} {
-		bad := append([]byte(nil), blob...)
-		bad[off] ^= 0x40
-		if _, err := OpenQuantizedBlob(bad); err == nil {
-			t.Fatalf("flipped byte %d accepted", off)
-		}
-	}
-	if _, err := OpenQuantizedBlob(blob[:len(blob)-3]); err == nil {
-		t.Fatal("truncated blob accepted")
-	}
-}
-
-// hostilePayload builds a syntactically valid quantized payload with the
-// given field overrides, for decoder-rejection tests.
-func hostileQuantPayload(mutate func(layers *[]int64, scales *[]float64, w *[]int16, b *[]int32)) []byte {
-	// One 2x2 linear layer, benign constants.
-	layers := []int64{2, 2, int64(Linear), 1 << 20, 20, 10}
-	scales := []float64{16384, 16384}
-	w := []int16{100, -100, 50, 25}
-	b := []int32{1000, -1000}
-	mutate(&layers, &scales, &w, &b)
-	var e ckpt.Encoder
-	e.Int64(quantFormatTag)
-	e.Int(1)
-	for _, v := range layers {
-		e.Int64(v)
-	}
-	e.Float64s(scales)
-	e.Int16s(w)
-	e.Int32s(b)
-	return e.Payload()
-}
-
-// TestDecodeQuantizedRejectsHostile enumerates the decoder's validation
-// branches: each malformed payload must fail decode rather than reach
-// Forward.
-func TestDecodeQuantizedRejectsHostile(t *testing.T) {
-	cases := map[string]func(l *[]int64, s *[]float64, w *[]int16, b *[]int32){
-		"zero input dim":     func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*l)[0] = 0 },
-		"huge dim":           func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*l)[0] = 1 << 20 },
-		"unknown activation": func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*l)[2] = 9 },
-		"negative mult":      func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*l)[3] = -1 },
-		"oversized mult":     func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*l)[3] = 1 << 31 },
-		"zero shift":         func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*l)[4] = 0 },
-		"huge shift":         func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*l)[4] = 63 },
-		"outBits range":      func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*l)[5] = 31 },
-		"scale count":        func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { *s = (*s)[:1] },
-		"NaN scale":          func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*s)[0] = math.NaN() },
-		"negative scale":     func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { (*s)[0] = -1 },
-		"weight count":       func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { *w = (*w)[:3] },
-		"bias count":         func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) { *b = append(*b, 0) },
-		"accumulator bomb": func(l *[]int64, s *[]float64, w *[]int16, b *[]int32) {
-			// Row L1 mass 2·32767 · 32768 > 2^31: the no-wrap inequality
-			// must reject it even though every field is individually valid.
-			(*w)[0], (*w)[1] = 32767, 32767
-			(*b)[0] = math.MaxInt32
-		},
-	}
-	for name, mutate := range cases {
-		if _, err := DecodeQuantized(ckpt.NewDecoder(hostileQuantPayload(mutate))); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	// The unmutated payload is valid — otherwise the cases above prove
-	// nothing.
-	if _, err := DecodeQuantized(ckpt.NewDecoder(hostileQuantPayload(func(*[]int64, *[]float64, *[]int16, *[]int32) {}))); err != nil {
-		t.Fatalf("baseline payload rejected: %v", err)
-	}
-}
-
 // TestQuantizedTanhLayerAgreesWithFloat pins the LUT path specifically: a
 // pure tanh net over its full input range, where interpolation error is the
 // only error source.
@@ -441,73 +341,6 @@ func TestMatvecKernelStaysInBounds(t *testing.T) {
 	})
 }
 
-// FuzzQuantizedDecode is the fifth hardened-decoder fuzz target: any bytes
-// either fail to decode or yield a network whose Forward runs without
-// panicking on zero, extreme, and NaN inputs, and whose ForwardBatch over
-// those three rows gives each row Forward's bits.
-func FuzzQuantizedDecode(f *testing.F) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewMLP(rng, ReLU, Tanh, 4, 8, 1)
-	q, err := Quantize(m, QuantizeOptions{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var e ckpt.Encoder
-	q.EncodeQuantized(&e)
-	f.Add(append([]byte(nil), e.Payload()...))
-	f.Add(q.QuantizedBlob())
-	f.Add(hostileQuantPayload(func(*[]int64, *[]float64, *[]int16, *[]int32) {}))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, q := range decodeBoth(data) {
-			in, w := q.InDim(), q.OutDim()
-			x := make([]float64, 3*in)
-			for i := range x[in:] {
-				switch i % 3 {
-				case 0:
-					x[in+i] = math.Inf(1)
-				case 1:
-					x[in+i] = math.NaN()
-				default:
-					x[in+i] = -1e30
-				}
-			}
-			for i := range x[2*in:] {
-				x[2*in+i] = float64(i%7) - 3
-			}
-			var want []float64
-			for s := 0; s < 3; s++ {
-				out := q.Forward(x[s*in : (s+1)*in])
-				for _, v := range out {
-					if math.IsInf(v, 0) {
-						t.Fatalf("decoded net emits %v", v)
-					}
-				}
-				want = append(want, out...)
-			}
-			got := q.ForwardBatch(x, 3)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("ForwardBatch row %d output %d = %v, Forward %v", i/w, i%w, got[i], want[i])
-				}
-			}
-		}
-	})
-}
-
-// decodeBoth tries data as a bare payload and as a sealed blob, returning
-// whichever forms decode.
-func decodeBoth(data []byte) []*QuantizedMLP {
-	var out []*QuantizedMLP
-	if q, err := DecodeQuantized(ckpt.NewDecoder(data)); err == nil {
-		out = append(out, q)
-	}
-	if q, err := OpenQuantizedBlob(data); err == nil {
-		out = append(out, q)
-	}
-	return out
-}
-
 // BenchmarkQuantizedForwardBatch times ForwardBatch on the paper's actor
 // shape per tier and batch size, reporting ns per sample: n = 1 is Forward,
 // the larger sizes the batches a saturated inference service evaluates.
@@ -552,14 +385,26 @@ func hostileRows(rng *rand.Rand, n, in int, amp float64) []float64 {
 	return x
 }
 
-// boundNet decodes a quantized net whose first layer has rows sitting
+// boundNet builds a quantized net whose first layer has rows sitting
 // exactly on the accumulator bound, Σ|w|·32768 + |b| = 2^31 − 1: weights of
 // mass 65535, one −32768 weight among them in two rows, and a bias of
 // ±32767, in every sign pattern. (Two −32768 weights, which a wrapping
-// VPMADDWD pair would need, make a mass of 65536, which decoding rejects.)
-// The given requantization constants go on that layer.
+// VPMADDWD pair would need, make a mass of 65536, which checkAccBounds
+// rejects; see TestCheckAccBoundsRejectsOverflow.) The given requantization
+// constants go on that layer. The net is assembled field by field, as
+// Quantize would leave it, and passes the same bound check Quantize runs.
 func boundNet(t testing.TB, mult int64, shift int, act Activation) *QuantizedMLP {
 	t.Helper()
+	q := rawBoundNet(mult, shift, act)
+	if err := q.checkAccBounds(); err != nil {
+		t.Fatalf("bound net (mult %d, shift %d): %v", mult, shift, err)
+	}
+	q.finish()
+	return q
+}
+
+// rawBoundNet is boundNet's network before the bound check and finish.
+func rawBoundNet(mult int64, shift int, act Activation) *QuantizedMLP {
 	w0 := []int16{
 		32767, 32767, 1,
 		-32767, -32767, -1,
@@ -570,24 +415,97 @@ func boundNet(t testing.TB, mult int64, shift int, act Activation) *QuantizedMLP
 	b0 := []int32{32767, -32767, 32767, -32767, 0}
 	w1 := []int16{100, -200, 300, -400, 500, -16000, 16000, 7, -7, 1}
 	b1 := []int32{1 << 20, -(1 << 20)}
-	outBits := int64(10)
+	outBits := int8(10)
 	if act == Tanh {
 		outBits = tanhOutBits
 	}
-	var e ckpt.Encoder
-	e.Int64(quantFormatTag)
-	e.Int(2)
-	for _, v := range []int64{3, 5, int64(act), mult, int64(shift), outBits, 5, 2, int64(Linear), 1 << 20, 24, 10} {
-		e.Int64(v)
+	return &QuantizedMLP{quantNet: quantNet{
+		layers: []quantLayer{
+			{in: 3, out: 5, act: act, mult: mult, rnd: 1 << (shift - 1), shift: uint8(shift), outBits: outBits},
+			{in: 5, out: 2, act: Linear, wOff: len(w0), bOff: len(b0), mult: 1 << 20, rnd: 1 << 23, shift: 24, outBits: 10},
+		},
+		inScale: []float64{16384, 8192, 1},
+		weights: append(append([]int16(nil), w0...), w1...),
+		biases:  append(append([]int32(nil), b0...), b1...),
+	}}
+}
+
+// TestCheckAccBoundsRejectsOverflow: one unit of mass past the bound in any
+// row is refused, however it gets there. The unmutated bound net passes, or
+// the cases prove nothing.
+func TestCheckAccBoundsRejectsOverflow(t *testing.T) {
+	if err := rawBoundNet(1<<20, 20, Linear).checkAccBounds(); err != nil {
+		t.Fatalf("bound net rejected: %v", err)
 	}
-	e.Float64s([]float64{16384, 8192, 1})
-	e.Int16s(append(append([]int16(nil), w0...), w1...))
-	e.Int32s(append(append([]int32(nil), b0...), b1...))
-	q, err := DecodeQuantized(ckpt.NewDecoder(e.Payload()))
-	if err != nil {
-		t.Fatalf("bound net (mult %d, shift %d): %v", mult, shift, err)
+	for name, mutate := range map[string]func(q *QuantizedMLP){
+		"bias one past":       func(q *QuantizedMLP) { q.biases[0]++ },
+		"weight one past":     func(q *QuantizedMLP) { q.weights[5]-- },
+		"two -32768 weights":  func(q *QuantizedMLP) { q.weights[7] = -32768 },
+		"second layer bomb":   func(q *QuantizedMLP) { q.weights[15], q.weights[16], q.biases[5] = 32767, 32767, math.MaxInt32 },
+		"negative bias past":  func(q *QuantizedMLP) { q.biases[1]-- },
+		"last row, last unit": func(q *QuantizedMLP) { q.biases[4] = math.MaxInt32 - 32767 },
+	} {
+		q := rawBoundNet(1<<20, 20, Linear)
+		mutate(q)
+		if err := q.checkAccBounds(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	return q
+}
+
+// TestQuantizeIsTierIndependent: compiling reads the float network only
+// through Forward's calibration sweep, and Forward is bitwise equal on
+// every tier, so the compiled net must not depend on the tier that
+// compiled it. That is what lets a server compile at load instead of
+// shipping a precompiled artifact. The paper-size actor, five seeds, every
+// compiled field compared against the portable tier's compile.
+func TestQuantizeIsTierIndependent(t *testing.T) {
+	const seeds = 5
+	var nets [seeds]*MLP
+	var cals [seeds][][]float64
+	var want [seeds]quantNet
+	restore, _ := useTier("portable")
+	for i := range nets {
+		rng := rand.New(rand.NewSource(int64(60 + i)))
+		nets[i] = NewMLP(rng, ReLU, Tanh, 40, 256, 128, 64, 1)
+		cals[i] = calSamples(rng, 256, 40, 4)
+		q, err := Quantize(nets[i], QuantizeOptions{Calibration: cals[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = q.quantNet
+	}
+	restore()
+	forEachKernel(t, func(t *testing.T) {
+		for i, m := range nets {
+			q, err := Quantize(m, QuantizeOptions{Calibration: cals[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ref := q.quantNet, want[i]
+			if len(got.layers) != len(ref.layers) {
+				t.Fatalf("seed %d: %d layers, portable %d", i, len(got.layers), len(ref.layers))
+			}
+			for li := range ref.layers {
+				if got.layers[li] != ref.layers[li] {
+					t.Fatalf("seed %d layer %d: %+v, portable %+v", i, li, got.layers[li], ref.layers[li])
+				}
+			}
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"inScale", got.inScale, ref.inScale}, {"weights", got.weights, ref.weights},
+				{"biases", got.biases, ref.biases}, {"outInv", got.outInv, ref.outInv},
+				{"kernelW", got.kernelW, ref.kernelW}, {"kernelB", got.kernelB, ref.kernelB},
+				{"maxDim", got.maxDim, ref.maxDim}, {"maxAcc", got.maxAcc, ref.maxAcc},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Fatalf("seed %d: compiled %s differs from the portable tier's", i, f.name)
+				}
+			}
+		}
+	})
 }
 
 // portableQuantRows evaluates every row of x by Forward on the portable
@@ -608,8 +526,8 @@ func portableQuantRows(q *QuantizedMLP, x []float64, n int) []float64 {
 // bits per-row Forward gives it on the portable tier (as does Forward on
 // that tier), for batch sizes 1–300 across the 16-sample blocks, widths
 // that are not multiples of 4 or 16, inputs that are NaN, ±Inf or beyond
-// twice the calibrated range, and decoded rows sitting exactly on the
-// accumulator bound under extreme requantization constants.
+// twice the calibrated range, and rows sitting exactly on the accumulator
+// bound under extreme requantization constants.
 func TestQuantizedForwardBatchMatchesForward(t *testing.T) {
 	type net struct {
 		name string

@@ -223,7 +223,7 @@ func (s *Supervisor) ensureBoot() error {
 
 // incumbentPolicy loads the serving generation's sealed actor (float form —
 // the gate compares like against like; quantization happens at promotion).
-func (s *Supervisor) incumbentPolicy() (core.Policy, error) {
+func (s *Supervisor) incumbentPolicy() (*core.MLPPolicy, error) {
 	cur, ok := s.o.Store.Current()
 	if !ok {
 		return nil, fmt.Errorf("pilot: no serving generation")

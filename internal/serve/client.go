@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -68,6 +69,9 @@ type clientCall struct {
 // payloads on a stream), or udp, udp4, udp6 or unixgram (one bare payload
 // per datagram). A unixgram client binds its own socket next to the
 // server's path, so the server has an address to answer; Close removes it.
+// On a datagram network a lost datagram is a failed call, and so is one
+// the peer refused (ICMP port unreachable): that call times out or fails,
+// and the client stays usable.
 func Dial(network, address string) (*Client, error) {
 	c := &Client{Timeout: DefaultInferTimeout, calls: make(map[uint64]*clientCall)}
 	var err error
@@ -129,6 +133,11 @@ func (c *Client) readLoop() {
 			payload, err = readFrameInto(br, &rbuf)
 		}
 		if err != nil {
+			if c.datagram && errors.Is(err, syscall.ECONNREFUSED) {
+				// An ICMP port-unreachable for an earlier datagram: that
+				// request is lost, the socket is not. Its call times out.
+				continue
+			}
 			c.mu.Lock()
 			c.dead = ErrClientClosed
 			for id, call := range c.calls {

@@ -224,6 +224,77 @@ func TestUnixgramClientSocketCleanup(t *testing.T) {
 	}
 }
 
+// TestServerUnixgramRestartsOnSamePath: Shutdown removes the socket file
+// of a unixgram endpoint, so a server restarted on the same path binds it
+// again instead of failing with "address already in use".
+func TestServerUnixgramRestartsOnSamePath(t *testing.T) {
+	sock := t.TempDir() + "/astraea.sock"
+	cfg := core.DefaultConfig()
+	for round := 0; round < 2; round++ {
+		srv := NewServer(core.NewService(cfg, constPolicy{0.25}), cfg, Options{})
+		if _, err := srv.Listen("unixgram", sock); err != nil {
+			srv.Close()
+			if round == 0 {
+				t.Skipf("unixgram unavailable: %v", err)
+			}
+			t.Fatalf("restart on %s: %v", sock, err)
+		}
+		client, err := Dial("unixgram", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.Timeout = 2 * time.Second
+		res, err := client.Infer(zeroState())
+		client.Close()
+		if err != nil || res.Action != 0.25 {
+			t.Fatalf("round %d: Infer = %+v, %v", round, res, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = srv.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(sock); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("round %d: socket file left after Shutdown (stat err %v)", round, err)
+		}
+	}
+}
+
+// TestServiceOverUDPAfterPortUnreachable: a request to a udp port with no
+// listener draws an ICMP port-unreachable, which a connected socket reports
+// as ECONNREFUSED on its next read. That request is lost, not the client:
+// once a server listens on the port, the same client is answered.
+func TestServiceOverUDPAfterPortUnreachable(t *testing.T) {
+	probe, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.LocalAddr().String()
+	probe.Close()
+
+	client := dialDatagram(t, "udp", addr)
+	client.Timeout = 200 * time.Millisecond
+	if res, err := client.Infer(zeroState()); err == nil {
+		t.Fatalf("Infer against a closed port answered %+v", res)
+	}
+
+	cfg := core.DefaultConfig()
+	srv := NewServer(core.NewService(cfg, constPolicy{0.5}), cfg, Options{})
+	t.Cleanup(func() { srv.Close() })
+	if _, err := srv.Listen("udp", addr); err != nil {
+		t.Skipf("port of %s taken meanwhile: %v", addr, err)
+	}
+	client.Timeout = 2 * time.Second
+	res, err := client.Infer(zeroState())
+	if err != nil {
+		t.Fatalf("Infer once the port listens: %v", err)
+	}
+	if res.Action != 0.5 {
+		t.Fatalf("Infer once the port listens = %+v", res)
+	}
+}
+
 // TestClientInferTimeout is the regression test for the lost-datagram hang:
 // a server that never answers must produce ErrInferTimeout, not a caller
 // parked forever.

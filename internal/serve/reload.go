@@ -13,19 +13,18 @@ import (
 // Reloader serves the policy artifact at one path: it loads the daemon's
 // boot policy (Load) and hot-swaps later snapshots of the same file into a
 // PolicyHost (Reload). The artifact is read by core.LoadPolicy, which sniffs
-// its format — JSON weights written by core.SavePolicy, a quantized blob
-// written by core.SaveQuantizedPolicy / `astraea quantize`, or a sealed
+// its format — JSON weights written by core.SavePolicy, or a sealed
 // generation artifact written by core.SaveSealedPolicy (the pilot's
-// promotion format) — and validates it against the serving config. Float
-// weights are compiled to the fixed-point serving form here and nowhere
-// else, so the boot policy and every reload take the same path and the
-// serve_policy_generation gauge reports a sealed artifact's generation from
-// the first scrape.
+// promotion format) — and validates it against the serving config. Either
+// way it holds float weights, which are compiled to the fixed-point serving
+// form here (core.QuantizeMLPPolicy) and nowhere else, so the boot policy
+// and every reload take the same path and the serve_policy_generation gauge
+// reports a sealed artifact's generation from the first scrape.
 //
 // A rejected reload (a half-trained, truncated, or wrong-dimension
 // candidate) leaves the previous policy serving and is counted on
 // policy_reload_failures_total; a good one bumps the host's version counter.
-// Because all three writers are atomic (temp + fsync + rename via
+// Because both writers are atomic (temp + fsync + rename via
 // internal/ckpt), a watcher can never observe a torn file: every snapshot it
 // picks up is one the trainer finished writing. Direct writes by anything
 // else can still tear, which is exactly what the failure counter makes
@@ -42,12 +41,11 @@ type Reloader struct {
 	// Interval is the Watch polling period (default 500ms).
 	Interval time.Duration
 
-	// Quantize selects the serving form of float artifacts (JSON weights
-	// and sealed generations): when true (the default from NewReloader),
-	// Load and Reload compile the float actor to its fixed-point form, so
-	// hot reloads serve the same representation the daemon booted with.
-	// Quantized blobs always serve quantized. The serve daemon's -float
-	// flag clears it to keep the float oracle path.
+	// Quantize selects the serving form: when true (the default from
+	// NewReloader), Load and Reload compile the float actor to its
+	// fixed-point form, so hot reloads serve the same representation the
+	// daemon booted with. The serve daemon's -float flag clears it to keep
+	// the float oracle path.
 	Quantize bool
 
 	mReloads  *telemetry.Counter
@@ -66,7 +64,7 @@ type Reloader struct {
 }
 
 // NewReloader builds a reloader for the policy artifact at path, validated
-// against cfg. It quantizes float artifacts by default; clear Quantize
+// against cfg. It quantizes by default; clear Quantize
 // before the first Load/Reload/Watch to serve float weights as loaded.
 func NewReloader(path string, cfg core.Config) *Reloader {
 	r := &Reloader{path: path, cfg: cfg, Interval: 500 * time.Millisecond,
@@ -91,19 +89,21 @@ func (r *Reloader) Instrument(reg *telemetry.Registry) {
 		"pilot generation of the served policy (sealed artifacts only; 0 before the first promotion)")
 }
 
-// load reads the artifact in its serving form: quantized blobs as they
-// are, float artifacts compiled to fixed point when Quantize is set.
+// load reads the artifact in its serving form: compiled to fixed point
+// when Quantize is set, the float actor otherwise.
 func (r *Reloader) load() (core.Policy, *core.PolicyMeta, error) {
-	p, meta, err := core.LoadPolicy(r.path, r.cfg)
+	mp, meta, err := core.LoadPolicy(r.path, r.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if mp, ok := p.(*core.MLPPolicy); ok && r.Quantize {
-		if p, err = core.QuantizeMLPPolicy(mp, r.cfg); err != nil {
-			return nil, nil, err
-		}
+	if !r.Quantize {
+		return mp, meta, nil
 	}
-	return p, meta, nil
+	qp, err := core.QuantizeMLPPolicy(mp, r.cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return qp, meta, nil
 }
 
 // Load reads the artifact in its serving form without installing it: the

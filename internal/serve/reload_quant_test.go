@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 )
 
 // newQuantTestActor builds a small random actor with the serving shape.
@@ -77,9 +80,13 @@ func TestReloadQuantizesByDefault(t *testing.T) {
 	}
 }
 
-// TestHotReloadQuantizedBlob: the poller path is format-agnostic — an
-// operator can overwrite the JSON snapshot in place with a precompiled
-// blob from `astraea quantize` and the watcher swaps it in.
+// TestHotReloadQuantizedBlob: an operator who overwrites the served JSON
+// snapshot with a compiled blob from an older `astraea quantize` gets a
+// refused reload, by name (core.ErrNotSealedPolicy), counted on
+// policy_reload_failures_total, while the booted policy keeps serving at
+// version 1. The poller is format-agnostic among the formats that remain: a
+// sealed artifact written over the same path next is picked up and served
+// compiled, bitwise the locally quantized copy.
 func TestHotReloadQuantizedBlob(t *testing.T) {
 	cfg := core.DefaultConfig()
 	fp := newQuantTestActor(cfg, 31)
@@ -90,6 +97,8 @@ func TestHotReloadQuantizedBlob(t *testing.T) {
 	}
 
 	rl := NewReloader(path, cfg)
+	reg := telemetry.NewRegistry()
+	rl.Instrument(reg)
 	boot, err := rl.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -104,22 +113,43 @@ func TestHotReloadQuantizedBlob(t *testing.T) {
 	rl.Watch(srv)
 	defer rl.Stop()
 
+	var e ckpt.Encoder
+	e.Int64(0x41515031) // the old blob's "AQP1" payload tag
+	e.Int(1)
+	if err := ckpt.WriteAtomic(path, ckpt.Seal(e.Payload()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m, _ := reg.Snapshot().Get("policy_reload_failures_total"); m.Count > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("watcher never tried the blob")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v := srv.PolicyVersion(); v != 1 {
+		t.Fatalf("refused blob moved the policy version to %d", v)
+	}
+	if _, _, err := core.LoadPolicy(path, cfg); !errors.Is(err, core.ErrNotSealedPolicy) {
+		t.Fatalf("blob load: err %v, want core.ErrNotSealedPolicy", err)
+	}
+
 	next := newQuantTestActor(cfg, 32)
+	if err := core.SaveSealedPolicy(path, next.Net, core.PolicyMeta{Generation: 5}); err != nil {
+		t.Fatal(err)
+	}
+	for srv.PolicyVersion() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("watcher never picked up the sealed artifact")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	qp, err := core.QuantizeMLPPolicy(next, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.SaveQuantizedPolicy(path, qp); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.PolicyVersion() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("watcher never picked up the blob")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
 	client, err := Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +163,7 @@ func TestHotReloadQuantizedBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := qp.Action(s); res.Action != got {
-			t.Fatalf("served action %v, blob policy %v (state %d)", res.Action, got, i)
+			t.Fatalf("served action %v, locally quantized %v (state %d)", res.Action, got, i)
 		}
 	}
 }

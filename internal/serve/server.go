@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -325,7 +326,7 @@ func (s *Server) Listen(network, address string) (net.Addr, error) {
 		s.mu.Lock()
 		if s.draining || s.closed { // lost a race with Shutdown
 			s.mu.Unlock()
-			pc.Close()
+			closePacketConn(pc)
 			return nil, errors.New("serve: server is shut down")
 		}
 		s.pconns = append(s.pconns, pc)
@@ -725,10 +726,23 @@ func (s *Server) doShutdown(ctx context.Context) error {
 	}
 	s.conns = make(map[*streamConn]struct{})
 	for _, pc := range pconns {
-		pc.Close()
+		closePacketConn(pc)
 	}
 	s.mu.Unlock()
 	return forced
+}
+
+// closePacketConn closes a datagram endpoint and removes the socket file a
+// unixgram endpoint bound: unlike a unix stream listener, a unixgram
+// PacketConn leaves its path behind on close, and the next Listen on that
+// path then fails with "address already in use". Abstract names (@…) and
+// autobound sockets have no file.
+func closePacketConn(pc net.PacketConn) {
+	ua, _ := pc.LocalAddr().(*net.UnixAddr)
+	pc.Close()
+	if ua != nil && ua.Name != "" && ua.Name[0] != '@' {
+		os.Remove(ua.Name)
+	}
 }
 
 // Close shuts down immediately: open connections are cut rather than

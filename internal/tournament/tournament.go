@@ -185,13 +185,9 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("actor %q collides with another entry", a.Name)
 		}
 		seen[a.Name] = true
-		p, _, err := core.LoadPolicy(a.Path, core.DefaultConfig())
+		mp, _, err := core.LoadPolicy(a.Path, core.DefaultConfig())
 		if err != nil {
 			return fmt.Errorf("actor %q: %w", a.Name, err)
-		}
-		mp, ok := p.(*core.MLPPolicy)
-		if !ok {
-			return fmt.Errorf("actor %q: %s is a quantized policy blob; actors take float weights (JSON or a sealed artifact)", a.Name, a.Path)
 		}
 		c.actorPolicies[i] = mp
 	}

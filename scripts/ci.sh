@@ -75,28 +75,50 @@ wait "$SERVE_PID" || { echo "ci: serve drain was not clean"; cat "$SMOKE/serve.l
 grep -q "drained after" "$SMOKE/serve.log" || { echo "ci: no drain line"; cat "$SMOKE/serve.log"; exit 1; }
 if grep -q "RACE" "$SMOKE/serve.log"; then echo "ci: race detected in serve smoke"; cat "$SMOKE/serve.log"; exit 1; fi
 
-# Deployment-artifact smoke: the full quantize→serve lifecycle through the
-# real binary — distill an actor, compile it with quantize, boot
-# the race-built server on the blob (the quantized default path), drive it,
-# and require a clean drain. Catches artifact-format or loader drift that
-# package tests, which call the Go APIs directly, would miss.
+# Unixgram restart smoke: a drained unixgram server must leave its path
+# free, so a second server boots on the same path (a leftover socket file
+# made that fail with "address already in use").
+for round in 1 2; do
+    rm -f "$SMOKE/uaddr"
+    "$SMOKE/astraea-race" serve -listen "unixgram:$SMOKE/u.sock" -policy reference -shards 2 \
+        -addr-file "$SMOKE/uaddr" >"$SMOKE/userve$round.log" 2>&1 &
+    USERVE_PID=$!
+    for _ in $(seq 1 100); do [ -s "$SMOKE/uaddr" ] && break; sleep 0.1; done
+    [ -s "$SMOKE/uaddr" ] || { echo "ci: unixgram serve $round never bound"; cat "$SMOKE/userve$round.log"; exit 1; }
+    "$SMOKE/astraea" loadgen -addr "$(head -1 "$SMOKE/uaddr")" \
+        -rate 500 -duration 300ms -out "$SMOKE/uload$round.json"
+    kill -INT "$USERVE_PID"
+    wait "$USERVE_PID" || { echo "ci: unixgram serve $round drain was not clean"; cat "$SMOKE/userve$round.log"; exit 1; }
+    grep -q "drained after" "$SMOKE/userve$round.log" || { echo "ci: no drain line from unixgram serve $round"; cat "$SMOKE/userve$round.log"; exit 1; }
+    if grep -q "RACE" "$SMOKE/userve$round.log"; then echo "ci: race detected in unixgram serve $round"; exit 1; fi
+done
+
+# Deployment smoke: the check → serve lifecycle through the real binary —
+# distill an actor, check its fixed-point compile with quantize (which
+# writes nothing), boot the race-built server on the float weights (it
+# compiles them at load, the quantized default path), drive it, and
+# require a clean drain. Catches loader or compile drift that package
+# tests, which call the Go APIs directly, would miss.
 "$SMOKE/astraea" train -mode distill -samples 4000 -epochs 3 \
     -out "$SMOKE/actor.json" >/dev/null
 # The trimmed distillation leaves a rougher actor than the documented
 # default budget (which passes the tool's 0.02 default gate), so open the
-# divergence gate here: this smoke tests the artifact lifecycle, and
+# divergence gate here: this smoke tests the deployment lifecycle, and
 # accuracy is gated by TestQuantizedClosedLoopEquivalence below.
-"$SMOKE/astraea" quantize -in "$SMOKE/actor.json" -out "$SMOKE/actor.aqp" -tol 0.1
-"$SMOKE/astraea-race" serve -listen tcp:127.0.0.1:0 -policy "$SMOKE/actor.aqp" -shards 2 \
+ls -A "$SMOKE" >"$SMOKE/files.txt" # the redirect creates files.txt first, so it lists itself
+"$SMOKE/astraea" quantize -in "$SMOKE/actor.json" -tol 0.1
+ls -A "$SMOKE" | cmp -s - "$SMOKE/files.txt" || { echo "ci: quantize wrote a file"; ls -A "$SMOKE"; exit 1; }
+"$SMOKE/astraea-race" serve -listen tcp:127.0.0.1:0 -policy "$SMOKE/actor.json" -shards 2 \
     -addr-file "$SMOKE/qaddr" >"$SMOKE/qserve.log" 2>&1 &
 QSERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$SMOKE/qaddr" ] && break; sleep 0.1; done
 [ -s "$SMOKE/qaddr" ] || { echo "ci: quantized serve never bound"; cat "$SMOKE/qserve.log"; exit 1; }
-grep -q "serving quantized policy" "$SMOKE/qserve.log" || { echo "ci: blob did not serve quantized"; cat "$SMOKE/qserve.log"; exit 1; }
+grep -q "serving quantized policy" "$SMOKE/qserve.log" || { echo "ci: actor.json did not serve quantized"; cat "$SMOKE/qserve.log"; exit 1; }
 "$SMOKE/astraea" loadgen -addr "$(head -1 "$SMOKE/qaddr")" \
     -rate 2000 -duration 1s -flows -out "$SMOKE/qload.json"
 kill -INT "$QSERVE_PID"
 wait "$QSERVE_PID" || { echo "ci: quantized serve drain was not clean"; cat "$SMOKE/qserve.log"; exit 1; }
+grep -q "drained after" "$SMOKE/qserve.log" || { echo "ci: no drain line from quantized serve"; cat "$SMOKE/qserve.log"; exit 1; }
 if grep -q "RACE" "$SMOKE/qserve.log"; then echo "ci: race detected in quantized serve smoke"; cat "$SMOKE/qserve.log"; exit 1; fi
 
 # Training-loop smoke: train's one rl loop through the real binary.
@@ -278,7 +300,6 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 FUZZTIME=${FUZZTIME:-10s}
 go test -fuzz=FuzzCkptDecode      -fuzztime="$FUZZTIME" -run=NONE ./internal/ckpt
 go test -fuzz=FuzzCodecRead       -fuzztime="$FUZZTIME" -run=NONE ./internal/nn
-go test -fuzz=FuzzQuantizedDecode -fuzztime="$FUZZTIME" -run=NONE ./internal/nn
 go test -fuzz=FuzzTraceParse      -fuzztime="$FUZZTIME" -run=NONE ./internal/trace
 go test -fuzz=FuzzLoadPolicy      -fuzztime="$FUZZTIME" -run=NONE ./internal/core
 go test -fuzz=FuzzServedRequest   -fuzztime="$FUZZTIME" -run=NONE ./internal/serve

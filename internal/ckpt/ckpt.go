@@ -189,23 +189,6 @@ func (e *Encoder) Bytes(v []byte) {
 	e.buf = append(e.buf, v...)
 }
 
-// Int16s appends a length-prefixed int16 slice (2 bytes per element). Used
-// by the quantized-policy codec, where weights are int16 by construction.
-func (e *Encoder) Int16s(v []int16) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint16(e.buf, uint16(x))
-	}
-}
-
-// Int32s appends a length-prefixed int32 slice (4 bytes per element).
-func (e *Encoder) Int32s(v []int32) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
-	}
-}
-
 // maxLen caps decoded length prefixes: no single slice in a checkpoint
 // legitimately exceeds this, and the cap keeps a corrupt-but-CRC-colliding
 // length from driving a multi-gigabyte allocation.
@@ -341,40 +324,6 @@ func (d *Decoder) Ints() []int {
 	}
 	if d.err != nil {
 		return nil
-	}
-	return v
-}
-
-// Int16s reads a length-prefixed int16 slice (nil for length 0).
-func (d *Decoder) Int16s() []int16 {
-	n := d.length(2)
-	if n == 0 {
-		return nil
-	}
-	b := d.take(2 * n)
-	if b == nil {
-		return nil
-	}
-	v := make([]int16, n)
-	for i := range v {
-		v[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
-	}
-	return v
-}
-
-// Int32s reads a length-prefixed int32 slice (nil for length 0).
-func (d *Decoder) Int32s() []int32 {
-	n := d.length(4)
-	if n == 0 {
-		return nil
-	}
-	b := d.take(4 * n)
-	if b == nil {
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return v
 }

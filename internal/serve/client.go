@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -31,17 +32,32 @@ var ErrClientClosed = errors.New("serve: connection closed with inference call o
 // Requests issued through InferFlow carry the flow ID on the wire, so the
 // server keeps each flow's requests ordered on one shard even when the
 // flow's traffic spreads over several connections.
+//
+// On a stream connection, request frames are coalesced: the caller that
+// finds no write in progress becomes the writer. It yields the processor so
+// that a burst of callers can queue behind it, then writes everything
+// queued in one write(2), and repeats until the queue is empty. A caller that
+// arrives while a write is in progress appends its frame and goes straight
+// to waiting for its answer. Frames are queued in call order, so one
+// goroutine's sequential requests stay in order on the wire. A lone caller
+// is written at once: the yield returns immediately when nothing else is
+// runnable. On a datagram network each request is its own datagram.
 type Client struct {
 	conn      net.Conn
 	datagram  bool   // one bare payload per datagram, no frame prefix
 	localPath string // unixgram client socket file, removed on Close
 
 	// Timeout bounds each Infer call (default DefaultInferTimeout; 0 waits
-	// forever). Adjust before issuing calls.
+	// forever). Adjust before issuing calls. On a stream it also bounds each
+	// write: a peer that stops reading fails the write after Timeout, which
+	// closes the connection, so the writer returns its send error and every
+	// queued call returns ErrClientClosed instead of blocking.
 	Timeout time.Duration
 
-	wmu  sync.Mutex // serializes request frames
-	wbuf []byte     // reusable request frame buffer (guarded by wmu)
+	wmu     sync.Mutex // guards the request queue below
+	wbuf    []byte     // queued request frames; a datagram client's one frame
+	wspare  []byte     // the buffer the writer is writing; swapped with wbuf
+	writing bool       // a caller is writing the queue; stays set after a failed write
 
 	callPool sync.Pool // of *clientCall
 
@@ -191,17 +207,15 @@ func (c *Client) infer(state []float64, flow uint64, tagged bool) (Result, error
 	c.calls[id] = call
 	c.mu.Unlock()
 
-	c.wmu.Lock()
-	c.wbuf = appendFlowRequest(c.wbuf[:0], id, state, flow, tagged)
-	out := c.wbuf
+	var err error
 	if c.datagram {
-		out = out[4:] // the datagram is the frame
+		err = c.sendDatagram(id, state, flow, tagged)
+	} else {
+		err = c.sendFrame(id, state, flow, tagged)
 	}
-	_, err := c.conn.Write(out)
-	c.wmu.Unlock()
 	if err != nil {
 		c.dropCall(id, call)
-		return Result{}, fmt.Errorf("serve: send request: %w", err)
+		return Result{}, err
 	}
 
 	r, ok := call.await(c.Timeout)
@@ -211,6 +225,64 @@ func (c *Client) infer(state []float64, flow uint64, tagged bool) (Result, error
 		return Result{}, fmt.Errorf("serve: request %d after %v: %w", id, c.Timeout, ErrInferTimeout)
 	}
 	return r.res, r.err
+}
+
+// sendFrame queues one request frame on a stream connection and, if no
+// write is in progress, becomes the writer (see Client). It returns the
+// send error only to the writer whose write failed; the calls queued behind
+// it, and any queued before the failure reaches the read loop, are failed
+// by the read loop when the connection closes.
+func (c *Client) sendFrame(id uint64, state []float64, flow uint64, tagged bool) error {
+	c.wmu.Lock()
+	c.wbuf = appendFlowRequest(c.wbuf, id, state, flow, tagged)
+	if c.writing {
+		c.wmu.Unlock()
+		return nil
+	}
+	c.writing = true
+	c.wmu.Unlock()
+	// Yield before each write. Without it the writer keeps its P through
+	// the syscall and the callers the read loop just woke never get to
+	// queue, so writes coalesce almost nothing; yielding again before a
+	// follow-up write gives the callers that queued during the last
+	// syscall company too.
+	for {
+		runtime.Gosched()
+		c.wmu.Lock()
+		out := c.wbuf
+		if len(out) == 0 {
+			c.writing = false
+			c.wmu.Unlock()
+			return nil
+		}
+		c.wbuf, c.wspare = c.wspare[:0], out
+		c.wmu.Unlock()
+		var deadline time.Time // zero: no deadline
+		if c.Timeout > 0 {
+			deadline = time.Now().Add(c.Timeout)
+		}
+		_ = c.conn.SetWriteDeadline(deadline) // on a closed conn the Write below fails too
+		if _, err := c.conn.Write(out); err != nil {
+			// A failed write may have left the stream mid-frame: nothing
+			// more can be sent on it, so writing stays set and no caller
+			// writes again. Closing the connection ends the read loop,
+			// which fails every registered call and every later one.
+			c.conn.Close()
+			return fmt.Errorf("serve: send request: %w", err)
+		}
+	}
+}
+
+// sendDatagram sends one request as one datagram.
+func (c *Client) sendDatagram(id uint64, state []float64, flow uint64, tagged bool) error {
+	c.wmu.Lock()
+	c.wbuf = appendFlowRequest(c.wbuf[:0], id, state, flow, tagged)
+	_, err := c.conn.Write(c.wbuf[4:]) // the datagram is the frame
+	c.wmu.Unlock()
+	if err != nil {
+		return fmt.Errorf("serve: send request: %w", err)
+	}
+	return nil
 }
 
 // await waits for the call's result, at most d (0 waits forever); ok is

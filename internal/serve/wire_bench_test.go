@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,4 +207,40 @@ func BenchmarkStreamServePath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		srv.handlePayload(payload, sc, nil, nil)
 	}
+}
+
+// BenchmarkClientInferParallel drives one client from many goroutines
+// against a live server — the closed-loop shape of a sender process
+// multiplexing its flows — and reports how many write(2)s the client made
+// per request: coalescing pushes writes/op well under 1.
+func BenchmarkClientInferParallel(b *testing.B) {
+	cfg := core.DefaultConfig()
+	srv := NewServer(core.NewService(cfg, constPolicy{0.5}), cfg, Options{})
+	defer srv.Close()
+	addr, err := srv.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := Dial("tcp", addr.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	cc := &countingConn{Conn: client.conn}
+	client.conn = cc
+	state := benchState(cfg.StateDim())
+	var flows atomic.Uint64
+	b.SetParallelism(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		flow := flows.Add(1)
+		for pb.Next() {
+			if res, err := client.InferFlow(flow, state); err != nil || res.Action != 0.5 {
+				b.Errorf("InferFlow = %+v, %v", res, err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(cc.writes.Load())/float64(b.N), "writes/op")
 }

@@ -48,7 +48,8 @@ grep -q ',loss,' "$SMOKE/t.csv" || { echo "ci: trace CSV has no loss rows"; exit
 
 # Serving-path smoke: boot serve (4 shards, race-built so the sharded hot
 # path — pooled requests, write arenas, sweepers, hot reload — runs under
-# the detector with real traffic), drive it with loadgen (which exits
+# the detector with real traffic), drive it with a race-built loadgen (so
+# the client's coalesced request writes run under the detector too; exits
 # non-zero if any request fails hard — fallback answers are fine,
 # unanswered requests are not), probe the saturation knee (non-zero
 # throughput required), then SIGINT and require a clean drain. This
@@ -59,8 +60,9 @@ grep -q ',loss,' "$SMOKE/t.csv" || { echo "ci: trace CSV has no loss rows"; exit
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$SMOKE/addr" ] && break; sleep 0.1; done
 [ -s "$SMOKE/addr" ] || { echo "ci: serve never bound"; cat "$SMOKE/serve.log"; exit 1; }
-"$SMOKE/astraea" loadgen -addr "$(head -1 "$SMOKE/addr")" \
-    -rate 2000 -duration 1s -flows -out "$SMOKE/load.json"
+"$SMOKE/astraea-race" loadgen -addr "$(head -1 "$SMOKE/addr")" \
+    -rate 2000 -duration 1s -flows -out "$SMOKE/load.json" >"$SMOKE/loadgen.log" 2>&1 \
+    || { echo "ci: loadgen failed"; cat "$SMOKE/loadgen.log"; exit 1; }
 # At this rate the evaluators are mostly idle, so a request is answered as
 # it arrives: the median is the round trip (~0.7 ms against the race-built
 # server). Anything that makes requests wait for company again — the old
@@ -68,8 +70,10 @@ for _ in $(seq 1 100); do [ -s "$SMOKE/addr" ] && break; sleep 0.1; done
 P50=$(sed -n 's/^ *"p50_ms": *\([0-9.eE+-]*\),*$/\1/p' "$SMOKE/load.json")
 awk -v p50="$P50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 3) }' ||
     { echo "ci: serve smoke p50_ms=$P50 at 2000 req/s, want < 3"; cat "$SMOKE/load.json"; exit 1; }
-"$SMOKE/astraea" loadgen -addr "$(head -1 "$SMOKE/addr")" \
-    -knee -duration 300ms -outstanding 8 -flows -out "$SMOKE/knee.json"
+"$SMOKE/astraea-race" loadgen -addr "$(head -1 "$SMOKE/addr")" \
+    -knee -duration 300ms -outstanding 8 -flows -out "$SMOKE/knee.json" >>"$SMOKE/loadgen.log" 2>&1 \
+    || { echo "ci: loadgen -knee failed"; cat "$SMOKE/loadgen.log"; exit 1; }
+if grep -q "RACE" "$SMOKE/loadgen.log"; then echo "ci: race detected in loadgen"; cat "$SMOKE/loadgen.log"; exit 1; fi
 kill -INT "$SERVE_PID"
 wait "$SERVE_PID" || { echo "ci: serve drain was not clean"; cat "$SMOKE/serve.log"; exit 1; }
 grep -q "drained after" "$SMOKE/serve.log" || { echo "ci: no drain line"; cat "$SMOKE/serve.log"; exit 1; }

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,11 +18,13 @@ import (
 )
 
 // scriptedPeer is a stream endpoint that reads request frames and answers
-// only the request IDs the test tells it to, each once it has read that
-// request (an answer that beat its request would find no call to match).
+// only the requests the test tells it to, by the order they arrived in: n
+// on answer means "answer the n-th request received (from 1), with action
+// float64(n)", once that request has been read (an answer that beat its
+// request would find no call to match).
 type scriptedPeer struct {
 	addr   string
-	answer chan uint64 // request IDs to answer, with action = float64(id)
+	answer chan int
 }
 
 func newScriptedPeer(t *testing.T) *scriptedPeer {
@@ -29,7 +33,7 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &scriptedPeer{addr: ln.Addr().String(), answer: make(chan uint64)}
+	p := &scriptedPeer{addr: ln.Addr().String(), answer: make(chan int)}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -55,16 +59,16 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 				}
 			}
 		}()
-		seen := make(map[uint64]bool)
-		for id := range p.answer {
-			for !seen[id] {
-				got, ok := <-received
+		var ids []uint64 // request IDs in arrival order
+		for n := range p.answer {
+			for len(ids) < n {
+				id, ok := <-received
 				if !ok {
 					return
 				}
-				seen[got] = true
+				ids = append(ids, id)
 			}
-			if _, err := conn.Write(appendServedFrame(nil, id, float64(id), 0, 1)); err != nil {
+			if _, err := conn.Write(appendServedFrame(nil, ids[n-1], float64(n), 0, 1)); err != nil {
 				return
 			}
 		}
@@ -77,10 +81,22 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 	return p
 }
 
+// pending returns how many calls the client has registered.
+func (c *Client) pending() (n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.slots {
+		if s.ch != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestClientTimeoutThenReuse: an unanswered request surfaces as
-// ErrInferTimeout after Timeout; the pooled call (whose timer has fired) is
-// then reused by a request that is answered, and the first request's late
-// answer is dropped without disturbing anything.
+// ErrInferTimeout after Timeout; its freed slot and pooled result channel
+// are then reused by a request that is answered, and the first request's
+// late answer is dropped without disturbing anything.
 func TestClientTimeoutThenReuse(t *testing.T) {
 	peer := newScriptedPeer(t)
 	client, err := Dial("tcp", peer.addr)
@@ -106,57 +122,183 @@ func TestClientTimeoutThenReuse(t *testing.T) {
 	if err != nil || res.Action != 2 {
 		t.Fatalf("request after a timeout: %+v, %v; want request 2's own answer", res, err)
 	}
-	client.mu.Lock()
-	pending := len(client.calls)
-	client.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("%d calls still registered", pending)
+	if n := client.pending(); n != 0 {
+		t.Fatalf("%d calls still registered", n)
 	}
 }
 
-// TestClientAwaitIgnoresStaleTick: a recycled call's timer can hold a tick
-// fired during its previous use (the answer won the race, nobody read the
-// tick). The next use must wait for its own timeout, not return at once.
-func TestClientAwaitIgnoresStaleTick(t *testing.T) {
-	call := &clientCall{ch: make(chan clientResult, 1), timer: time.NewTimer(time.Nanosecond)}
-	for len(call.timer.C) == 0 { // the unread tick of the "previous use"
+// TestClientLateAnswerToReusedSlot: a call times out, the next call takes
+// the same slot, and only then does the first call's answer arrive. The
+// slot's generation no longer matches that answer's request ID, so it is
+// dropped: the new call gets its own answer, not the stale one.
+func TestClientLateAnswerToReusedSlot(t *testing.T) {
+	peer := newScriptedPeer(t)
+	client, err := Dial("tcp", peer.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.Timeout = 30 * time.Millisecond
+	if _, err := client.Infer(make([]float64, 4)); !errors.Is(err, ErrInferTimeout) {
+		t.Fatalf("unanswered request: err = %v, want ErrInferTimeout", err)
+	}
+
+	client.Timeout = 10 * time.Second
+	type outcome struct {
+		res Result
+		err error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		res, err := client.Infer(make([]float64, 4))
+		second <- outcome{res, err}
+	}()
+	// Wait until request 2 holds slot 0 in its second generation.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		client.mu.Lock()
+		reused := len(client.slots) == 1 && client.slots[0].ch != nil && client.slots[0].gen == 2
+		client.mu.Unlock()
+		if reused {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("request 2 did not take the timed-out call's slot")
+		}
 		time.Sleep(time.Millisecond)
 	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		call.ch <- clientResult{res: Result{Action: 0.25}}
-	}()
-	r, ok := call.await(10 * time.Second)
-	if !ok || r.res.Action != 0.25 {
-		t.Fatalf("await = %+v, %v: a stale tick was taken for this call's timeout", r, ok)
+	peer.answer <- 1 // request 1's late answer, action 1, to an occupied slot
+	peer.answer <- 2
+	o := <-second
+	if o.err != nil || o.res.Action != 2 {
+		t.Fatalf("request 2 = %+v, %v; want its own answer (action 2), not request 1's", o.res, o.err)
 	}
-
-	// And with no answer, the timeout is still this use's own.
-	t0 := time.Now()
-	if _, ok := call.await(20 * time.Millisecond); ok {
-		t.Fatal("await reported a result nobody sent")
-	}
-	if d := time.Since(t0); d < 20*time.Millisecond {
-		t.Fatalf("await gave up after %v, before its 20ms timeout", d)
+	if n := client.pending(); n != 0 {
+		t.Fatalf("%d calls still registered", n)
 	}
 }
 
-// TestClientDropCallKeepsRacedAnswer: an answer that lands between the
-// timer firing and the call being unregistered is returned, not lost.
-func TestClientDropCallKeepsRacedAnswer(t *testing.T) {
-	c := &Client{calls: make(map[uint64]*clientCall)}
-	call := c.getCall()
-	c.calls[7] = call
-	call.ch <- clientResult{res: Result{Action: 0.75}} // what readLoop does under mu
-	r, ok := c.dropCall(7, call)
-	if !ok || r.res.Action != 0.75 {
-		t.Fatalf("dropCall = %+v, %v; want the buffered answer", r, ok)
+// sweepers counts the goroutines running a Client's sweep loop, and how
+// many of them are parked on their wake channel.
+func sweepers() (n, parked int) {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("serve.(*Client).sweep(")) {
+			n++
+			if bytes.Contains(g, []byte("[chan receive")) {
+				parked++
+			}
+		}
 	}
-	if _, ok := c.dropCall(8, c.getCall()); ok {
-		t.Fatal("dropCall invented an answer")
+	return n, parked
+}
+
+// TestClientSweepExitsAfterClose: the sweep goroutine starts with the
+// client's first call and exits once the client is closed, whether it was
+// parked (no call registered, or only calls without a deadline) or ticking
+// (a call with a deadline outstanding).
+func TestClientSweepExitsAfterClose(t *testing.T) {
+	waitSweepers := func(want, wantParked int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			n, parked := sweepers()
+			if n == want && parked == wantParked {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d sweep goroutines (%d parked) after 5s, want %d (%d parked)", n, parked, want, wantParked)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	if len(c.calls) != 0 {
-		t.Fatalf("%d calls still registered", len(c.calls))
+	waitSweepers(0, 0) // those of earlier tests' closed clients are gone
+	_, addr := newTestServer(t, constPolicy{0.5}, Options{Shards: 1}, nil)
+
+	t.Run("parked", func(t *testing.T) {
+		client, err := Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Infer(make([]float64, 8)); err != nil {
+			t.Fatal(err)
+		}
+		waitSweepers(1, 1)
+		client.Close()
+		waitSweepers(0, 0)
+	})
+
+	// A call outstanding to a peer that never answers: with a deadline the
+	// sweeper ticks, without one (Timeout 0) it stays parked.
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		parked  int
+	}{{"ticking", time.Minute, 0}, {"untimed", 0, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := newScriptedPeer(t)
+			client, err := Dial("tcp", peer.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.Timeout = tc.timeout
+			errc := make(chan error, 1)
+			go func() {
+				_, err := client.Infer(make([]float64, 4))
+				errc <- err
+			}()
+			for client.pending() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			waitSweepers(1, tc.parked)
+			client.Close()
+			if err := <-errc; !errors.Is(err, ErrClientClosed) {
+				t.Errorf("outstanding call after Close: err = %v, want ErrClientClosed", err)
+			}
+			waitSweepers(0, 0)
+		})
+	}
+}
+
+// TestClientLoweredTimeoutWakesSweeper: a call whose sweep tick is shorter
+// than the sweeper's current wait wakes the sweeper, so a Timeout lowered
+// between calls holds at once. Here the sweeper has just begun a 50 ms wait
+// for a call with a one-minute Timeout when a 10 ms call arrives; that call
+// must time out near 10 ms, not when the 50 ms wait ends.
+func TestClientLoweredTimeoutWakesSweeper(t *testing.T) {
+	peer := newScriptedPeer(t) // answers nothing unless told
+	client, err := Dial("tcp", peer.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Timeout = time.Minute
+	first := make(chan error, 1)
+	go func() {
+		_, err := client.Infer(make([]float64, 4))
+		first <- err
+	}()
+	for {
+		client.mu.Lock()
+		nap := client.nap
+		client.mu.Unlock()
+		if nap == sweepTick(time.Minute) {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	const timeout = 10 * time.Millisecond
+	client.Timeout = timeout
+	t0 := time.Now()
+	_, err = client.Infer(make([]float64, 4))
+	d := time.Since(t0)
+	if !errors.Is(err, ErrInferTimeout) {
+		t.Errorf("unanswered call: err = %v, want ErrInferTimeout", err)
+	}
+	if bound := timeout + sweepTick(timeout) + 20*time.Millisecond; d > bound {
+		t.Errorf("a %v call returned after %v, want ≤ %v: the sweeper finished its 50 ms wait first", timeout, d, bound)
+	}
+	client.Close()
+	if err := <-first; !errors.Is(err, ErrClientClosed) {
+		t.Errorf("outstanding call after Close: err = %v, want ErrClientClosed", err)
 	}
 }
 
@@ -376,10 +518,15 @@ func TestClientWriteFailureFailsQueue(t *testing.T) {
 	}
 }
 
+// schedAllowance is how late a test lets a goroutine run after the wake-up
+// its deadline is due, on a loaded machine or under the race detector.
+const schedAllowance = 100 * time.Millisecond
+
 // TestClientTimeoutWhenPeerStopsReading: Timeout bounds every call even
 // when the peer accepts and never reads. Once the socket buffers fill, a
 // write blocks; its write deadline fails it, which closes the connection
-// and fails every queued call, so no caller stays blocked past ≈ 2×Timeout.
+// and fails every queued call, so no caller stays blocked past Timeout plus
+// one sweep tick (and the scheduling allowance).
 func TestClientTimeoutWhenPeerStopsReading(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -450,7 +597,200 @@ func TestClientTimeoutWhenPeerStopsReading(t *testing.T) {
 		worst = max(worst, d)
 	}
 	t.Logf("slowest call: %v", worst)
-	if worst > 2*timeout {
-		t.Errorf("a call took %v, want ≤ 2×Timeout = %v", worst, 2*timeout)
+	if bound := timeout + sweepTick(timeout) + schedAllowance; worst > bound {
+		t.Errorf("a call took %v, want ≤ Timeout + tick + allowance = %v", worst, bound)
+	}
+}
+
+// holdFirstWrite delays the first write on a connection by hold, then lets
+// it through; started is closed once that write has begun.
+type holdFirstWrite struct {
+	net.Conn
+	hold    time.Duration
+	writes  atomic.Int64
+	started chan struct{}
+}
+
+func (c *holdFirstWrite) Write(p []byte) (int, error) {
+	if c.writes.Add(1) == 1 {
+		close(c.started)
+		time.Sleep(c.hold)
+	}
+	return c.Conn.Write(p)
+}
+
+// TestClientWriterBoundedByEntryDeadline: every call returns
+// ErrInferTimeout within Timeout of entering Infer, plus one sweep tick and
+// a scheduling allowance, when the peer stops reading, the writer among
+// them. The writer's first write is slow (hold) and, while it is in
+// progress, two callers queue behind it, one with a frame far larger than
+// the socket buffers. The writer's follow-up write carrying their frames
+// then blocks. The writer cuts it at its own entry deadline and hands the
+// rest of the queue on; the next write fails at the large frame's
+// deadline, and the connection's calls fail with it as timeouts. A
+// deadline taken at the write instead would keep the writer for
+// hold + Timeout.
+func TestClientWriterBoundedByEntryDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		_ = conn.(*net.TCPConn).SetReadBuffer(16 << 10) // keep the receive window small
+		accepted <- conn                                // held open, never read
+	}()
+	client, err := Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	peer := <-accepted
+	defer peer.Close()
+	_ = client.conn.(*net.TCPConn).SetWriteBuffer(16 << 10)
+	const (
+		timeout = 300 * time.Millisecond
+		hold    = 200 * time.Millisecond
+	)
+	hc := &holdFirstWrite{Conn: client.conn, hold: hold, started: make(chan struct{})}
+	client.conn = hc
+	client.Timeout = timeout
+	bound := timeout + sweepTick(timeout) + schedAllowance
+
+	type outcome struct {
+		who string
+		err error
+		d   time.Duration
+	}
+	out := make(chan outcome, 3)
+	call := func(who string, state []float64) {
+		t0 := time.Now()
+		_, err := client.Infer(state)
+		out <- outcome{who, err, time.Since(t0)}
+	}
+	go call("writer", make([]float64, 4))
+	<-hc.started
+	go call("large frame", make([]float64, 128<<10)) // 1 MiB: outgrows the socket buffers
+	for {                                            // queue the third caller behind the large frame
+		client.wmu.Lock()
+		n := len(client.wbuf)
+		client.wmu.Unlock()
+		if n > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	go call("small frame", make([]float64, 4))
+	for i := 0; i < 3; i++ {
+		o := <-out
+		t.Logf("%s: %v after %v", o.who, o.err, o.d)
+		if !errors.Is(o.err, ErrInferTimeout) {
+			t.Errorf("%s: err = %v, want ErrInferTimeout", o.who, o.err)
+		}
+		if o.d > bound {
+			t.Errorf("%s returned after %v, want ≤ Timeout + tick + allowance = %v", o.who, o.d, bound)
+		}
+	}
+}
+
+// pacedConn makes every write take at least pace and, once the bytes are
+// sent, waits (up to 20 ms) until another frame is queued on client, so
+// that the writer's queue does not empty while callers keep calling. It
+// records the longest stretch of time over which one goroutine made
+// consecutive writes.
+type pacedConn struct {
+	net.Conn
+	pace   time.Duration
+	client *Client
+
+	mu       sync.Mutex
+	writer   string    // the goroutine that made the last write
+	since    time.Time // start of its current stretch of writes
+	longest  time.Duration
+	stackBuf [64]byte
+}
+
+func (c *pacedConn) Write(p []byte) (int, error) {
+	time.Sleep(c.pace)
+	c.mu.Lock()
+	g := c.stackBuf[:runtime.Stack(c.stackBuf[:], false)]
+	g = g[:bytes.IndexByte(g, '[')] // "goroutine N "
+	now := time.Now()
+	if string(g) != c.writer {
+		c.writer, c.since = string(g), now
+	}
+	c.longest = max(c.longest, now.Sub(c.since))
+	c.mu.Unlock()
+	n, err := c.Conn.Write(p)
+	for deadline := time.Now().Add(20 * time.Millisecond); err == nil && time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		c.client.wmu.Lock()
+		queued := len(c.client.wbuf)
+		c.client.wmu.Unlock()
+		if queued > 0 {
+			break
+		}
+	}
+	return n, err
+}
+
+// TestClientLongWriterLoopFailsNothing: against a healthy server, a writer
+// can keep writing frames of other callers for longer than its own
+// Timeout, as long as the queue never empties. That must fail nothing: a
+// write is held only to the deadlines of the frames it carries, and once
+// the writer's own deadline passes it hands the queue on instead of
+// failing a write on that deadline. Every call is answered and the client
+// stays usable.
+func TestClientLongWriterLoopFailsNothing(t *testing.T) {
+	_, addr := newTestServer(t, constPolicy{0.5}, Options{Shards: 1}, nil)
+	client, err := Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	pc := &pacedConn{Conn: client.conn, pace: 2 * time.Millisecond, client: client}
+	client.conn = pc
+	const timeout = 100 * time.Millisecond
+	client.Timeout = timeout
+
+	// Eight closed-loop callers: while one write is under way, the callers
+	// the previous write's answers released queue up again.
+	const callers = 8
+	stop := time.Now().Add(10 * timeout)
+	errs := make(chan error, callers)
+	var calls atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			state := make([]float64, 8)
+			for time.Now().Before(stop) {
+				if _, err := client.InferFlow(uint64(g), state); err != nil {
+					errs <- err
+					return
+				}
+				calls.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("call failed against a healthy server: %v", err)
+	}
+	pc.mu.Lock()
+	longest := pc.longest
+	pc.mu.Unlock()
+	t.Logf("%d calls; longest run of writes by one goroutine: %v", calls.Load(), longest)
+	if !t.Failed() && longest <= timeout {
+		t.Errorf("no goroutine wrote for longer than Timeout (%v, longest %v): the test did not exercise a long writer loop", timeout, longest)
+	}
+	if res, err := client.Infer(make([]float64, 8)); err != nil || res.Action != 0.5 {
+		t.Errorf("call after the run: %+v, %v; want the client still usable", res, err)
 	}
 }

@@ -566,12 +566,12 @@ func (s *Server) sweeper(idx int) {
 	}
 }
 
-// reply writes one response over the request's transport and records
-// latency. Stream responses append to the connection's write arena; with
-// coalesce set (the evaluator path) the arena is flushed once per batch by
-// the shard's AfterBatch hook, otherwise (fallback/shed answers) it is
-// flushed immediately — the whole arena, so per-connection response order
-// is preserved.
+// reply writes one response over the request's transport and, when the
+// server is instrumented, records its latency. Stream responses append to
+// the connection's write arena; with coalesce set (the evaluator path) the
+// arena is flushed once per batch by the shard's AfterBatch hook, otherwise
+// (fallback/shed answers) it is flushed immediately — the whole arena, so
+// per-connection response order is preserved.
 func (s *Server) reply(r *servedReq, action float64, flags uint32, coalesce bool) {
 	if r.sc != nil {
 		s.writeStream(r.sc, r.shard, r.reqID, action, flags, coalesce)
@@ -583,7 +583,9 @@ func (s *Server) reply(r *servedReq, action float64, flags uint32, coalesce bool
 		}
 	}
 	s.mResponses.Inc()
-	s.hLatency.Observe(time.Since(r.arrived).Seconds())
+	if s.hLatency != nil { // uninstrumented: skip the clock read
+		s.hLatency.Observe(time.Since(r.arrived).Seconds())
+	}
 }
 
 // writeStream appends one framed response to the connection's write arena.

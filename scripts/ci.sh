@@ -215,8 +215,11 @@ PLOAD_PID=$!
     >"$SMOKE/pilot.log" 2>&1 || { echo "ci: pilot promotion run failed"; cat "$SMOKE/pilot.log"; exit 1; }
 grep -q "promoted generation 2" "$SMOKE/pilot.log" || { echo "ci: pilot did not promote"; cat "$SMOKE/pilot.log"; exit 1; }
 grep -q "serving generation 2" "$SMOKE/pilot.log" || { echo "ci: pilot did not confirm generation 2"; cat "$SMOKE/pilot.log"; exit 1; }
-curl -s "$PMETRICS" | grep -q '^serve_policy_generation 2$' \
-    || { echo "ci: fleet does not report generation 2"; curl -s "$PMETRICS" | grep serve_; exit 1; }
+# Scrape once into a file and grep that: `curl | grep -q` under pipefail
+# fails when grep exits at its first match and curl dies of SIGPIPE.
+curl -s "$PMETRICS" >"$SMOKE/pmetrics.txt"
+grep -q '^serve_policy_generation 2$' "$SMOKE/pmetrics.txt" \
+    || { echo "ci: fleet does not report generation 2"; grep serve_ "$SMOKE/pmetrics.txt"; exit 1; }
 # Impossible floor: the candidate must be refused and the serving artifact
 # must not move (byte-identical file, fleet still on generation 2).
 cksum "$SMOKE/serving.policy" >"$SMOKE/serving.sum"
@@ -229,10 +232,11 @@ cksum "$SMOKE/serving.policy" >"$SMOKE/serving.sum"
 grep -q "gate refused" "$SMOKE/pilot2.log" || { echo "ci: impossible floor not refused"; cat "$SMOKE/pilot2.log"; exit 1; }
 cksum "$SMOKE/serving.policy" | cmp -s - "$SMOKE/serving.sum" \
     || { echo "ci: refused candidate moved the serving artifact"; exit 1; }
-curl -s "$PMETRICS" | grep -q '^serve_policy_generation 2$' \
+curl -s "$PMETRICS" >"$SMOKE/pmetrics.txt"
+grep -q '^serve_policy_generation 2$' "$SMOKE/pmetrics.txt" \
     || { echo "ci: fleet moved off generation 2 after a refusal"; exit 1; }
-curl -s "$PMETRICS" | grep -q '^policy_reload_failures_total 0$' \
-    || { echo "ci: reload failures during pilot smoke"; curl -s "$PMETRICS" | grep policy_; exit 1; }
+grep -q '^policy_reload_failures_total 0$' "$SMOKE/pmetrics.txt" \
+    || { echo "ci: reload failures during pilot smoke"; grep policy_ "$SMOKE/pmetrics.txt"; exit 1; }
 wait "$PLOAD_PID" || { echo "ci: loadgen failed across promotion"; cat "$SMOKE/ploadgen.log"; exit 1; }
 grep -q '"failed": 0' "$SMOKE/pload.json" || { echo "ci: dropped requests across promotion"; cat "$SMOKE/pload.json"; exit 1; }
 grep -q '"max_version": 3' "$SMOKE/pload.json" || { echo "ci: clients never saw the promoted version"; cat "$SMOKE/pload.json"; exit 1; }
@@ -254,10 +258,11 @@ done
 [ -s "$SMOKE/raddr" ] || { echo "ci: restarted serve never bound"; cat "$SMOKE/rserve.log"; exit 1; }
 RMETRICS=$(sed -n 's#.*serving pprof and /metrics on \(http://[^ ]*\)$#\1/metrics#p' "$SMOKE/rserve.log" | head -1)
 [ -n "$RMETRICS" ] || { echo "ci: no telemetry endpoint in restarted serve log"; cat "$SMOKE/rserve.log"; exit 1; }
-curl -s "$RMETRICS" | grep -q '^serve_policy_generation 2$' \
-    || { echo "ci: restarted daemon does not report generation 2"; curl -s "$RMETRICS" | grep serve_policy_; exit 1; }
-curl -s "$RMETRICS" | grep -q '^serve_policy_version 1$' \
-    || { echo "ci: restarted daemon is not at policy version 1"; curl -s "$RMETRICS" | grep serve_policy_; exit 1; }
+curl -s "$RMETRICS" >"$SMOKE/rmetrics.txt"
+grep -q '^serve_policy_generation 2$' "$SMOKE/rmetrics.txt" \
+    || { echo "ci: restarted daemon does not report generation 2"; grep serve_policy_ "$SMOKE/rmetrics.txt"; exit 1; }
+grep -q '^serve_policy_version 1$' "$SMOKE/rmetrics.txt" \
+    || { echo "ci: restarted daemon is not at policy version 1"; grep serve_policy_ "$SMOKE/rmetrics.txt"; exit 1; }
 kill -INT "$RSERVE_PID"
 wait "$RSERVE_PID" || { echo "ci: restarted serve drain was not clean"; cat "$SMOKE/rserve.log"; exit 1; }
 if grep -q "RACE" "$SMOKE/rserve.log"; then echo "ci: race detected in restarted serve"; cat "$SMOKE/rserve.log"; exit 1; fi

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/env"
 	"repro/internal/flowtrace"
 )
 
@@ -38,6 +40,8 @@ func TestSubcommandUsage(t *testing.T) {
 		{[]string{"pilot"}, "-promote is required"},
 		{[]string{"quantize", "-tol", "0.1"}, "-in is required"},
 		{[]string{"train", "-mode", "sarsa"}, `unknown mode "sarsa"`},
+		{[]string{"train", "-rl-hidden", "8,x"}, `bad -rl-hidden entry "x"`},
+		{[]string{"pilot", "-promote", "p", "-max-flows", "0"}, "-max-flows at least 1"},
 		{[]string{"loadgen", "-addr", "nocolon"}, "bad -addr"},
 		{[]string{"tournament", "-actors", "noequals"}, "want name=path"},
 	} {
@@ -191,5 +195,56 @@ func TestTrainTelemetrySnapshot(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "process_gomaxprocs") {
 		t.Errorf("snapshot lacks process_gomaxprocs: %s", b)
+	}
+}
+
+// TestResumeRefusesOtherSettings: resuming a checkpoint with -reward,
+// -rl-hidden, -episode-duration or -max-flows set to another value than
+// the checkpoint's exits 1 before any training, naming the flag and both
+// values, through train -resume and through pilot. The same flags set to
+// the checkpoint's values resume.
+func TestResumeRefusesOtherSettings(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tiny.ckpt")
+	cfg := core.DefaultConfig()
+	cfg.Hidden = []int{8, 8}
+	dist := env.DefaultTrainingDistribution()
+	dist.EpisodeDuration, dist.MaxFlows = 3, 2
+	if err := env.NewParallelLearner(cfg, dist, 1, 1).SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	out, gens := filepath.Join(dir, "actor.json"), filepath.Join(dir, "gens")
+	for _, c := range []struct{ flag, value, saved string }{
+		{"-reward", "maxmin", "paper"},
+		{"-rl-hidden", "16,16", "8,8"},
+		{"-episode-duration", "4", "3"},
+		{"-max-flows", "3", "2"},
+	} {
+		for _, args := range [][]string{
+			{"train", "-mode", "rl", "-episodes", "1", "-resume", path, "-out", out},
+			{"pilot", "-promote", filepath.Join(dir, "serving.policy"), "-dir", gens, "-checkpoint", path},
+		} {
+			args = append(args, c.flag, c.value)
+			var stdout, stderr bytes.Buffer
+			if code := dispatch(args, &stdout, &stderr); code != 1 {
+				t.Errorf("%v: exit %d, want 1; stderr %q", args, code, stderr.String())
+			}
+			if msg := stderr.String(); !strings.Contains(msg, c.flag+" "+c.saved) || !strings.Contains(msg, c.flag+" "+c.value) {
+				t.Errorf("%v: stderr %q does not name %s with both values", args, msg, c.flag)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("%v: training started: %q", args, stdout.String())
+			}
+		}
+	}
+	for _, p := range []string{out, gens} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("a refused resume left %s behind (%v)", p, err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := dispatch([]string{"train", "-mode", "rl", "-episodes", "0", "-resume", path, "-out", out,
+		"-reward", "paper", "-rl-hidden", "8,8", "-episode-duration", "3", "-max-flows", "2"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("resume under the checkpoint's own settings: exit %d, stderr %q", code, stderr.String())
 	}
 }

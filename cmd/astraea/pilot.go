@@ -6,14 +6,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/env"
 	"repro/internal/pilot"
-	"repro/internal/rl"
 	"repro/internal/tournament"
 )
 
@@ -55,12 +51,7 @@ func cmdPilot(args []string, stdout, stderr io.Writer) int {
 	// Training loop.
 	episodesPerRound := fs.Int("episodes-per-round", 25, "episodes trained between gate evaluations")
 	rounds := fs.Int("rounds", 4, "gate evaluations to run before exiting")
-	workers := fs.Int("workers", 4, "parallel environment instances (also the gate's replay workers)")
-	seed := fs.Int64("seed", 1, "random seed")
-	reward := fs.String("reward", "", "reward strategy: paper (default), aurora, maxmin, alpha[:a]")
-	rlHidden := fs.String("rl-hidden", "", "actor/critic hidden sizes as a comma list (e.g. 32,32; empty = library default)")
-	episodeDuration := fs.Float64("episode-duration", 0, "seconds simulated per training episode (0 = distribution default of 30)")
-	maxFlows := fs.Int("max-flows", 0, "cap on flows per training episode (0 = distribution default of 5)")
+	tf := addTrainingFlags(fs)
 	checkpoint := fs.String("checkpoint", "", "crash-safe training checkpoint path (resumed automatically when it exists)")
 	checkpointEvery := fs.Int("checkpoint-every", 25, "episodes between checkpoint writes when -checkpoint is set")
 	checkpointKeep := fs.Int("checkpoint-keep", 3, "rotated episode-numbered checkpoint copies to keep (plus the promoted pin; 0 = single file)")
@@ -89,17 +80,9 @@ func cmdPilot(args []string, stdout, stderr io.Writer) int {
 	if *promote == "" {
 		return usageError(fs, "-promote is required (the weights file the serving fleet watches)")
 	}
-	strategy, err := core.NewRewardStrategy(*reward)
+	cfg, dist, err := tf.config()
 	if err != nil {
 		return usageError(fs, "%v", err)
-	}
-	var hidden []int
-	for _, part := range splitList(*rlHidden) {
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return usageError(fs, "bad -rl-hidden entry %q", part)
-		}
-		hidden = append(hidden, n)
 	}
 
 	reg, stop, err := obs.start()
@@ -108,34 +91,14 @@ func cmdPilot(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stop()
 
-	cfg := core.DefaultConfig()
-	cfg.Reward = strategy.Name()
-	dist := env.DefaultTrainingDistribution()
-	if *episodeDuration > 0 {
-		dist.EpisodeDuration = *episodeDuration
-	}
-	if *maxFlows > 0 {
-		dist.MaxFlows = *maxFlows
-		if dist.MinFlows > dist.MaxFlows {
-			dist.MinFlows = dist.MaxFlows
-		}
-	}
-
-	// Resume from the checkpoint when one exists; custom hidden sizes are
-	// for smoke-scale runs.
-	var learner *env.ParallelLearner
+	// Resume from the checkpoint when one exists, under its settings.
+	resume := ""
 	if _, statErr := os.Stat(*checkpoint); *checkpoint != "" && statErr == nil {
-		if learner, err = env.LoadParallelLearner(*checkpoint, *workers); err != nil {
-			return failed(fs, err)
-		}
-		fmt.Fprintf(stderr, "astraea pilot: resumed from %s at episode %d (strategy %s)\n",
-			*checkpoint, learner.Episodes, learner.StrategyName())
-	} else if len(hidden) == 0 {
-		learner = env.NewParallelLearner(cfg, dist, *seed, *workers)
-	} else {
-		rlCfg := rl.DefaultConfig(cfg.StateDim(), core.GlobalFeatureDim, 1)
-		rlCfg.Hidden = hidden
-		learner = env.NewParallelLearnerRL(cfg, dist, rlCfg, 50000, *seed, *workers)
+		resume = *checkpoint
+	}
+	learner, err := tf.learner(resume, tf.workers, cfg, dist)
+	if err != nil {
+		return failed(fs, err)
 	}
 	learner.Instrument(reg)
 
@@ -159,7 +122,7 @@ func cmdPilot(args []string, stdout, stderr io.Writer) int {
 			Flows:    *gateFlows,
 			Duration: *gateDuration,
 			Seed:     *gateSeed,
-			Workers:  *workers,
+			Workers:  tf.workers,
 			Floors: tournament.GateFloors{
 				UtilRatio: *gateUtilFloor,
 				JainRatio: *gateJainFloor,

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -38,12 +40,10 @@ func cmdTrain(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("train", stderr)
 	mode := fs.String("mode", "distill", "rl (multi-agent TD3) or distill (supervised imitation)")
 	episodes := fs.Int("episodes", 20, "training episodes (rl mode)")
-	workers := fs.Int("workers", 4, "parallel environment instances (rl mode; paper uses 4)")
+	tf := addTrainingFlags(fs)
 	samples := fs.Int("samples", 20000, "training samples (distill mode)")
 	epochs := fs.Int("epochs", 30, "epochs (distill mode)")
 	out := fs.String("out", "actor.json", "output weight file")
-	seed := fs.Int64("seed", 1, "random seed")
-	reward := fs.String("reward", "", "reward strategy: paper (default), aurora, maxmin, alpha[:a] (e.g. alpha:2)")
 	checkpoint := fs.String("checkpoint", "", "write crash-safe training checkpoints to this path (rl mode; one worker)")
 	checkpointEvery := fs.Int("checkpoint-every", 25, "episodes between checkpoint writes when -checkpoint is set")
 	checkpointKeep := fs.Int("checkpoint-keep", 0,
@@ -56,12 +56,10 @@ func cmdTrain(args []string, stdout, stderr io.Writer) int {
 	if *mode != "rl" && *mode != "distill" {
 		return usageError(fs, "unknown mode %q (want rl or distill)", *mode)
 	}
-	strategy, err := core.NewRewardStrategy(*reward)
+	cfg, dist, err := tf.config()
 	if err != nil {
-		return usageError(fs, "%v (known strategies: %v)", err, core.RewardStrategyNames())
+		return usageError(fs, "%v", err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Reward = strategy.Name()
 
 	reg, stop, err := obs.start()
 	if err != nil {
@@ -70,18 +68,13 @@ func cmdTrain(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	if *mode == "rl" {
-		rewardSet := false
-		fs.Visit(func(f *flag.Flag) { rewardSet = rewardSet || f.Name == "reward" })
-		if err := trainRL(cfg, reg, stdout, stderr, *episodes, *workers, *seed,
-			*checkpoint, *checkpointEvery, *checkpointKeep, *resume, *out, rewardSet); err != nil {
+		if err := trainRL(tf, cfg, dist, reg, stdout, stderr, *episodes,
+			*checkpoint, *checkpointEvery, *checkpointKeep, *resume, *out); err != nil {
 			return failed(fs, err)
 		}
 	} else {
 		opts := core.DefaultDistillOptions()
-		opts.Samples = *samples
-		opts.Epochs = *epochs
-		opts.Seed = *seed
-		opts.Reward = cfg.Reward
+		opts.Samples, opts.Epochs, opts.Seed = *samples, *epochs, tf.seed
 		net, loss := core.DistillPolicy(cfg, opts)
 		fmt.Fprintf(stdout, "distilled reference policy: imitation MSE = %.6f\n", loss)
 		if err := core.SavePolicy(*out, net); err != nil {
@@ -95,18 +88,13 @@ func cmdTrain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// trainRL runs the rl training loop on one learner, new or resumed from a
-// checkpoint, and writes the actor to out. A progress line and, with
-// ckptPath set, a crash-safe checkpoint every `every` episodes come from
-// the learner's AfterEpisode hook; the final state is checkpointed once
-// more at the end. With -resume, training continues from the saved episode
-// count toward the -episodes total. Checkpointed runs use one worker, so
-// the resumed trajectory is bitwise-identical to an uninterrupted run of
-// the same length.
-func trainRL(cfg core.Config, reg *telemetry.Registry, stdout, stderr io.Writer,
-	episodes, workers int, seed int64, ckptPath string, every, keep int, resume, out string,
-	rewardSet bool) error {
-
+// trainRL runs the rl training loop on one learner, new or resumed, and
+// writes the actor to out. Progress lines and, with ckptPath set, a
+// checkpoint every `every` episodes come from the AfterEpisode hook; the
+// final state is checkpointed once more at the end.
+func trainRL(tf *trainingFlags, cfg core.Config, dist env.TrainingDistribution, reg *telemetry.Registry,
+	stdout, stderr io.Writer, episodes int, ckptPath string, every, keep int, resume, out string) error {
+	workers := tf.workers
 	if ckptPath != "" || resume != "" {
 		if workers > 1 {
 			fmt.Fprintln(stderr, "astraea train: checkpointed training is serial for determinism; ignoring -workers")
@@ -114,21 +102,9 @@ func trainRL(cfg core.Config, reg *telemetry.Registry, stdout, stderr io.Writer,
 		workers = 1
 	}
 	every = max(every, 1)
-	var learner *env.ParallelLearner
-	if resume != "" {
-		l, err := env.LoadParallelLearner(resume, workers)
-		if err != nil {
-			return err
-		}
-		if rewardSet && l.StrategyName() != cfg.RewardName() {
-			return fmt.Errorf("checkpoint %s was trained under reward strategy %q; -reward %q would change the objective mid-run — refusing to resume",
-				resume, l.StrategyName(), cfg.RewardName())
-		}
-		learner = l
-		fmt.Fprintf(stderr, "astraea train: resumed from %s at episode %d (strategy %s)\n",
-			resume, learner.Episodes, learner.StrategyName())
-	} else {
-		learner = env.NewParallelLearner(cfg, env.DefaultTrainingDistribution(), seed, workers)
+	learner, err := tf.learner(resume, workers, cfg, dist)
+	if err != nil {
+		return err
 	}
 	learner.Instrument(reg)
 	save := func() error {
@@ -173,3 +149,81 @@ func trainRL(cfg core.Config, reg *telemetry.Registry, stdout, stderr io.Writer,
 	}
 	return core.SavePolicy(out, learner.Trainer.Actor)
 }
+
+// trainingFlags are the training settings train and pilot share. A resumed
+// learner keeps its checkpoint's settings (see learner).
+type trainingFlags struct {
+	fs                *flag.FlagSet
+	reward, hidden    string
+	seed              int64
+	workers, maxFlows int
+	episodeDuration   float64
+}
+
+func addTrainingFlags(fs *flag.FlagSet) *trainingFlags {
+	t, dist := &trainingFlags{fs: fs}, env.DefaultTrainingDistribution()
+	fs.StringVar(&t.reward, "reward", "paper", "reward strategy: paper, aurora, maxmin, alpha[:a] (e.g. alpha:2)")
+	fs.Int64Var(&t.seed, "seed", 1, "random seed")
+	fs.IntVar(&t.workers, "workers", 4, "parallel environment instances (paper uses 4; pilot's gate replays use as many)")
+	fs.StringVar(&t.hidden, "rl-hidden", widths(core.DefaultConfig().Hidden), "actor/critic hidden sizes as a comma list")
+	fs.Float64Var(&t.episodeDuration, "episode-duration", dist.EpisodeDuration, "seconds simulated per training episode")
+	fs.IntVar(&t.maxFlows, "max-flows", dist.MaxFlows, "cap on flows per training episode")
+	return t
+}
+
+// config resolves the flags into a learner configuration and a training
+// distribution. An error is a usage error.
+func (t *trainingFlags) config() (core.Config, env.TrainingDistribution, error) {
+	cfg, dist := core.DefaultConfig(), env.DefaultTrainingDistribution()
+	strategy, err := core.NewRewardStrategy(t.reward)
+	if err != nil {
+		return cfg, dist, fmt.Errorf("%v (known strategies: %v)", err, core.RewardStrategyNames())
+	}
+	cfg.Reward = strategy.Name()
+	if parts := splitList(t.hidden); len(parts) > 0 {
+		cfg.Hidden = make([]int, len(parts))
+		for i, part := range parts {
+			if cfg.Hidden[i], err = strconv.Atoi(part); err != nil || cfg.Hidden[i] < 1 {
+				return cfg, dist, fmt.Errorf("bad -rl-hidden entry %q", part)
+			}
+		}
+	}
+	if !(t.episodeDuration > 0) || t.maxFlows < 1 {
+		return cfg, dist, fmt.Errorf("-episode-duration must be positive and -max-flows at least 1")
+	}
+	dist.EpisodeDuration, dist.MaxFlows = t.episodeDuration, t.maxFlows
+	dist.MinFlows = min(dist.MinFlows, t.maxFlows)
+	return cfg, dist, nil
+}
+
+// learner builds a learner on cfg and dist or, with path set, resumes that
+// checkpoint: a compared flag the user set that resolves (in cfg and dist)
+// to another value than the checkpoint's is refused by name.
+func (t *trainingFlags) learner(path string, workers int, cfg core.Config, dist env.TrainingDistribution) (*env.ParallelLearner, error) {
+	if path == "" {
+		return env.NewParallelLearner(cfg, dist, t.seed, workers), nil
+	}
+	l, err := env.LoadParallelLearner(path, workers)
+	if err != nil {
+		return nil, err
+	}
+	set := map[string]bool{}
+	t.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, c := range []struct{ flag, got, saved string }{
+		{"reward", cfg.RewardName(), l.StrategyName()},
+		{"rl-hidden", widths(cfg.Hidden), widths(l.Cfg.Hidden)},
+		{"episode-duration", fmt.Sprint(dist.EpisodeDuration), fmt.Sprint(l.Dist.EpisodeDuration)},
+		{"max-flows", fmt.Sprint(dist.MaxFlows), fmt.Sprint(l.Dist.MaxFlows)},
+	} {
+		if set[c.flag] && c.got != c.saved {
+			return nil, fmt.Errorf("checkpoint %s was trained with -%s %s; -%s %s would change it mid-run — refusing to resume",
+				path, c.flag, c.saved, c.flag, c.got)
+		}
+	}
+	fmt.Fprintf(t.fs.Output(), "%s: resumed from %s at episode %d (strategy %s)\n",
+		t.fs.Name(), path, l.Episodes, l.StrategyName())
+	return l, nil
+}
+
+// widths formats hidden-layer sizes the way -rl-hidden takes them.
+func widths(h []int) string { return strings.ReplaceAll(strings.Trim(fmt.Sprint(h), "[]"), " ", ",") }

@@ -36,9 +36,9 @@ func quantPolicies(t *testing.T) (*core.MLPPolicy, *core.QuantizedPolicy) {
 	t.Helper()
 	quantFixture.once.Do(func() {
 		cfg := core.DefaultConfig()
+		cfg.Hidden = []int{64, 64}
 		net, _ := core.DistillPolicy(cfg, core.DistillOptions{
-			Samples: 6000, Epochs: 10, Batch: 64, LR: 0.003,
-			Hidden: []int{64, 64}, Seed: 1,
+			Samples: 6000, Epochs: 10, Batch: 64, LR: 0.003, Seed: 1,
 		})
 		fp := &core.MLPPolicy{Net: net}
 		qp, err := core.QuantizeMLPPolicy(fp, cfg)

@@ -42,6 +42,10 @@ type Config struct {
 	// and ModelUpdateSteps (gradient steps per round).
 	ModelUpdateInterval float64
 	ModelUpdateSteps    int
+	// Hidden sizes the actor's and critics' hidden layers, ReplayCap the
+	// replay ring; checkpoints carry both outside the config JSON.
+	Hidden    []int `json:"-"`
+	ReplayCap int   `json:"-"`
 
 	// Feature normalization scales: throughputs are divided by TputScale
 	// (bits/sec) and latencies by LatScale (seconds) where the paper keeps
@@ -67,6 +71,8 @@ func DefaultConfig() Config {
 		BatchSize:           192,
 		ModelUpdateInterval: 5,
 		ModelUpdateSteps:    20,
+		Hidden:              []int{256, 128, 64},
+		ReplayCap:           200000,
 		TputScale:           1e8, // 100 Mbps
 		LatScale:            0.1, // 100 ms
 	}

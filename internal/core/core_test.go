@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,6 +38,12 @@ func TestDefaultConfigMatchesTable4(t *testing.T) {
 	}
 	if cfg.StateDim() != 40 {
 		t.Errorf("state dim %d, want 40 (5×8)", cfg.StateDim())
+	}
+	if !slices.Equal(cfg.Hidden, []int{256, 128, 64}) {
+		t.Errorf("hidden widths %v, want 256/128/64", cfg.Hidden)
+	}
+	if cfg.ReplayCap != 200000 {
+		t.Errorf("replay cap %d, want 200000", cfg.ReplayCap)
 	}
 }
 

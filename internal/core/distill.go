@@ -7,32 +7,19 @@ import (
 )
 
 // DistillOptions controls supervised distillation of the reference policy
-// into an actor network.
+// into an actor network of the Config's Hidden widths.
 type DistillOptions struct {
 	Samples int // training set size
 	Epochs  int
 	Batch   int
 	LR      float64
-	Hidden  []int
 	Seed    int64
-	// Reward names the RewardStrategy the distilled policy should serve
-	// (see NewRewardStrategy; empty = paper default). The strategy selects
-	// the reference policy's Delta via DistillDelta — the policy-side
-	// fairness control surface — so a maxmin- or α-distilled actor holds a
-	// tighter per-flow queue and an aurora-distilled one a looser, mirroring
-	// what RL training under that objective converges to. The default is
-	// bit-identical to the pre-strategy distillation (digest-pinned by the
-	// fig18 golden test).
-	Reward string
 }
 
 // DefaultDistillOptions returns settings that reach small imitation error
 // in a few seconds of CPU time.
 func DefaultDistillOptions() DistillOptions {
-	return DistillOptions{
-		Samples: 20000, Epochs: 30, Batch: 64, LR: 0.003,
-		Hidden: []int{256, 128, 64}, Seed: 1,
-	}
+	return DistillOptions{Samples: 20000, Epochs: 30, Batch: 64, LR: 0.003, Seed: 1}
 }
 
 // sampleState draws a plausible stacked state vector from the training
@@ -85,11 +72,12 @@ func DistillPolicy(cfg Config, opts DistillOptions) (*nn.MLP, float64) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	ref := NewReferencePolicy(cfg)
 	// Strategy-aware target: tune the reference control law's
-	// aggressiveness to the objective this actor will serve. The paper
-	// strategy maps to the unchanged default Delta.
-	ref.SetDelta(DistillDelta(MustRewardStrategy(opts.Reward), ref.Delta))
+	// aggressiveness to the objective cfg.Reward names (maxmin and α hold
+	// a tighter per-flow queue, aurora a looser). The paper strategy maps
+	// to the unchanged default Delta, pinned by the fig18 golden digest.
+	ref.SetDelta(DistillDelta(MustRewardStrategy(cfg.Reward), ref.Delta))
 
-	sizes := append([]int{cfg.StateDim()}, opts.Hidden...)
+	sizes := append([]int{cfg.StateDim()}, cfg.Hidden...)
 	sizes = append(sizes, 1)
 	net := nn.NewMLP(rng, nn.ReLU, nn.Tanh, sizes...)
 	opt := nn.NewAdam(opts.LR)

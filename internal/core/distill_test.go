@@ -15,8 +15,10 @@ import (
 // kernels' remainder paths.
 func TestDistillPolicyGoldenDigest(t *testing.T) {
 	opts := DefaultDistillOptions()
-	opts.Samples, opts.Epochs, opts.Hidden = 500, 3, []int{33, 18, 7}
-	net, loss := DistillPolicy(DefaultConfig(), opts)
+	opts.Samples, opts.Epochs = 500, 3
+	cfg := DefaultConfig()
+	cfg.Hidden = []int{33, 18, 7}
+	net, loss := DistillPolicy(cfg, opts)
 
 	h := fnv.New64a()
 	put := func(v float64) { h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))) }

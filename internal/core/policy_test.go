@@ -208,10 +208,10 @@ func TestDistillPolicyImitatesReference(t *testing.T) {
 		t.Skip("distillation is seconds of CPU")
 	}
 	cfg := DefaultConfig()
+	cfg.Hidden = []int{64, 32}
 	opts := DefaultDistillOptions()
 	opts.Samples = 4000
 	opts.Epochs = 12
-	opts.Hidden = []int{64, 32}
 	net, loss := DistillPolicy(cfg, opts)
 	if loss > 0.05 {
 		t.Fatalf("imitation MSE %v, want < 0.05", loss)

@@ -303,13 +303,13 @@ func TestDistillDeltaMapping(t *testing.T) {
 func TestDistillPaperBitIdentical(t *testing.T) {
 	// The paper strategy must leave distillation untouched: same options,
 	// same weights, bit for bit.
-	opts := DistillOptions{Samples: 200, Epochs: 2, Batch: 32, LR: 0.003,
-		Hidden: []int{8}, Seed: 3}
-	optsPaper := opts
-	optsPaper.Reward = "paper"
+	opts := DistillOptions{Samples: 200, Epochs: 2, Batch: 32, LR: 0.003, Seed: 3}
 	cfg := DefaultConfig()
+	cfg.Hidden = []int{8}
+	cfgPaper := cfg
+	cfgPaper.Reward = "paper"
 	a, lossA := DistillPolicy(cfg, opts)
-	b, lossB := DistillPolicy(cfg, optsPaper)
+	b, lossB := DistillPolicy(cfgPaper, opts)
 	if lossA != lossB {
 		t.Fatalf("paper distill loss differs: %v vs %v", lossA, lossB)
 	}
@@ -331,9 +331,9 @@ func TestDistillPaperBitIdentical(t *testing.T) {
 		}
 	}
 	// A non-paper strategy changes the target function, so the fit differs.
-	optsMaxmin := opts
-	optsMaxmin.Reward = "maxmin"
-	c, _ := DistillPolicy(cfg, optsMaxmin)
+	cfgMaxmin := cfg
+	cfgMaxmin.Reward = "maxmin"
+	c, _ := DistillPolicy(cfgMaxmin, opts)
 	diff := false
 	for i, w := range flat(c) {
 		if w != wa[i] {

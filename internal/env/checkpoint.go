@@ -112,6 +112,9 @@ func LoadParallelLearner(path string, workers int) (*ParallelLearner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("env: checkpoint replay: %w", err)
 	}
+	// The config JSON omits these two; the trainer and replay records hold them.
+	p.Cfg.Hidden = trainer.Cfg.Hidden
+	p.Cfg.ReplayCap = p.Replay.Cap()
 	p.Episodes = d.Int()
 	p.RewardHistory = d.Float64s()
 	p.rng.SetState(d.Uint64(), d.Uint64())

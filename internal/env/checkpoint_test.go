@@ -7,12 +7,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/rl"
 )
 
 // tinyLearner builds a learner small enough to train real episodes in test
@@ -27,16 +27,12 @@ func tinyLearner(seed int64, reward string) *ParallelLearner {
 	cfg.ModelUpdateInterval = 2
 	cfg.ModelUpdateSteps = 4
 	cfg.Reward = reward
-	rlCfg := rl.DefaultConfig(cfg.StateDim(), core.GlobalFeatureDim, 1)
-	rlCfg.Gamma = cfg.Gamma
-	rlCfg.ActorLR = cfg.LearningRate
-	rlCfg.CriticLR = cfg.LearningRate
-	rlCfg.Batch = cfg.BatchSize
-	rlCfg.Hidden = []int{16, 12}
+	cfg.Hidden = []int{16, 12}
+	cfg.ReplayCap = 4000
 	dist := DefaultTrainingDistribution()
 	dist.MinFlows, dist.MaxFlows = 2, 2
 	dist.EpisodeDuration = 4
-	return NewParallelLearnerRL(cfg, dist, rlCfg, 4000, seed, 1)
+	return NewParallelLearner(cfg, dist, seed, 1)
 }
 
 func actorBits(l *ParallelLearner) []uint64 {
@@ -263,6 +259,31 @@ func TestLoadParallelLearnerIsPure(t *testing.T) {
 		if ab[i] != bb[i] {
 			t.Fatalf("two loads of one checkpoint trained differently at parameter %d", i)
 		}
+	}
+}
+
+// The config JSON in a checkpoint omits the network widths and the replay
+// cap (the layout predates them); a load reads both back from the trainer
+// and replay records.
+func TestCheckpointReadsBackWidthsAndReplayCap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "train.ckpt")
+	if err := tinyLearner(3, "").SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := ckpt.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfgJSON := ckpt.NewDecoder(payload).Bytes(); bytes.Contains(cfgJSON, []byte("Hidden")) ||
+		bytes.Contains(cfgJSON, []byte("ReplayCap")) {
+		t.Fatalf("checkpoint config JSON carries the widths or the replay cap: %s", cfgJSON)
+	}
+	l, err := LoadParallelLearner(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(l.Cfg.Hidden, []int{16, 12}) || l.Cfg.ReplayCap != 4000 {
+		t.Fatalf("loaded Hidden %v, ReplayCap %d; saved [16 12], 4000", l.Cfg.Hidden, l.Cfg.ReplayCap)
 	}
 }
 

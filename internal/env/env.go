@@ -31,7 +31,7 @@ type TrainingDistribution struct {
 	// heterogeneity (§4: "assign multiple running flows ... with different
 	// RTTs").
 	ExtraRTTMax float64
-	// EpisodeDuration in seconds (default 30).
+	// EpisodeDuration is the simulated seconds per episode.
 	EpisodeDuration float64
 }
 
@@ -59,13 +59,9 @@ func (d TrainingDistribution) Sample(rng *rand.Rand) EpisodeConfig {
 	if d.MaxFlows > d.MinFlows {
 		n += rng.Intn(d.MaxFlows - d.MinFlows + 1)
 	}
-	dur := d.EpisodeDuration
-	if dur <= 0 {
-		dur = 30
-	}
 	cfg := EpisodeConfig{
 		RateBps: bw, BaseRTT: rtt, BufBDP: buf,
-		Duration: dur,
+		Duration: d.EpisodeDuration,
 	}
 	for i := 0; i < n; i++ {
 		cfg.Flows = append(cfg.Flows, FlowPlan{
@@ -238,7 +234,7 @@ func RunEpisode(cfg EpisodeConfig, agentCfg core.Config, policy core.Policy,
 		cfg: agentCfg,
 		// Resolve once per episode; MustRewardStrategy is the contract that
 		// agentCfg.Reward was validated upstream (CLI flag parsing,
-		// NewParallelLearnerRL, or the checkpoint loader).
+		// NewParallelLearner, or the checkpoint loader).
 		strategy: core.MustRewardStrategy(agentCfg.Reward),
 		link: LinkFacts{
 			Bandwidth: cfg.RateBps,

@@ -94,25 +94,16 @@ func (p *ParallelLearner) StrategyName() string { return p.Cfg.RewardName() }
 // construction, rather than mid-episode — CLI entry points validate the
 // flag with core.NewRewardStrategy first and report a proper error.
 func NewParallelLearner(cfg core.Config, dist TrainingDistribution, seed int64, workers int) *ParallelLearner {
-	rlCfg := rl.DefaultConfig(cfg.StateDim(), core.GlobalFeatureDim, 1)
-	rlCfg.Gamma = cfg.Gamma
-	rlCfg.ActorLR = cfg.LearningRate
-	rlCfg.CriticLR = cfg.LearningRate
-	rlCfg.Batch = cfg.BatchSize
-	return NewParallelLearnerRL(cfg, dist, rlCfg, 200000, seed, workers)
-}
-
-// NewParallelLearnerRL is NewParallelLearner with the TD3 configuration and
-// replay capacity exposed: the fairness lab and the pilot's smoke tests
-// (and any short-budget experiment) need networks far smaller than the
-// paper's 256/128/64 default to converge on anything inside a CI time box.
-func NewParallelLearnerRL(cfg core.Config, dist TrainingDistribution, rlCfg rl.Config, replayCap int, seed int64, workers int) *ParallelLearner {
 	core.MustRewardStrategy(cfg.Reward) // fail at construction, not mid-episode
+	// τ, the policy delay and the noise settings stay at rl's defaults.
+	rlCfg := rl.DefaultConfig(cfg.StateDim(), core.GlobalFeatureDim, 1)
+	rlCfg.Hidden, rlCfg.Gamma, rlCfg.Batch = cfg.Hidden, cfg.Gamma, cfg.BatchSize
+	rlCfg.ActorLR, rlCfg.CriticLR = cfg.LearningRate, cfg.LearningRate
 	return &ParallelLearner{
 		Cfg:     cfg,
 		Dist:    dist,
 		Trainer: rl.NewTrainer(rlCfg, rng.Fold(seed, streamTrainer)),
-		Replay:  rl.NewReplayBuffer(replayCap),
+		Replay:  rl.NewReplayBuffer(cfg.ReplayCap),
 		Workers: max(workers, 1),
 		rng:     rng.New(rng.Fold(seed, streamEpisode)),
 	}
@@ -141,6 +132,7 @@ func (p *ParallelLearner) Train(episodes int) []float64 {
 	}
 	jobs := make(chan job)
 	outcomes := make(chan episodeOutcome)
+	explore := &Exploration{Stddev: p.Trainer.Cfg.ExploreNoise}
 
 	var wg sync.WaitGroup
 	for w := 0; w < p.Workers; w++ {
@@ -149,8 +141,7 @@ func (p *ParallelLearner) Train(episodes int) []float64 {
 			defer wg.Done()
 			for j := range jobs {
 				var buf []rl.Transition
-				res := RunEpisode(j.cfg, p.Cfg, j.policy, j.seed, nil,
-					&Exploration{Stddev: 0.1},
+				res := RunEpisode(j.cfg, p.Cfg, j.policy, j.seed, nil, explore,
 					func(i int, tr rl.Transition) { buf = append(buf, tr) })
 				send := func() { outcomes <- episodeOutcome{idx: j.idx, result: res, transitions: buf} }
 				if p.handOver != nil {

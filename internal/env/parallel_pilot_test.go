@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/rl"
 	"repro/internal/telemetry"
 )
 
@@ -15,13 +14,12 @@ func smallParallelLearner(t *testing.T, seed int64, workers int) *ParallelLearne
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.BatchSize = 16
+	cfg.Hidden = []int{8, 8}
+	cfg.ReplayCap = 5000
 	dist := DefaultTrainingDistribution()
 	dist.MaxFlows = 2
 	dist.EpisodeDuration = 4
-	rlCfg := rl.DefaultConfig(cfg.StateDim(), core.GlobalFeatureDim, 1)
-	rlCfg.Hidden = []int{8, 8}
-	rlCfg.Batch = 16
-	return NewParallelLearnerRL(cfg, dist, rlCfg, 5000, seed, workers)
+	return NewParallelLearner(cfg, dist, seed, workers)
 }
 
 // TestParallelLearnerHookAndSnapshot: AfterEpisode fires once per episode

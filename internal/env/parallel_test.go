@@ -18,7 +18,6 @@ func TestParallelLearnerCollectsAndTrains(t *testing.T) {
 	dist.EpisodeDuration = 6
 
 	p := NewParallelLearner(cfg, dist, 1, 3)
-	p.Trainer.Cfg.Batch = 64
 	hist := p.Train(6)
 	if len(hist) != 6 {
 		t.Fatalf("history %d entries, want 6", len(hist))

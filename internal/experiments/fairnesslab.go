@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/metrics"
-	"repro/internal/rl"
 	"repro/internal/rng"
 	"repro/internal/runner"
 )
@@ -98,16 +97,8 @@ type FairnessLabReport struct {
 // labLearner builds one strategy's short-budget learner.
 func labLearner(opts FairnessLabOptions, reward string) *env.ParallelLearner {
 	cfg := core.DefaultConfig()
-	cfg.BatchSize = 48
-	cfg.ModelUpdateInterval = 2
-	cfg.ModelUpdateSteps = 4
-	cfg.Reward = reward
-	rlCfg := rl.DefaultConfig(cfg.StateDim(), core.GlobalFeatureDim, 1)
-	rlCfg.Gamma = cfg.Gamma
-	rlCfg.ActorLR = cfg.LearningRate
-	rlCfg.CriticLR = cfg.LearningRate
-	rlCfg.Batch = cfg.BatchSize
-	rlCfg.Hidden = opts.Hidden
+	cfg.BatchSize, cfg.ModelUpdateInterval, cfg.ModelUpdateSteps = 48, 2, 4
+	cfg.Reward, cfg.Hidden, cfg.ReplayCap = reward, opts.Hidden, 4000
 	dist := env.DefaultTrainingDistribution()
 	dist.MinFlows, dist.MaxFlows = 2, 3
 	dist.EpisodeDuration = 4
@@ -115,7 +106,7 @@ func labLearner(opts FairnessLabOptions, reward string) *env.ParallelLearner {
 	// initial weights and episode draws, so outcome differences are the
 	// objective's doing. One rollout worker keeps each learner on the serial
 	// trajectory; the lab's parallelism is across strategies.
-	return env.NewParallelLearnerRL(cfg, dist, rlCfg, 4000, rng.Fold(opts.Seed, 77), 1)
+	return env.NewParallelLearner(cfg, dist, rng.Fold(opts.Seed, 77), 1)
 }
 
 // labEvalGrid is the fixed head-to-head evaluation: staggered arrivals, an

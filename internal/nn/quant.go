@@ -101,14 +101,13 @@ var tanhTab = func() [1025]int16 {
 	return t
 }()
 
-// quantLayer is one compiled layer: offsets into the flat weight/bias
-// arrays plus the precomputed requantization constants.
+// quantLayer is one compiled layer: offsets into the padded kernel arrays
+// plus the precomputed requantization constants.
 type quantLayer struct {
 	in, out       int
 	padIn, padOut int // kernel dims: in padded to 16 cols, out to 4 rows
 	padSums       int // out padded to 8: sums per sample, epilogue width
 	act           Activation
-	wOff, bOff    int   // offsets into the canonical arrays
 	kOff, kbOff   int   // offsets into the padded kernel weights and biases
 	mult          int64 // requantization multiplier, ∈ [0, 2^30]
 	rnd           int64 // rounding bias, 1 << (shift-1)
@@ -156,7 +155,7 @@ func newRequantConsts(l *quantLayer) requantConsts {
 	return k
 }
 
-// QuantizedMLP is the fixed-point compiled form of a trained MLP: flat
+// QuantizedMLP is the fixed-point compiled form of a trained MLP: padded
 // int16 weights, int32 biases, and precomputed per-layer requantization
 // constants. Forward runs in pure integer arithmetic with zero allocations.
 //
@@ -179,8 +178,6 @@ type QuantizedMLP struct {
 // read, and shared by every clone.
 type quantNet struct {
 	layers  []quantLayer
-	weights []int16 // canonical row-major weights, unpadded
-	biases  []int32
 	inScale []float64 // per-feature input quantization scale
 	outInv  float64   // final dequantization factor, 2^-outBits of last layer
 	kernelW []int16   // padded row-major weights fed to matmulQ15
@@ -246,6 +243,9 @@ func Quantize(m *MLP, opts QuantizeOptions) (*QuantizedMLP, error) {
 	}
 
 	q := &QuantizedMLP{quantNet: quantNet{inScale: make([]float64, in)}}
+	// The canonical (row-major, unpadded) weights: dropped after finish.
+	var weights []int16
+	var biases []int32
 	for i, a := range aIn {
 		if a < 1e-9 {
 			a = 1e-9 // dead feature: any scale works, avoid dividing by zero
@@ -329,28 +329,27 @@ func Quantize(m *MLP, opts QuantizeOptions) (*QuantizedMLP, error) {
 
 		q.layers = append(q.layers, quantLayer{
 			in: l.In, out: l.Out, act: l.Act,
-			wOff: len(q.weights), bOff: len(q.biases),
 			mult: mult, rnd: int64(1) << (shift - 1), shift: shift,
 			outBits: outBits,
 		})
-		q.weights = append(q.weights, wq...)
-		q.biases = append(q.biases, bq...)
+		weights = append(weights, wq...)
+		biases = append(biases, bq...)
 		sin = math.Ldexp(1, int(outBits))
 	}
 
-	q.finish()
-	if err := q.checkAccBounds(); err != nil {
+	if err := q.checkAccBounds(weights, biases); err != nil {
 		return nil, err // unreachable by the scale cap; kept as a hard guard
 	}
+	q.finish(weights, biases)
 	return q, nil
 }
 
 // finish derives the padded kernel layout, scratch buffers, and the output
-// dequantization factor from the compiled canonical form. The kernel
-// consumes weights padded to 16-column × 4-row tiles; padding weights are
-// zero, so whatever stale int16s sit in the padded tail of an activation
-// row contribute exactly nothing.
-func (q *QuantizedMLP) finish() {
+// dequantization factor from the canonical weights, which it does not keep.
+// The kernel consumes weights padded to 16-column × 4-row tiles; padding
+// weights are zero, so whatever stale int16s sit in the padded tail of an
+// activation row contribute exactly nothing.
+func (q *QuantizedMLP) finish(weights []int16, biases []int32) {
 	kernelLen, biasLen := 0, 0
 	q.maxDim, q.maxAcc = 0, 0
 	for i := range q.layers {
@@ -369,9 +368,10 @@ func (q *QuantizedMLP) finish() {
 	q.kernelB = make([]int32, biasLen)
 	for _, l := range q.layers {
 		for o := 0; o < l.out; o++ {
-			copy(q.kernelW[l.kOff+o*l.padIn:], q.weights[l.wOff+o*l.in:l.wOff+(o+1)*l.in])
+			copy(q.kernelW[l.kOff+o*l.padIn:], weights[o*l.in:(o+1)*l.in])
 		}
-		copy(q.kernelB[l.kbOff:], q.biases[l.bOff:l.bOff+l.out])
+		copy(q.kernelB[l.kbOff:], biases[:l.out])
+		weights, biases = weights[l.in*l.out:], biases[l.out:]
 	}
 	q.outInv = math.Ldexp(1, -int(q.layers[len(q.layers)-1].outBits))
 	q.scratch(1)
@@ -387,14 +387,13 @@ func (q *QuantizedMLP) scratch(rows int) {
 }
 
 // checkAccBounds verifies the realized no-wrap inequality for every output
-// row: Σ|wq|·32768 + |bq| ≤ 2^31−1. Quantize's weight-scale cap guarantees
-// it; this is the check on what the rounding actually produced.
-func (q *QuantizedMLP) checkAccBounds() error {
+// row of the canonical weights: Σ|wq|·32768 + |bq| ≤ 2^31−1. Quantize's
+// weight-scale cap guarantees it; this checks what the rounding produced.
+func (q *QuantizedMLP) checkAccBounds(weights []int16, biases []int32) error {
 	for li, l := range q.layers {
 		for o := 0; o < l.out; o++ {
 			var sum int64
-			row := q.weights[l.wOff+o*l.in : l.wOff+(o+1)*l.in]
-			for _, w := range row {
+			for _, w := range weights[o*l.in : (o+1)*l.in] {
 				if w < 0 {
 					sum -= int64(w)
 				} else {
@@ -402,7 +401,7 @@ func (q *QuantizedMLP) checkAccBounds() error {
 				}
 			}
 			sum *= 32768
-			b := int64(q.biases[l.bOff+o])
+			b := int64(biases[o])
 			if b < 0 {
 				b = -b
 			}
@@ -410,6 +409,7 @@ func (q *QuantizedMLP) checkAccBounds() error {
 				return fmt.Errorf("nn: quantized layer %d row %d can overflow its accumulator (weight mass %d)", li, o, sum+b)
 			}
 		}
+		weights, biases = weights[l.in*l.out:], biases[l.out:]
 	}
 	return nil
 }
@@ -426,7 +426,12 @@ func (q *QuantizedMLP) NumLayers() int { return len(q.layers) }
 // ParamBytes returns the byte footprint of the compiled parameters (int16
 // weights + int32 biases), the number that decides cache residency under
 // sharded serving.
-func (q *QuantizedMLP) ParamBytes() int { return 2*len(q.weights) + 4*len(q.biases) }
+func (q *QuantizedMLP) ParamBytes() (n int) {
+	for _, l := range q.layers {
+		n += 2*l.in*l.out + 4*l.out
+	}
+	return n
+}
 
 // Clone returns an independently evaluable copy sharing the immutable
 // compiled arrays, with scratch of its own for one sample (ForwardBatch

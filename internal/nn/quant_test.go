@@ -44,6 +44,13 @@ func TestQuantizeEquivalenceRandomNets(t *testing.T) {
 		for si, shape := range quantTestShapes {
 			rng := rand.New(rand.NewSource(int64(100*si + int(outAct))))
 			m := NewMLP(rng, ReLU, outAct, shape...)
+			// NewMLP starts every bias at zero; nonzero ones make each
+			// layer's bias placement in the compiled net observable.
+			for _, l := range m.Layers {
+				for o := range l.B {
+					l.B[o] = 0.1 * rng.NormFloat64()
+				}
+			}
 			cal := calSamples(rng, 256, shape[0], 4)
 			q, err := Quantize(m, QuantizeOptions{Calibration: cal})
 			if err != nil {
@@ -395,16 +402,17 @@ func hostileRows(rng *rand.Rand, n, in int, amp float64) []float64 {
 // Quantize would leave it, and passes the same bound check Quantize runs.
 func boundNet(t testing.TB, mult int64, shift int, act Activation) *QuantizedMLP {
 	t.Helper()
-	q := rawBoundNet(mult, shift, act)
-	if err := q.checkAccBounds(); err != nil {
+	q, w, b := rawBoundNet(mult, shift, act)
+	if err := q.checkAccBounds(w, b); err != nil {
 		t.Fatalf("bound net (mult %d, shift %d): %v", mult, shift, err)
 	}
-	q.finish()
+	q.finish(w, b)
 	return q
 }
 
-// rawBoundNet is boundNet's network before the bound check and finish.
-func rawBoundNet(mult int64, shift int, act Activation) *QuantizedMLP {
+// rawBoundNet is boundNet's network before the bound check and finish,
+// with the canonical weights and biases those take.
+func rawBoundNet(mult int64, shift int, act Activation) (*QuantizedMLP, []int16, []int32) {
 	w0 := []int16{
 		32767, 32767, 1,
 		-32767, -32767, -1,
@@ -419,35 +427,35 @@ func rawBoundNet(mult int64, shift int, act Activation) *QuantizedMLP {
 	if act == Tanh {
 		outBits = tanhOutBits
 	}
-	return &QuantizedMLP{quantNet: quantNet{
+	q := &QuantizedMLP{quantNet: quantNet{
 		layers: []quantLayer{
 			{in: 3, out: 5, act: act, mult: mult, rnd: 1 << (shift - 1), shift: uint8(shift), outBits: outBits},
-			{in: 5, out: 2, act: Linear, wOff: len(w0), bOff: len(b0), mult: 1 << 20, rnd: 1 << 23, shift: 24, outBits: 10},
+			{in: 5, out: 2, act: Linear, mult: 1 << 20, rnd: 1 << 23, shift: 24, outBits: 10},
 		},
 		inScale: []float64{16384, 8192, 1},
-		weights: append(append([]int16(nil), w0...), w1...),
-		biases:  append(append([]int32(nil), b0...), b1...),
 	}}
+	return q, append(w0, w1...), append(b0, b1...)
 }
 
 // TestCheckAccBoundsRejectsOverflow: one unit of mass past the bound in any
 // row is refused, however it gets there. The unmutated bound net passes, or
 // the cases prove nothing.
 func TestCheckAccBoundsRejectsOverflow(t *testing.T) {
-	if err := rawBoundNet(1<<20, 20, Linear).checkAccBounds(); err != nil {
+	q, w, b := rawBoundNet(1<<20, 20, Linear)
+	if err := q.checkAccBounds(w, b); err != nil {
 		t.Fatalf("bound net rejected: %v", err)
 	}
-	for name, mutate := range map[string]func(q *QuantizedMLP){
-		"bias one past":       func(q *QuantizedMLP) { q.biases[0]++ },
-		"weight one past":     func(q *QuantizedMLP) { q.weights[5]-- },
-		"two -32768 weights":  func(q *QuantizedMLP) { q.weights[7] = -32768 },
-		"second layer bomb":   func(q *QuantizedMLP) { q.weights[15], q.weights[16], q.biases[5] = 32767, 32767, math.MaxInt32 },
-		"negative bias past":  func(q *QuantizedMLP) { q.biases[1]-- },
-		"last row, last unit": func(q *QuantizedMLP) { q.biases[4] = math.MaxInt32 - 32767 },
+	for name, mutate := range map[string]func(w []int16, b []int32){
+		"bias one past":       func(w []int16, b []int32) { b[0]++ },
+		"weight one past":     func(w []int16, b []int32) { w[5]-- },
+		"two -32768 weights":  func(w []int16, b []int32) { w[7] = -32768 },
+		"second layer bomb":   func(w []int16, b []int32) { w[15], w[16], b[5] = 32767, 32767, math.MaxInt32 },
+		"negative bias past":  func(w []int16, b []int32) { b[1]-- },
+		"last row, last unit": func(w []int16, b []int32) { b[4] = math.MaxInt32 - 32767 },
 	} {
-		q := rawBoundNet(1<<20, 20, Linear)
-		mutate(q)
-		if err := q.checkAccBounds(); err == nil {
+		q, w, b := rawBoundNet(1<<20, 20, Linear)
+		mutate(w, b)
+		if err := q.checkAccBounds(w, b); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -473,6 +481,10 @@ func TestQuantizeIsTierIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// 51,264 int16 weights and 449 int32 biases.
+		if got := q.ParamBytes(); got != 104324 {
+			t.Fatalf("ParamBytes %d, want 104324", got)
+		}
 		want[i] = q.quantNet
 	}
 	restore()
@@ -495,8 +507,7 @@ func TestQuantizeIsTierIndependent(t *testing.T) {
 				name      string
 				got, want any
 			}{
-				{"inScale", got.inScale, ref.inScale}, {"weights", got.weights, ref.weights},
-				{"biases", got.biases, ref.biases}, {"outInv", got.outInv, ref.outInv},
+				{"inScale", got.inScale, ref.inScale}, {"outInv", got.outInv, ref.outInv},
 				{"kernelW", got.kernelW, ref.kernelW}, {"kernelB", got.kernelB, ref.kernelB},
 				{"maxDim", got.maxDim, ref.maxDim}, {"maxAcc", got.maxAcc, ref.maxAcc},
 			} {
@@ -631,16 +642,15 @@ func TestRequantKernelMatchesScalar(t *testing.T) {
 			sums = append(sums, int32(rng.Int63n(1<<32)-(1<<31-1)))
 		}
 		l.out = len(sums)
-		tr := trial{q: &QuantizedMLP{quantNet: quantNet{layers: []quantLayer{l}, weights: make([]int16, l.out),
-			biases: make([]int32, l.out), inScale: []float64{1}}}, sums: sums}
-		tr.q.finish()
+		tr := trial{q: &QuantizedMLP{quantNet: quantNet{layers: []quantLayer{l}, inScale: []float64{1}}}, sums: sums}
+		tr.q.finish(make([]int16, l.out), make([]int32, l.out))
 		// Split each sum between the bias and the accumulator.
 		for o, v := range sums {
 			b := int32(rng.Intn(1001) - 500)
 			if d := int64(v) - int64(b); d > math.MaxInt32 || d < math.MinInt32 {
 				b = 0
 			}
-			tr.q.biases[o], tr.q.kernelB[o] = b, b
+			tr.q.kernelB[o] = b
 			tr.acc = append(tr.acc, v-b)
 		}
 		restore, _ := useTier("portable")

@@ -11,7 +11,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/env"
-	"repro/internal/rl"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/tournament"
@@ -35,13 +34,12 @@ func pilotLearner(t *testing.T, seed int64) *env.ParallelLearner {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.BatchSize = 16
+	cfg.Hidden = []int{8, 8}
+	cfg.ReplayCap = 5000
 	dist := env.DefaultTrainingDistribution()
 	dist.MaxFlows = 2
 	dist.EpisodeDuration = 3
-	rlCfg := rl.DefaultConfig(cfg.StateDim(), core.GlobalFeatureDim, 1)
-	rlCfg.Hidden = []int{8, 8}
-	rlCfg.Batch = 16
-	return env.NewParallelLearnerRL(cfg, dist, rlCfg, 5000, seed, 2)
+	return env.NewParallelLearner(cfg, dist, seed, 2)
 }
 
 // pilotFleet is one live serving fleet for an e2e test: a real TCP server

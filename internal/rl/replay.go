@@ -91,6 +91,9 @@ func (rb *ReplayBuffer) push(t Transition) {
 // Len returns the number of stored transitions.
 func (rb *ReplayBuffer) Len() int { return len(rb.buf) }
 
+// Cap returns the most transitions the buffer holds.
+func (rb *ReplayBuffer) Cap() int { return rb.capacity }
+
 // Sample draws n transitions uniformly with replacement into out (resized
 // as needed) and returns it. It panics on an empty buffer.
 func (rb *ReplayBuffer) Sample(rng *rand.Rand, n int, out []Transition) []Transition {

@@ -16,10 +16,10 @@ func TestDistilledPolicyClosedLoop(t *testing.T) {
 		t.Skip("distillation + multi-flow scenario")
 	}
 	cfg := core.DefaultConfig()
+	cfg.Hidden = []int{128, 64}
 	opts := core.DefaultDistillOptions()
 	opts.Samples = 12000
 	opts.Epochs = 25
-	opts.Hidden = []int{128, 64}
 	net, loss := core.DistillPolicy(cfg, opts)
 	// The reference law has hard clamps and a discontinuous loss guard, so
 	// a compact net cannot fit it exactly; what matters is that the

@@ -138,6 +138,17 @@ if grep -q "RACE" "$SMOKE/qserve.log"; then echo "ci: race detected in quantized
     -out "$SMOKE/rl-resumed.json" >/dev/null 2>&1
 "$SMOKE/astraea" train -mode rl -episodes 4 -workers 1 -out "$SMOKE/rl-whole.json" >/dev/null
 cmp "$SMOKE/rl-resumed.json" "$SMOKE/rl-whole.json" || { echo "ci: resumed train actor differs from an uninterrupted run"; exit 1; }
+# The training flags train shares with pilot, on a checkpointed run; a
+# resume with a -reward other than the checkpoint's must be refused by
+# name before any episode runs.
+"$SMOKE/astraea" train -mode rl -episodes 1 -rl-hidden 8,8 -episode-duration 3 -max-flows 2 \
+    -checkpoint "$SMOKE/tiny.ckpt" -out "$SMOKE/rl-tiny.json" >/dev/null 2>&1
+[ -s "$SMOKE/tiny.ckpt" ] || { echo "ci: train -rl-hidden wrote no checkpoint"; exit 1; }
+if "$SMOKE/astraea" train -mode rl -episodes 2 -resume "$SMOKE/tiny.ckpt" -reward maxmin \
+    -out "$SMOKE/rl-refused.json" >"$SMOKE/refused.log" 2>&1; then
+    echo "ci: resume under another -reward was not refused"; cat "$SMOKE/refused.log"; exit 1
+fi
+grep -q -- "-reward maxmin" "$SMOKE/refused.log" || { echo "ci: resume refusal does not name -reward"; cat "$SMOKE/refused.log"; exit 1; }
 
 # Tournament smoke: the real binary on a trimmed grid (2 schemes × 2
 # families, invariants checked). The report must rank both schemes and both
